@@ -146,6 +146,136 @@ class TrainingRun:
     parameter_trail: tuple[np.ndarray, ...] | None = None
 
 
+class _ClientStack:
+    """The clients of a round that share one effective minibatch size.
+
+    Row ``i`` of ``w``, ``x`` and ``y`` belongs to the client at shard
+    position ``positions[i]``: its parameters, and the rows and labels of
+    its current minibatch.  A client whose minibatch is its whole shard
+    has them filled in once, here.
+    """
+
+    def __init__(self, model, shards, rngs, positions, w_start, batch_size):
+        self.positions = positions
+        self.batch_size = batch_size
+        self.clients = [
+            (shards[p].data, objectives._labels(model, shards[p].data.labels), rngs[p])
+            for p in positions
+        ]
+        self.w = np.repeat(w_start[None, :], len(positions), axis=0)
+        b = min(batch_size, shards[positions[0]].data.m)
+        self.x = np.empty((len(positions), b, model.n_features))
+        self.y = np.empty((len(positions), b), dtype=self.clients[0][1].dtype)
+        for i, (data, labels, _) in enumerate(self.clients):
+            if batch_size >= data.m:
+                self.x[i] = data.features
+                self.y[i] = labels
+
+    def draw(self) -> None:
+        """Gather every client's next minibatch from its own stream."""
+        for i, (data, labels, rng) in enumerate(self.clients):
+            idx = objectives._draw_indices(data.m, self.batch_size, rng)
+            if idx is not None:
+                # the indices lie in [0, m), so "clip" never clips; it
+                # lets take write straight into the buffer
+                data.features.take(idx, axis=0, out=self.x[i], mode="clip")
+                labels.take(idx, out=self.y[i], mode="clip")
+
+    def blown_up(self) -> list[int]:
+        """Shard positions whose parameters left the finite floats or
+        passed 1e18.
+
+        Magnitudes past 1e18 are unambiguous divergence, and catching them
+        keeps the update norm within float32 range downstream.  ``max`` and
+        ``min`` carry a NaN through, and it fails both comparisons.
+        """
+        w = self.w
+        if w.max() <= 1e18 and w.min() >= -1e18:
+            return []
+        bad = ~((w.max(axis=1) <= 1e18) & (w.min(axis=1) >= -1e18))
+        return [p for p, b in zip(self.positions, bad) if b]
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the clients whose entry in the boolean ``rows`` is false."""
+        self.positions = [p for p, k in zip(self.positions, rows) if k]
+        self.clients = [c for c, k in zip(self.clients, rows) if k]
+        self.w, self.x, self.y = self.w[rows], self.x[rows], self.y[rows]
+
+
+def _local_sgd(
+    model: ModelSpec,
+    shards: Sequence[ClientShard],
+    w_start: np.ndarray,
+    local_steps: int,
+    eta: float,
+    batch_size: int,
+    rngs: Sequence[np.random.Generator],
+) -> list[np.ndarray]:
+    """Local SGD of all clients of a round, stepped together.
+
+    Client ``i`` takes ``local_steps`` steps from ``w_start`` on
+    ``shards[i]``, drawing its minibatches from ``rngs[i]``; the result is
+    the list of parameter deltas in shard order.  The parameters and every
+    shard are checked once.  At each step every client draws its indices
+    from its own stream, as it would alone, and the clients that share an
+    effective batch size ``min(batch_size, m)`` get their gradients from
+    one stacked kernel call, so the deltas are bit-identical to stepping
+    the clients one at a time.
+
+    A client that diverges stops stepping, and so do the clients after it
+    in shard order.  The error raised names the first client in shard
+    order that diverges at all, at its first diverging step: the one a
+    client-by-client loop would have stopped at.
+    """
+    if local_steps < 1:
+        raise ValueError("local_steps must be at least 1")
+    if eta <= 0.0:
+        raise ValueError("eta must be positive")
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    w_start = objectives._check_params(model, w_start)
+    for shard in shards:
+        objectives._check_data(model, shard.data)
+    groups: dict[int, list[int]] = {}
+    for i, shard in enumerate(shards):
+        groups.setdefault(min(batch_size, shard.data.m), []).append(i)
+    stacks = [
+        _ClientStack(model, shards, rngs, positions, w_start, batch_size)
+        for positions in groups.values()
+    ]
+    grad = np.empty((max(len(p) for p in groups.values()), model.dim))
+    first_blowup: tuple[int, int] | None = None  # (shard position, step)
+    for t in range(local_steps):
+        for stack in stacks:
+            stack.draw()
+            g = objectives._gradients(model, stack.w, stack.x, stack.y, grad[: len(stack.w)])
+            g *= eta
+            stack.w -= g
+        for stack in stacks:
+            for pos in stack.blown_up():
+                if first_blowup is None or pos < first_blowup[0]:
+                    first_blowup = (pos, t)
+        if first_blowup is not None:
+            for stack in stacks:
+                stack.keep(np.asarray(stack.positions) < first_blowup[0])
+            stacks = [stack for stack in stacks if stack.positions]
+            if not stacks:
+                break
+    if first_blowup is not None:
+        pos, t = first_blowup
+        client_id = shards[pos].client_id
+        raise TrainingDiverged(
+            f"client {client_id}: parameters blew up at local step {t}",
+            step=t,
+            client_id=client_id,
+        )
+    deltas: dict[int, np.ndarray] = {}
+    for stack in stacks:
+        stack.w -= w_start
+        deltas.update(zip(stack.positions, stack.w))
+    return [deltas[i] for i in range(len(shards))]
+
+
 def local_round(
     model: ModelSpec,
     shard: ClientShard,
@@ -156,25 +286,7 @@ def local_round(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Run one client's local steps; returns the parameter delta."""
-    if local_steps < 1:
-        raise ValueError("local_steps must be at least 1")
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    w_start = np.asarray(w_start, dtype=np.float64)
-    w = w_start.copy()
-    for t in range(local_steps):
-        batch = objectives.sample_batch(shard.data, batch_size, rng)
-        g = objectives.gradient(model, w, batch)
-        w -= eta * g
-        # magnitudes past 1e18 are unambiguous divergence, and catching
-        # them here keeps the update norm within float32 range downstream
-        if not np.all(np.isfinite(w)) or float(np.max(np.abs(w))) > 1e18:
-            raise TrainingDiverged(
-                f"client {shard.client_id}: parameters blew up at local step {t}",
-                step=t,
-                client_id=shard.client_id,
-            )
-    return w - w_start
+    return _local_sgd(model, [shard], w_start, local_steps, eta, batch_size, [rng])[0]
 
 
 def aggregate(
@@ -213,11 +325,16 @@ def _loss_estimate(
 ) -> float:
     if config.loss_estimate == "full":
         return global_loss(model, shards, w)
+    w = objectives._check_params(model, w)
     value = 0.0
     for sh in shards:
+        objectives._check_data(model, sh.data)
         rng = derive_rng(config.master_seed, ROLE_LOSS, sh.client_id, round_index)
-        batch = objectives.sample_batch(sh.data, config.batch_size, rng)
-        value += sh.weight * objectives.loss(model, w, batch)
+        x, y = sh.data.features, sh.data.labels
+        idx = objectives._draw_indices(sh.data.m, config.batch_size, rng)
+        if idx is not None:
+            x, y = x[idx], y[idx]
+        value += sh.weight * objectives._loss(model, w, x, y)
     return float(value)
 
 
@@ -240,16 +357,17 @@ def run_round(
     k = state.round_index
     if train_loss is None:
         train_loss = global_loss(model, shards, state.w)
-    updates = []
-    for shard in shards:
-        rng = derive_rng(master_seed, ROLE_SGD, shard.client_id, k)
-        try:
-            delta = local_round(model, shard, state.w, local_steps, eta, batch_size, rng)
-        except TrainingDiverged as exc:
-            exc.round_index = k
-            raise
-        qrng = derive_rng(master_seed, ROLE_QUANT, shard.client_id, k)
-        updates.append(quantize(delta, s, qrng))
+    rngs = [derive_rng(master_seed, ROLE_SGD, sh.client_id, k) for sh in shards]
+    try:
+        deltas = _local_sgd(model, shards, state.w, local_steps, eta, batch_size, rngs)
+    except TrainingDiverged as exc:
+        exc.round_index = k
+        raise
+    updates = [
+        quantize(delta, s, derive_rng(master_seed, ROLE_QUANT, sh.client_id, k))
+        for sh, delta in zip(shards, deltas)
+    ]
+    del deltas  # the stacked parameters, freed before aggregating
     w_next = aggregate(state.w, updates, [sh.weight for sh in shards])
     cost = bits_per_update(model.dim, s)
     new_state = GlobalState(
@@ -412,12 +530,11 @@ def run_unquantized(config: TrainingConfig, rounds: int | None = None) -> list[n
     trail = []
     for k in range(total):
         eta_k = config.lr.eta_for_round(k)
+        rngs = [derive_rng(config.master_seed, ROLE_SGD, sh.client_id, k) for sh in shards]
+        deltas = _local_sgd(model, shards, w, config.local_steps, eta_k, config.batch_size, rngs)
         delta = np.zeros_like(w)
-        for shard in shards:
-            rng = derive_rng(config.master_seed, ROLE_SGD, shard.client_id, k)
-            delta += shard.weight * local_round(
-                model, shard, w, config.local_steps, eta_k, config.batch_size, rng
-            )
+        for shard, client_delta in zip(shards, deltas):
+            delta += shard.weight * client_delta
         w = w + delta
         trail.append(w.copy())
     return trail

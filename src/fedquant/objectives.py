@@ -170,12 +170,10 @@ def _check_data(model: ModelSpec, data: Dataset) -> None:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
+    # overflows; both share e = e^-|z|
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -184,75 +182,120 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _unpack_mlp(model: ModelSpec, w: np.ndarray):
+    """Views of the layer blocks of ``w``, over its last axis."""
     f, h, c = model.n_features, model.hidden, model.n_classes
+    lead = w.shape[:-1]
     i = 0
-    w1 = w[i : i + f * h].reshape(f, h)
+    w1 = w[..., i : i + f * h].reshape(lead + (f, h))
     i += f * h
-    b1 = w[i : i + h]
+    b1 = w[..., i : i + h]
     i += h
-    w2 = w[i : i + h * c].reshape(h, c)
+    w2 = w[..., i : i + h * c].reshape(lead + (h, c))
     i += h * c
-    b2 = w[i : i + c]
+    b2 = w[..., i : i + c]
     return w1, b1, w2, b2
 
 
 def _mlp_forward(model: ModelSpec, w: np.ndarray, features: np.ndarray):
+    """Forward pass for one client (``w`` 1-D, ``features`` 2-D) or for a
+    stack of them (``w`` is ``(n, dim)``, ``features`` is ``(n, b, f)``)."""
     w1, b1, w2, b2 = _unpack_mlp(model, w)
-    pre = features @ w1 + b1
+    pre = features @ w1 + b1[..., None, :]
     hidden = np.maximum(pre, 0.0)
-    logits = hidden @ w2 + b2
+    logits = hidden @ w2 + b2[..., None, :]
     return pre, hidden, logits
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss(model: ModelSpec, w: np.ndarray, data: Dataset) -> float:
-    """Mean objective value over the rows of ``data``."""
-    w = _check_params(model, w)
-    _check_data(model, data)
-    x, y = data.features, data.labels
+def _loss(model: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean objective over raw rows ``x``, ``y``; no checks."""
     if model.kind == "quadratic":
         r = x @ w - np.asarray(y, dtype=np.float64)
-        return float(0.5 * (r @ r) / data.m)
+        return float(0.5 * (r @ r) / x.shape[0])
     if model.kind == "logistic":
         z = x @ w[:-1] + w[-1]
         y = np.asarray(y, dtype=np.float64)
         return float(np.mean(_softplus(z) - y * z))
     _, _, logits = _mlp_forward(model, w, x)
     log_p = _log_softmax(logits)
-    idx = np.asarray(y, dtype=np.int64)
-    return float(-np.mean(log_p[np.arange(data.m), idx]))
+    return float(-np.mean(log_p[np.arange(x.shape[0]), np.asarray(y, dtype=np.int64)]))
+
+
+def _gradients(
+    model: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Gradients of :func:`loss` for a stack of clients, written into ``out``.
+
+    Raw arrays, no checks: ``w`` and ``out`` are ``(n, dim)``, ``x`` is
+    ``(n, b, f)`` and ``y`` is ``(n, b)``, float labels for the convex
+    models and class ids for the mlp.  Row ``i`` of ``out`` is the gradient
+    at ``w[i]`` over the rows ``x[i]``, ``y[i]``, bit for bit what one
+    client alone gets: every product is the stacked form of the single
+    client's ``matmul``, so each client keeps its own BLAS call, and every
+    sum runs over one client's axis in the same order.
+    """
+    n, b, _ = x.shape
+    xt = x.swapaxes(1, 2)
+    if model.kind == "quadratic":
+        r = np.matmul(x, w[:, :, None])[:, :, 0] - y
+        np.matmul(xt, r[:, :, None], out=out[:, :, None])
+        out /= b
+        return out
+    if model.kind == "logistic":
+        z = np.matmul(x, w[:, :-1, None])[:, :, 0] + w[:, -1:]
+        resid = _sigmoid(z) - y
+        np.matmul(xt, resid[:, :, None], out=out[:, :-1, None])
+        out[:, :-1] /= b
+        out[:, -1] = resid.mean(axis=1)
+        return out
+    pre, hidden, logits = _mlp_forward(model, w, x)
+    probs = np.exp(_log_softmax(logits))
+    probs[np.arange(n)[:, None], np.arange(b), y] -= 1.0
+    probs /= b
+    g_w1, g_b1, g_w2, g_b2 = _unpack_mlp(model, out)
+    np.matmul(hidden.swapaxes(1, 2), probs, out=g_w2)
+    g_b2[...] = probs.sum(axis=1)
+    back = np.matmul(probs, _unpack_mlp(model, w)[2].swapaxes(1, 2)) * (pre > 0.0)
+    np.matmul(xt, back, out=g_w1)
+    g_b1[...] = back.sum(axis=1)
+    return out
+
+
+def _labels(model: ModelSpec, labels: np.ndarray) -> np.ndarray:
+    """Labels in the dtype the kernels take: class ids for the mlp, floats
+    otherwise."""
+    return np.asarray(labels, dtype=np.int64 if model.kind == "mlp" else np.float64)
+
+
+def _draw_indices(m: int, batch_size: int, rng: np.random.Generator) -> np.ndarray | None:
+    """Row indices of one minibatch drawn uniformly without replacement.
+
+    None when ``batch_size`` covers all ``m`` rows; that case draws nothing
+    from ``rng``.  Every minibatch in the package is drawn here.
+    """
+    if batch_size >= m:
+        return None
+    return rng.choice(m, size=batch_size, replace=False)
+
+
+def loss(model: ModelSpec, w: np.ndarray, data: Dataset) -> float:
+    """Mean objective value over the rows of ``data``."""
+    w = _check_params(model, w)
+    _check_data(model, data)
+    return _loss(model, w, data.features, data.labels)
 
 
 def gradient(model: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
     """Exact gradient of :func:`loss` at ``w`` over the rows of ``data``."""
     w = _check_params(model, w)
     _check_data(model, data)
-    x, y = data.features, data.labels
-    m = data.m
-    if model.kind == "quadratic":
-        r = x @ w - np.asarray(y, dtype=np.float64)
-        return (x.T @ r) / m
-    if model.kind == "logistic":
-        z = x @ w[:-1] + w[-1]
-        resid = _sigmoid(z) - np.asarray(y, dtype=np.float64)
-        g = np.empty(model.dim)
-        g[:-1] = (x.T @ resid) / m
-        g[-1] = resid.mean()
-        return g
-    pre, hidden, logits = _mlp_forward(model, w, x)
-    probs = np.exp(_log_softmax(logits))
-    probs[np.arange(m), np.asarray(y, dtype=np.int64)] -= 1.0
-    probs /= m
-    d_w2 = hidden.T @ probs
-    d_b2 = probs.sum(axis=0)
-    back = (probs @ _unpack_mlp(model, w)[2].T) * (pre > 0.0)
-    d_w1 = x.T @ back
-    d_b1 = back.sum(axis=0)
-    return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
+    out = np.empty((1, model.dim))
+    y = _labels(model, data.labels)
+    return _gradients(model, w[None], data.features[None], y[None], out)[0]
 
 
 def sample_batch(
@@ -265,9 +308,8 @@ def sample_batch(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    if batch_size >= data.m:
-        return data
-    return data.subset(rng.choice(data.m, size=batch_size, replace=False))
+    indices = _draw_indices(data.m, batch_size, rng)
+    return data if indices is None else data.subset(indices)
 
 
 def stochastic_gradient(

@@ -121,18 +121,19 @@ def _lattice(w: np.ndarray, s: int) -> tuple[float, np.ndarray, np.ndarray, np.n
 def quantize(w: np.ndarray, s: int, rng: np.random.Generator) -> QuantizedUpdate:
     """Randomly round ``w`` onto the level lattice; unbiased by construction.
 
-    A zero vector encodes deterministically and consumes no randomness.
+    A vector whose norm is zero at the wire's float32 precision (a zero
+    vector, or one so small its norm underflows) encodes as all-zero
+    levels, deterministically, and consumes no randomness.
     """
     w = _check_input(w, s)
     norm, signs, lower, frac = _lattice(w, s)
-    if norm == 0.0:
+    norm32 = float(np.float32(norm))
+    if norm32 == 0.0:
         levels = np.zeros(w.size, dtype=np.int64)
     else:
         carry = rng.random(w.size) < frac
         levels = (lower + carry).astype(np.int64)
-    return QuantizedUpdate(
-        norm=float(np.float32(norm)), signs=signs, levels=levels, s=int(s), d=w.size
-    )
+    return QuantizedUpdate(norm=norm32, signs=signs, levels=levels, s=int(s), d=w.size)
 
 
 def dequantize(q: QuantizedUpdate) -> np.ndarray:
@@ -153,7 +154,7 @@ def sample_dequantized(
     w = _check_input(w, s)
     norm, signs, lower, frac = _lattice(w, s)
     norm32 = float(np.float32(norm))
-    if norm == 0.0:
+    if norm32 == 0.0:
         return np.zeros((n_draws, w.size))
     carry = rng.random((n_draws, w.size)) < frac
     levels = lower + carry

@@ -26,6 +26,15 @@ class TestQuantizeBasics:
         assert np.array_equal(q.levels, np.zeros(4, dtype=np.int64))
         np.testing.assert_array_equal(dequantize(q), np.zeros(4))
 
+    def test_norm_underflowing_float32_takes_zero_path(self):
+        # the float64 norm is 1e-46, which is 0 in float32: the update must
+        # encode as zero, like a zero vector, and draw nothing
+        rng = np.random.default_rng(0)
+        q = quantize(np.array([1e-46, 0.0]), 2, rng)
+        assert q.norm == 0.0
+        assert np.array_equal(q.levels, np.zeros(2, dtype=np.int64))
+        assert rng.random() == np.random.default_rng(0).random()
+
     def test_exact_lattice_point_is_deterministic(self):
         # norm 5, ratios 0.6 and 0.8: scaled levels land exactly on 3 and 4
         w = np.array([3.0, -4.0])
@@ -207,6 +216,12 @@ class TestSampleDequantized:
         out = sample_dequantized(np.zeros(3), 2, np.random.default_rng(0), 5)
         assert out.shape == (5, 3)
         assert not out.any()
+
+    def test_underflowing_norm_matches_quantize(self):
+        w = np.array([1e-46, -3e-47, 0.0])
+        out = sample_dequantized(w, 2, np.random.default_rng(0), 4)
+        assert not out.any()
+        np.testing.assert_array_equal(out[0], dequantize(quantize(w, 2, np.random.default_rng(0))))
 
     def test_rejects_bad_draw_count(self):
         with pytest.raises(ValueError):
