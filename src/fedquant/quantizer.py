@@ -127,13 +127,14 @@ def quantize(w: np.ndarray, s: int, rng: np.random.Generator) -> QuantizedUpdate
     """
     w = _check_input(w, s)
     norm, signs, lower, frac = _lattice(w, s)
-    norm32 = float(np.float32(norm))
-    if norm32 == 0.0:
+    if np.float32(norm) == 0.0:
         levels = np.zeros(w.size, dtype=np.int64)
     else:
         carry = rng.random(w.size) < frac
         levels = (lower + carry).astype(np.int64)
-    return QuantizedUpdate(norm=norm32, signs=signs, levels=levels, s=int(s), d=w.size)
+    return QuantizedUpdate(
+        norm=float(np.float32(norm)), signs=signs, levels=levels, s=int(s), d=w.size
+    )
 
 
 def dequantize(q: QuantizedUpdate) -> np.ndarray:
