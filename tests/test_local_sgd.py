@@ -187,7 +187,7 @@ def test_gradient_matches_unstacked_formulas(kind):
         assert np.array_equal(gradient(model, w, data), unstacked_gradient(model, w, data))
 
 
-def test_input_checked_once_up_front():
+def test_inputs_are_checked_before_stepping():
     model = MODELS["logistic"]
     shards = make_shards(model, [4, 3, 3])
     bad = ClientShard(
