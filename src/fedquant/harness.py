@@ -320,10 +320,16 @@ def emit_csv(records: Sequence[RoundRecord], path: str) -> None:
 
 
 def bits_to_threshold(records: Sequence[RoundRecord], threshold: float) -> int | None:
-    """Uplink bits spent up to the first record at or below ``threshold``."""
+    """Uplink bits sent before the first round that starts at or below ``threshold``.
+
+    A record's ``train_loss`` is the loss the round started from, and its
+    ``cumulative_bits`` include that round's own uplink, so the count stops
+    short of the crossing round: 0 when the first round already starts
+    there.
+    """
     for record in records:
         if record.train_loss <= threshold:
-            return record.cumulative_bits
+            return record.cumulative_bits - record.bits_this_round
     return None
 
 

@@ -105,7 +105,7 @@ def _check_input(w: np.ndarray, s: int) -> np.ndarray:
 def _lattice(w: np.ndarray, s: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Shared prep: norm, signs, lower lattice level, and carry probability."""
     norm = float(np.linalg.norm(w))
-    signs = np.where(w < 0.0, -1, 1).astype(np.int8)
+    signs = 1 - 2 * (w < 0.0).view(np.int8)
     if norm == 0.0:
         zeros = np.zeros(w.size)
         return 0.0, signs, zeros, zeros

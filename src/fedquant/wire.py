@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .quantizer import QuantizedUpdate
+from .quantizer import NORM_BITS, QuantizedUpdate, bits_per_update
 
 __all__ = ["MAGIC", "VERSION", "DecodeError", "encode", "decode", "encoded_size_bytes"]
 
@@ -41,19 +41,29 @@ def encoded_size_bytes(d: int, s: int) -> int:
     """Exact size in bytes of an encoded update with these dimensions."""
     if d < 1 or s < 1:
         raise ValueError("d and s must be at least 1")
-    payload_bits = d + d * int(s).bit_length()
+    payload_bits = bits_per_update(d, s).total_bits - NORM_BITS
     return _HEADER.size + _NORM.size + (payload_bits + 7) // 8
+
+
+def _level_width(element_bits: int) -> int:
+    """Bytes of the narrowest unsigned integer that holds a level."""
+    return next(width for width in (1, 2, 4) if 8 * width >= element_bits)
 
 
 def encode(q: QuantizedUpdate) -> bytes:
     if q.s > _U32_MAX or q.d > _U32_MAX:
         raise ValueError("s and d must fit in 32 bits")
-    eb = q.s.bit_length()
-    sign_bits = (q.signs < 0).astype(np.uint8)
-    level_bits = (
-        (q.levels[:, None] >> np.arange(eb, dtype=np.int64)) & 1
-    ).astype(np.uint8)
-    plane = np.concatenate([sign_bits, level_bits.ravel()])
+    cost = bits_per_update(q.d, q.s)
+    eb = cost.element_bits
+    width = _level_width(eb)
+    # Each level's bits, LSB first, read off its little-endian bytes; one
+    # flat unpackbits over the whole array, not one per row.
+    level_bits = np.unpackbits(
+        q.levels.astype(f"<u{width}").view(np.uint8), bitorder="little"
+    ).reshape(q.d, 8 * width)
+    plane = np.empty(cost.total_bits - NORM_BITS, dtype=np.uint8)
+    plane[: q.d] = q.signs < 0
+    plane[q.d :].reshape(q.d, eb)[...] = level_bits[:, :eb]
     payload = np.packbits(plane, bitorder="little").tobytes()
     return (
         _HEADER.pack(MAGIC, VERSION, q.s, q.d) + _NORM.pack(q.norm) + payload
@@ -82,18 +92,21 @@ def decode(blob: bytes, d: int) -> QuantizedUpdate:
     (norm,) = _NORM.unpack_from(blob, _HEADER.size)
     if not np.isfinite(norm) or norm < 0.0:
         raise DecodeError(f"invalid norm {norm}")
-    eb = int(s).bit_length()
+    cost = bits_per_update(d, s)
+    eb = cost.element_bits
+    width = _level_width(eb)
     bits = np.unpackbits(
         np.frombuffer(blob, dtype=np.uint8, offset=prefix), bitorder="little"
     )
-    used = d + d * eb
+    used = cost.total_bits - NORM_BITS
     if np.any(bits[used:]):
         raise DecodeError("nonzero padding bits")
-    signs = (1 - 2 * bits[:d].astype(np.int8)).astype(np.int8)
-    levels = (
-        (bits[d:used].reshape(d, eb).astype(np.int64) << np.arange(eb, dtype=np.int64))
-        .sum(axis=1)
-    )
+    signs = 1 - 2 * bits[:d].view(np.int8)
+    # Widen each level to whole little-endian bytes with zero high bits,
+    # then pack the flat array once and read it back as integers.
+    level_bits = np.zeros((d, 8 * width), dtype=np.uint8)
+    level_bits[:, :eb] = bits[d:used].reshape(d, eb)
+    levels = np.packbits(level_bits, bitorder="little").view(f"<u{width}")
     if np.any(levels > s):
         raise DecodeError("level exceeds s")
     if norm == 0.0 and np.any(levels != 0):

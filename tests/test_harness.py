@@ -256,11 +256,16 @@ class TestBitsToThreshold:
 
     def test_first_crossing(self):
         records = self.fake_records([1.0, 0.5, 0.1, 0.01])
-        assert bits_to_threshold(records, 0.1) == 186
+        assert bits_to_threshold(records, 0.1) == 124
 
     def test_threshold_above_initial(self):
         records = self.fake_records([1.0, 0.5])
-        assert bits_to_threshold(records, 2.0) == 62
+        assert bits_to_threshold(records, 2.0) == 0
+
+    def test_run_starting_at_threshold_costs_nothing(self):
+        _, records = run_experiment(reference_config(rounds=3))
+        assert bits_to_threshold(records, records[0].train_loss) == 0
+        assert bits_to_threshold(records, records[1].train_loss) == records[0].bits_this_round
 
     def test_never_crossed(self):
         records = self.fake_records([1.0, 0.5])
