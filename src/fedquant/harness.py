@@ -322,10 +322,7 @@ def emit_csv(records: Sequence[RoundRecord], path: str) -> None:
 def bits_to_threshold(records: Sequence[RoundRecord], threshold: float) -> int | None:
     """Uplink bits sent before the first round that starts at or below ``threshold``.
 
-    A record's ``train_loss`` is the loss the round started from, and its
-    ``cumulative_bits`` include that round's own uplink, so the count stops
-    short of the crossing round: 0 when the first round already starts
-    there.
+    That round's own uplink is not counted, so a run that starts there costs 0.
     """
     for record in records:
         if record.train_loss <= threshold:
