@@ -30,7 +30,6 @@ __all__ = [
     "adaquant_level",
     "interval_tick",
     "lr_condition_fixed",
-    "lr_condition_per_round",
     "adaptive_bound_terms",
 ]
 
@@ -258,19 +257,15 @@ def _lr_margin(eta: float, smoothness: float, dim: int, local_steps: int, s: int
 def lr_condition_fixed(
     eta: float, smoothness: float, dim: int, local_steps: int, s: int, n_clients: int
 ) -> bool:
-    """Whether a constant step size satisfies the fixed-level analysis."""
+    """Whether step size ``eta`` at level ``s`` meets the analysis's condition.
+
+    ``run_training`` applies it each round to that round's ``eta_k`` and ``s_k``.
+    """
     if eta <= 0.0 or smoothness <= 0.0:
         raise ValueError("eta and smoothness must be positive")
     if min(dim, local_steps, s, n_clients) < 1:
         raise ValueError("dim, local_steps, s, n_clients must be at least 1")
     return _lr_margin(eta, smoothness, dim, local_steps, s, n_clients) >= 0.0
-
-
-def lr_condition_per_round(
-    eta_k: float, smoothness: float, dim: int, local_steps: int, s_k: int, n_clients: int
-) -> bool:
-    """Round-k feasibility under a varying step size and level."""
-    return lr_condition_fixed(eta_k, smoothness, dim, local_steps, s_k, n_clients)
 
 
 def adaptive_bound_terms(

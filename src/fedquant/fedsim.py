@@ -13,6 +13,7 @@ replayed in isolation.  Reruns with the same config are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import objectives
 from .config import AdaquantMode, FileData, SyntheticData, TrainingConfig
-from .controller import QuantSchedule, interval_tick, lr_condition_per_round
+from .controller import QuantSchedule, interval_tick, lr_condition_fixed
 from .objectives import ClientShard, Dataset, ModelSpec
 from .quantizer import QuantizedUpdate, bits_per_update, dequantize, quantize
 
@@ -298,6 +299,8 @@ def aggregate(
     if len(updates) == 0 or len(updates) != len(weights):
         raise ValueError("need one weight per update, at least one of each")
     w = np.asarray(w, dtype=np.float64)
+    if not all(math.isfinite(p) for p in weights):
+        raise ValueError("weights must be finite")
     total = float(sum(weights))
     if abs(total - 1.0) > _WEIGHT_TOL:
         raise ValueError(f"weights must sum to 1 (got {total!r})")
@@ -307,7 +310,9 @@ def aggregate(
     for q, p in zip(updates, weights):
         if q.d != w.size:
             raise ValueError(f"update dimension {q.d} does not match parameters ({w.size})")
-        out += p * dequantize(q)
+        step = dequantize(q)
+        step *= p
+        out += step
     return out
 
 
@@ -479,7 +484,7 @@ def run_training(
             break
         feasible = None
         if config.smoothness is not None:
-            feasible = lr_condition_per_round(
+            feasible = lr_condition_fixed(
                 eta_k, config.smoothness, model.dim, config.local_steps, s_k, config.n_clients
             )
         metric = _eval_metric(problem, state.w) if k % config.eval_every == 0 else None

@@ -442,8 +442,6 @@ def load_delimited(
         raise ValueError(f"unknown data kind {kind!r}")
     try:
         table = np.loadtxt(path, delimiter=delimiter, ndmin=2)
-    except OSError:
-        raise
     except ValueError as exc:
         raise ValueError(f"could not parse {path}: {exc}") from exc
     if table.size == 0 or table.shape[1] < 2:

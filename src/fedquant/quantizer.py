@@ -9,6 +9,7 @@ tightens the lattice and costs more bits per coordinate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,8 @@ class QuantizedUpdate:
 
     ``norm`` is stored at float32 precision because that is what crosses the
     wire; keeping the in-memory value identical to the decoded value makes
-    encode/decode an exact round trip.
+    encode/decode an exact round trip.  ``signs`` and ``levels`` are
+    read-only; the constructor copies and checks the arrays it is given.
     """
 
     norm: float
@@ -66,6 +68,29 @@ class QuantizedUpdate:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "s", int(self.s))
         object.__setattr__(self, "d", int(self.d))
+
+    @classmethod
+    def _adopt(
+        cls, norm: float, signs: np.ndarray, levels: np.ndarray, s: int, d: int
+    ) -> QuantizedUpdate:
+        """Wrap arrays that ``quantize`` or ``wire.decode`` just built and checked.
+
+        ``signs`` (int8, +1/-1) and ``levels`` (int64 in ``[0, s]``, all zero
+        when ``norm`` is) are fresh and referenced nowhere else, so they are
+        frozen in place rather than copied and checked again.
+        """
+        signs.setflags(write=False)
+        levels.setflags(write=False)
+        q = object.__new__(cls)
+        for name, value in (
+            ("norm", float(norm)),
+            ("signs", signs),
+            ("levels", levels),
+            ("s", int(s)),
+            ("d", int(d)),
+        ):
+            object.__setattr__(q, name, value)
+        return q
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantizedUpdate):
@@ -102,20 +127,38 @@ def _check_input(w: np.ndarray, s: int) -> np.ndarray:
     return w
 
 
-def _lattice(w: np.ndarray, s: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared prep: norm, signs, lower lattice level, and carry probability."""
-    norm = float(np.linalg.norm(w))
-    signs = 1 - 2 * (w < 0.0).view(np.int8)
-    if norm == 0.0:
-        zeros = np.zeros(w.size)
-        return 0.0, signs, zeros, zeros
+def _wire_norm(w: np.ndarray) -> tuple[float, float]:
+    """The norm of ``w`` and its float32 wire value, which must be finite."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(w))
+        norm32 = float(np.float32(norm))
+    if math.isinf(norm32):
+        raise ValueError(
+            "the norm of w exceeds the wire's float32 range "
+            f"(largest finite value {float(np.finfo(np.float32).max):.6g})"
+        )
+    return norm, norm32
+
+
+def _signs(w: np.ndarray) -> np.ndarray:
+    """+1 or -1 per coordinate as int8; zeros (and -0.0) count as positive."""
+    signs = (w < 0.0).view(np.int8)
+    signs *= -2
+    signs += 1
+    return signs
+
+
+def _lattice(w: np.ndarray, s: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower lattice level and carry probability per coordinate; ``norm > 0``."""
     # Multiply before dividing so ratios that are exact in float (e.g. 3/5)
     # land on their lattice point instead of a hair below it.
-    scaled = np.abs(w) * s / norm
-    np.minimum(scaled, float(s), out=scaled)
-    lower = np.floor(scaled)
-    frac = scaled - lower
-    return norm, signs, lower, frac
+    frac = np.abs(w)
+    frac *= s
+    frac /= norm
+    np.minimum(frac, float(s), out=frac)
+    lower = np.floor(frac)
+    frac -= lower
+    return lower, frac
 
 
 def quantize(w: np.ndarray, s: int, rng: np.random.Generator) -> QuantizedUpdate:
@@ -123,23 +166,30 @@ def quantize(w: np.ndarray, s: int, rng: np.random.Generator) -> QuantizedUpdate
 
     A vector whose norm is zero at the wire's float32 precision (a zero
     vector, or one so small its norm underflows) encodes as all-zero
-    levels, deterministically, and consumes no randomness.
+    levels, deterministically, and consumes no randomness.  A norm above
+    the float32 range raises ``ValueError``.
     """
     w = _check_input(w, s)
-    norm, signs, lower, frac = _lattice(w, s)
-    if np.float32(norm) == 0.0:
+    norm, norm32 = _wire_norm(w)
+    signs = _signs(w)
+    if norm32 == 0.0:
         levels = np.zeros(w.size, dtype=np.int64)
     else:
-        carry = rng.random(w.size) < frac
-        levels = (lower + carry).astype(np.int64)
-    return QuantizedUpdate(
-        norm=float(np.float32(norm)), signs=signs, levels=levels, s=int(s), d=w.size
-    )
+        lower, frac = _lattice(w, s, norm)
+        levels = lower.astype(np.int64)
+        # The carry draw reuses lower's buffer.  frac is 0 wherever lower
+        # is s, so levels stay in [0, s].
+        levels += rng.random(out=lower) < frac
+    return QuantizedUpdate._adopt(norm32, signs, levels, s, w.size)
 
 
 def dequantize(q: QuantizedUpdate) -> np.ndarray:
     """Reconstruct the real vector a ``QuantizedUpdate`` stands for."""
-    return q.signs * ((q.norm * q.levels) / q.s)
+    out = q.levels.astype(np.float64)
+    out *= q.norm
+    out /= q.s
+    out *= q.signs
+    return out
 
 
 def sample_dequantized(
@@ -153,13 +203,13 @@ def sample_dequantized(
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
     w = _check_input(w, s)
-    norm, signs, lower, frac = _lattice(w, s)
-    norm32 = float(np.float32(norm))
+    norm, norm32 = _wire_norm(w)
     if norm32 == 0.0:
         return np.zeros((n_draws, w.size))
+    lower, frac = _lattice(w, s, norm)
     carry = rng.random((n_draws, w.size)) < frac
     levels = lower + carry
-    return signs * ((norm32 * levels) / s)
+    return _signs(w) * ((norm32 * levels) / s)
 
 
 def bits_per_update(d: int, s: int) -> BitCost:
@@ -198,7 +248,8 @@ def exact_variance(w: np.ndarray, s: int) -> float:
     at most :func:`variance_upper_bound` because ``p (1 - p) <= 1/4``.
     """
     w = _check_input(w, s)
-    norm, _, _, frac = _lattice(w, s)
+    norm = float(np.linalg.norm(w))
     if norm == 0.0:
         return 0.0
+    _, frac = _lattice(w, s, norm)
     return float((norm * norm) * np.sum(frac * (1.0 - frac)) / (s * s))

@@ -111,4 +111,5 @@ def decode(blob: bytes, d: int) -> QuantizedUpdate:
         raise DecodeError("level exceeds s")
     if norm == 0.0 and np.any(levels != 0):
         raise DecodeError("zero norm with nonzero levels")
-    return QuantizedUpdate(norm=float(norm), signs=signs, levels=levels, s=int(s), d=d)
+    # Every field is checked above; the fresh arrays are handed over as is.
+    return QuantizedUpdate._adopt(norm, signs, levels.astype(np.int64), s, d)

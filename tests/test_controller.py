@@ -20,7 +20,6 @@ from fedquant.controller import (
     bound_value,
     interval_tick,
     lr_condition_fixed,
-    lr_condition_per_round,
     optimal_s_closed_form,
 )
 
@@ -244,12 +243,6 @@ class TestLrConditions:
         first_true = results.index(True)
         assert all(results[first_true:])
 
-    def test_per_round_matches_fixed(self):
-        for s in (1, 2, 8):
-            assert lr_condition_per_round(0.05, 1.5, 20, 10, s, 8) == lr_condition_fixed(
-                0.05, 1.5, 20, 10, s, 8
-            )
-
     def test_large_s_limit(self):
         eta, l, tau = 0.01, 1.0, 10
         limit = 1.0 - eta * l - 2.0 * eta**2 * l**2 * tau * (tau - 1) >= 0.0
@@ -258,7 +251,7 @@ class TestLrConditions:
     def test_decaying_eta_crosses_feasibility(self):
         lr = LrSchedule(eta0=0.4, decay_factor=0.5, decay_every=1)
         verdicts = [
-            lr_condition_per_round(lr.eta_for_round(k), 1.0, 10, 10, 4, 4)
+            lr_condition_fixed(lr.eta_for_round(k), 1.0, 10, 10, 4, 4)
             for k in range(12)
         ]
         assert verdicts[0] is False

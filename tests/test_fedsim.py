@@ -141,6 +141,14 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(np.zeros(2), [q], [1.0])
 
+    @pytest.mark.parametrize(
+        "weights", [[float("nan")], [0.5, float("nan")], [float("inf"), 1.0]]
+    )
+    def test_non_finite_weight_rejected(self, weights):
+        q = quantize(np.ones(2), 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite"):
+            aggregate(np.zeros(2), [q] * len(weights), weights)
+
 
 def quad_problem(n=4, m=64, seed=9):
     rng = np.random.default_rng(seed)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,17 @@ class TestQuantizeBasics:
     def test_matrix_input_rejected(self):
         with pytest.raises(ValueError):
             quantize(np.ones((2, 2)), 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("big_w", [[1e300, 1.0], [1e39]])
+    def test_norm_beyond_float32_rejected_quietly(self, big_w):
+        # [1e300, 1] overflows the float64 norm, [1e39] only its float32
+        # wire value; both get one clear error and no NumPy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float32 range"):
+                quantize(np.array(big_w), 2, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="float32 range"):
+                sample_dequantized(np.array(big_w), 2, np.random.default_rng(0), 3)
 
 
 class TestQuantizedUpdate:
