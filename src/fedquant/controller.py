@@ -26,7 +26,6 @@ __all__ = [
     "bound_curve",
     "bound_value",
     "optimal_s_closed_form",
-    "bits_for_level",
     "adaquant_level",
     "interval_tick",
     "lr_condition_fixed",
@@ -156,15 +155,6 @@ def optimal_s_closed_form(constants: BoundConstants) -> float:
         * math.log(2.0)
         / (c.n_clients * c.gap)
     )
-
-
-def bits_for_level(s: int) -> int:
-    """Bits needed to index the ``s + 1`` lattice levels: ceil(log2(s+1))."""
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-        raise ValueError(f"s must be an integer, got {s!r}")
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
-    return int(s).bit_length()
 
 
 @dataclass(frozen=True)

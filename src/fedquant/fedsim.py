@@ -13,11 +13,15 @@ replayed in isolation.  Reruns with the same config are bit-identical.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import objectives
 from .config import AdaquantMode, FileData, SyntheticData, TrainingConfig
@@ -58,11 +62,127 @@ ROLE_LOSS = 5
 _WEIGHT_TOL = 1e-9
 
 
-def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one (role, client, round, ...) slot."""
-    if master_seed < 0 or any(k < 0 for k in key):
+# derive_rng reproduces NumPy's SeedSequence hash (numpy/random/
+# bit_generator.pyx) bit for bit.  The entropy words are the master seed's
+# little-endian 32-bit words, zero-padded to the pool size when a key
+# follows, then the words of each key part.
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+
+
+def _hash_steps(h: int, mult: int):
+    """The (xor, multiplier) constants of successive hash steps from ``h``."""
+    while True:
+        nxt = (h * mult) & _MASK32
+        yield h, nxt
+        h = nxt
+
+
+def _hash(value: int, xor: int, mult: int) -> int:
+    value = ((value ^ xor) * mult) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x: int, y: int) -> int:
+    x = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return x ^ (x >> 16)
+
+
+def _words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads an integer: little-endian 32-bit words."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=64)
+def _absorb_steps(h: int) -> tuple[tuple[int, int], ...]:
+    return tuple(itertools.islice(_hash_steps(h, _MULT_A), _POOL_SIZE))
+
+
+def _absorb(pool: list[int], h: int, words: list[int]) -> int:
+    """Mix each word into every pool word, in place; returns the next ``h``."""
+    for word in words:
+        steps = _absorb_steps(h)
+        for i, (xor, mult) in enumerate(steps):
+            # pool[i] = _mix(pool[i], _hash(word, xor, mult)), inlined
+            x = ((word ^ xor) * mult) & _MASK32
+            x = (_MIX_L * pool[i] - _MIX_R * (x ^ (x >> 16))) & _MASK32
+            pool[i] = x ^ (x >> 16)
+        h = steps[-1][1]
+    return h
+
+
+# typed: a float that equals a cached int must still be rejected
+@functools.lru_cache(maxsize=1024, typed=True)
+def _seed_prefix(keyed: bool, master_seed: int, *head: int):
+    """The pool after the master seed and ``head``, the key parts before the
+    last, and the hash constant that comes next.  These are fixed for each
+    (role, client) of a run, so they are mixed once."""
+    master_seed, head = operator.index(master_seed), [operator.index(k) for k in head]
+    if master_seed < 0 or any(k < 0 for k in head):
         raise ValueError("seed components must be non-negative")
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+    words = _words(master_seed)
+    if keyed:
+        words += [0] * (_POOL_SIZE - len(words))
+    for part in head:
+        words += _words(part)
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hash(words[i] if i < len(words) else 0, *next(steps)) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
+    h = _absorb(pool, next(steps)[0], words[_POOL_SIZE:])
+    return tuple(pool), h
+
+
+# generate_state(4, uint64) hashes the pool, cycled, into eight 32-bit words
+# and pairs them low word first: (pool index, xor, multiplier) twice per pair
+_GENERATE = list(itertools.islice(_hash_steps(_INIT_B, _MULT_B), 2 * _POOL_SIZE))
+_GENERATE_PAIRS = tuple(
+    (k % _POOL_SIZE, *_GENERATE[k], (k + 1) % _POOL_SIZE, *_GENERATE[k + 1]) for k in range(0, 8, 2)
+)
+
+
+class _StreamSeed(ISeedSequence):
+    """The four PCG64 seed words of one stream; it seeds PCG64 and cannot
+    spawn."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("this seed only generates PCG64's four uint64 words")
+        return self._state
+
+
+def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
+    """Independent generator for one (role, client, round, ...) slot.
+
+    Bit for bit ``default_rng(SeedSequence(master_seed, spawn_key=key))``,
+    except that the generator's ``seed_seq`` cannot spawn.  The part of the
+    hash fixed by ``master_seed`` and ``key[:-1]`` is cached, so a call
+    mixes in only ``key[-1]``.
+    """
+    pool, h = _seed_prefix(bool(key), master_seed, *key[:-1])
+    if key:
+        last = operator.index(key[-1])
+        if last < 0:
+            raise ValueError("seed components must be non-negative")
+        pool = list(pool)
+        _absorb(pool, h, _words(last))
+    state = []
+    for i, xor_lo, mult_lo, j, xor_hi, mult_hi in _GENERATE_PAIRS:
+        lo = ((pool[i] ^ xor_lo) * mult_lo) & _MASK32
+        hi = ((pool[j] ^ xor_hi) * mult_hi) & _MASK32
+        state.append((lo ^ (lo >> 16)) | (hi ^ (hi >> 16)) << 32)
+    return np.random.Generator(np.random.PCG64(_StreamSeed(np.array(state, dtype=np.uint64))))
 
 
 class TrainingDiverged(RuntimeError):
@@ -216,8 +336,9 @@ def _local_sgd(
 
     Client ``i`` takes ``local_steps`` steps from ``w_start`` on
     ``shards[i]``, drawing its minibatches from ``rngs[i]``; the result is
-    the list of parameter deltas in shard order.  The parameters and every
-    shard are checked once.  At each step every client draws its indices
+    the list of parameter deltas in shard order.  The parameters are checked
+    here; the shards, which never change, by the caller.  At each step
+    every client draws its indices
     from its own stream, as it would alone, and the clients that share an
     effective batch size ``min(batch_size, m)`` get their gradients from
     one stacked kernel call, so the deltas are bit-identical to stepping
@@ -235,8 +356,6 @@ def _local_sgd(
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     w_start = objectives._check_params(model, w_start)
-    for shard in shards:
-        objectives._check_data(model, shard.data)
     groups: dict[int, list[int]] = {}
     for i, shard in enumerate(shards):
         groups.setdefault(min(batch_size, shard.data.m), []).append(i)
@@ -287,6 +406,7 @@ def local_round(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Run one client's local steps; returns the parameter delta."""
+    objectives._check_data(model, shard.data)
     return _local_sgd(model, [shard], w_start, local_steps, eta, batch_size, [rng])[0]
 
 
@@ -321,26 +441,64 @@ def global_loss(model: ModelSpec, shards: Sequence[ClientShard], w: np.ndarray) 
     return float(sum(sh.weight * objectives.loss(model, w, sh.data) for sh in shards))
 
 
-def _loss_estimate(
-    model: ModelSpec,
-    shards: Sequence[ClientShard],
-    w: np.ndarray,
-    config: TrainingConfig,
-    round_index: int,
-) -> float:
-    if config.loss_estimate == "full":
-        return global_loss(model, shards, w)
-    w = objectives._check_params(model, w)
-    value = 0.0
-    for sh in shards:
-        objectives._check_data(model, sh.data)
-        rng = derive_rng(config.master_seed, ROLE_LOSS, sh.client_id, round_index)
-        x, y = sh.data.features, sh.data.labels
-        idx = objectives._draw_indices(sh.data.m, config.batch_size, rng)
-        if idx is not None:
-            x, y = x[idx], y[idx]
-        value += sh.weight * objectives._loss(model, w, x, y)
-    return float(value)
+def _check_shards(model: ModelSpec, shards: Sequence[ClientShard]) -> None:
+    for shard in shards:
+        objectives._check_data(model, shard.data)
+
+
+class _LossEstimate:
+    """A run's per-round training-loss estimate, on checked shards.
+
+    With ``batch_size`` None this is the full loss on every row of every
+    shard; otherwise each shard's ``min(batch_size, m)`` rows are drawn from
+    its ``ROLE_LOSS`` stream of the round, as ``sample_batch`` would.
+    Shards with the same row count get their losses from one stacked kernel
+    call.  Its buffers, and the rows that never change, are set up once per
+    run.  The weighted sum runs in shard order.
+    """
+
+    def __init__(
+        self,
+        model: ModelSpec,
+        shards: Sequence[ClientShard],
+        batch_size: int | None,
+        master_seed: int,
+    ) -> None:
+        self.model = model
+        self.weights = [sh.weight for sh in shards]
+        self.master_seed = master_seed
+        groups: dict[int, list[int]] = {}
+        for i, sh in enumerate(shards):
+            rows = sh.data.m if batch_size is None else min(batch_size, sh.data.m)
+            groups.setdefault(rows, []).append(i)
+        self.groups = []
+        for rows, positions in groups.items():
+            members = [(shards[p].client_id, shards[p].data) for p in positions]
+            members = [(c, data, objectives._labels(model, data.labels)) for c, data in members]
+            x = np.empty((len(positions), rows, model.n_features))
+            y = np.empty((len(positions), rows), dtype=members[0][2].dtype)
+            draws = []
+            for j, (client_id, data, labels) in enumerate(members):
+                if rows == data.m:
+                    x[j], y[j] = data.features, labels
+                else:
+                    draws.append((j, client_id, data, labels))
+            self.groups.append((positions, x, y, draws))
+
+    def __call__(self, w: np.ndarray, round_index: int) -> float:
+        losses = [0.0] * len(self.weights)
+        for positions, x, y, draws in self.groups:
+            for j, client_id, data, labels in draws:
+                rng = derive_rng(self.master_seed, ROLE_LOSS, client_id, round_index)
+                idx = objectives._draw_indices(data.m, x.shape[1], rng)
+                data.features.take(idx, axis=0, out=x[j], mode="clip")  # as in _ClientStack
+                labels.take(idx, out=y[j], mode="clip")
+            for p, value in zip(positions, objectives._losses(self.model, w, x, y)):
+                losses[p] = value
+        total = 0.0
+        for weight, value in zip(self.weights, losses):
+            total += weight * value
+        return float(total)
 
 
 def run_round(
@@ -359,9 +517,32 @@ def run_round(
     feasible: bool | None = None,
 ) -> tuple[GlobalState, RoundRecord]:
     """One synchronous round at level ``s``; returns new state and record."""
-    k = state.round_index
+    _check_shards(model, shards)
     if train_loss is None:
         train_loss = global_loss(model, shards, state.w)
+    return _round(
+        model, shards, state, s, eta, local_steps, batch_size, master_seed,
+        train_loss=float(train_loss), eval_metric=eval_metric, interval=interval, feasible=feasible,
+    )
+
+
+def _round(
+    model: ModelSpec,
+    shards: Sequence[ClientShard],
+    state: GlobalState,
+    s: int,
+    eta: float,
+    local_steps: int,
+    batch_size: int,
+    master_seed: int,
+    **fields,
+) -> tuple[GlobalState, RoundRecord]:
+    """:func:`run_round` on shards already checked against the model.
+
+    ``fields`` are the record's ``train_loss``, ``eval_metric``,
+    ``interval`` and ``feasible``.
+    """
+    k = state.round_index
     rngs = [derive_rng(master_seed, ROLE_SGD, sh.client_id, k) for sh in shards]
     try:
         deltas = _local_sgd(model, shards, state.w, local_steps, eta, batch_size, rngs)
@@ -385,10 +566,7 @@ def run_round(
         eta=eta,
         bits_this_round=cost.total_bits,
         cumulative_bits=new_state.cumulative_bits,
-        train_loss=float(train_loss),
-        eval_metric=eval_metric,
-        interval=interval,
-        feasible=feasible,
+        **fields,
     )
     return new_state, record
 
@@ -402,7 +580,7 @@ def build_problem(config: TrainingConfig) -> Problem:
             m=data.samples + data.eval_samples,
             n_features=data.n_features,
             noise=data.noise,
-            seed=np.random.SeedSequence(config.master_seed, spawn_key=(ROLE_DATA,)),
+            seed=derive_rng(config.master_seed, ROLE_DATA),
             n_classes=data.n_classes,
         )
         train = full.subset(np.arange(data.samples))
@@ -422,7 +600,7 @@ def build_problem(config: TrainingConfig) -> Problem:
         train,
         config.n_clients,
         mode=config.partition_mode,
-        seed=np.random.SeedSequence(config.master_seed, spawn_key=(ROLE_PARTITION,)),
+        seed=derive_rng(config.master_seed, ROLE_PARTITION),
     )
     return Problem(
         model=config.model, shards=tuple(shards), train_data=train, eval_data=eval_data
@@ -450,6 +628,13 @@ def run_training(
     """
     problem = build_problem(config)
     model, shards = problem.model, problem.shards
+    _check_shards(model, shards)
+    loss_estimate = _LossEstimate(
+        model,
+        shards,
+        None if config.loss_estimate == "full" else config.batch_size,
+        config.master_seed,
+    )
     w0 = objectives.init_params(model, derive_rng(config.master_seed, ROLE_INIT))
     state = GlobalState(w=w0, round_index=0, cumulative_bits=0)
     quant = config.quantization
@@ -465,7 +650,7 @@ def run_training(
     records: list[RoundRecord] = []
     trail: list[np.ndarray] = []
     for k in range(config.rounds):
-        f_wk = _loss_estimate(model, shards, state.w, config, k)
+        f_wk = loss_estimate(state.w, k)
         if not np.isfinite(f_wk):
             raise TrainingDiverged(
                 f"non-finite training loss at round {k}",
@@ -489,15 +674,15 @@ def run_training(
             )
         metric = _eval_metric(problem, state.w) if k % config.eval_every == 0 else None
         try:
-            state, record = run_round(
+            state, record = _round(
                 model,
                 shards,
                 state,
                 s_k,
                 eta_k,
-                local_steps=config.local_steps,
-                batch_size=config.batch_size,
-                master_seed=config.master_seed,
+                config.local_steps,
+                config.batch_size,
+                config.master_seed,
                 train_loss=f_wk,
                 eval_metric=metric,
                 interval=interval,
@@ -530,6 +715,7 @@ def run_unquantized(config: TrainingConfig, rounds: int | None = None) -> list[n
     """
     problem = build_problem(config)
     model, shards = problem.model, problem.shards
+    _check_shards(model, shards)
     w = objectives.init_params(model, derive_rng(config.master_seed, ROLE_INIT))
     total = config.rounds if rounds is None else rounds
     trail = []

@@ -24,7 +24,6 @@ __all__ = [
     "ClientShard",
     "loss",
     "gradient",
-    "stochastic_gradient",
     "sample_batch",
     "accuracy",
     "init_params",
@@ -211,18 +210,25 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _loss(model: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean objective over raw rows ``x``, ``y``; no checks."""
+def _losses(model: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean objective at one parameter vector over each of a stack of row
+    blocks.
+
+    Raw arrays, no checks: ``w`` is ``(dim,)``, ``x`` is ``(n, b, f)`` and
+    ``y`` is ``(n, b)`` in the kernels' label dtype.  Entry ``i`` is bit for
+    bit what block ``i`` alone gets: each block keeps its own BLAS call
+    inside the stacked ``matmul`` and its own mean over its rows.
+    """
+    n, b, _ = x.shape
     if model.kind == "quadratic":
-        r = x @ w - np.asarray(y, dtype=np.float64)
-        return float(0.5 * (r @ r) / x.shape[0])
+        r = x @ w - y
+        return 0.5 * np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0] / b
     if model.kind == "logistic":
         z = x @ w[:-1] + w[-1]
-        y = np.asarray(y, dtype=np.float64)
-        return float(np.mean(_softplus(z) - y * z))
+        return (_softplus(z) - y * z).mean(axis=1)
     _, _, logits = _mlp_forward(model, w, x)
     log_p = _log_softmax(logits)
-    return float(-np.mean(log_p[np.arange(x.shape[0]), np.asarray(y, dtype=np.int64)]))
+    return -log_p[np.arange(n)[:, None], np.arange(b), y].mean(axis=1)
 
 
 def _gradients(
@@ -286,7 +292,8 @@ def loss(model: ModelSpec, w: np.ndarray, data: Dataset) -> float:
     """Mean objective value over the rows of ``data``."""
     w = _check_params(model, w)
     _check_data(model, data)
-    return _loss(model, w, data.features, data.labels)
+    y = _labels(model, data.labels)
+    return float(_losses(model, w, data.features[None], y[None])[0])
 
 
 def gradient(model: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
@@ -310,21 +317,6 @@ def sample_batch(
         raise ValueError("batch_size must be at least 1")
     indices = _draw_indices(data.m, batch_size, rng)
     return data if indices is None else data.subset(indices)
-
-
-def stochastic_gradient(
-    model: ModelSpec,
-    w: np.ndarray,
-    data: Dataset,
-    batch_size: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Gradient on a sampled minibatch (the full gradient if no size given)."""
-    if batch_size is None:
-        return gradient(model, w, data)
-    if rng is None:
-        raise ValueError("rng is required when batch_size is given")
-    return gradient(model, w, sample_batch(data, batch_size, rng))
 
 
 def accuracy(model: ModelSpec, w: np.ndarray, data: Dataset) -> float:
@@ -358,7 +350,7 @@ def generate_synthetic(
     m: int,
     n_features: int,
     noise: float = 0.0,
-    seed: int | np.random.SeedSequence = 0,
+    seed: int | np.random.SeedSequence | np.random.Generator = 0,
     n_classes: int = 2,
 ) -> Dataset:
     """Draw a synthetic task from a planted model.
@@ -406,7 +398,7 @@ def partition(
     data: Dataset,
     n: int,
     mode: str = "iid",
-    seed: int | np.random.SeedSequence = 0,
+    seed: int | np.random.SeedSequence | np.random.Generator = 0,
 ) -> list[ClientShard]:
     """Split ``data`` into ``n`` client shards weighted by shard size.
 

@@ -114,30 +114,31 @@ class BitCost:
     norm_bits: int
 
 
-def _check_input(w: np.ndarray, s: int) -> np.ndarray:
+def _check_input(w: np.ndarray, s: int) -> tuple[np.ndarray, float, float]:
+    """``w`` as float64, its norm and the norm's float32 wire value.
+
+    ``w`` must be finite and its norm within the float32 range.  A finite
+    norm means every entry is finite, so the entries are scanned only when
+    the norm is not.
+    """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("w must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(w)):
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(w))
+        norm32 = float(np.float32(norm))
+    if not math.isfinite(norm) and not np.all(np.isfinite(w)):
         raise ValueError("w must contain only finite values")
     if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
         raise ValueError(f"s must be an integer, got {s!r}")
     if s < 1:
         raise ValueError(f"quantization level s must be >= 1, got {s}")
-    return w
-
-
-def _wire_norm(w: np.ndarray) -> tuple[float, float]:
-    """The norm of ``w`` and its float32 wire value, which must be finite."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(w))
-        norm32 = float(np.float32(norm))
     if math.isinf(norm32):
         raise ValueError(
             "the norm of w exceeds the wire's float32 range "
             f"(largest finite value {float(np.finfo(np.float32).max):.6g})"
         )
-    return norm, norm32
+    return w, norm, norm32
 
 
 def _signs(w: np.ndarray) -> np.ndarray:
@@ -169,8 +170,7 @@ def quantize(w: np.ndarray, s: int, rng: np.random.Generator) -> QuantizedUpdate
     levels, deterministically, and consumes no randomness.  A norm above
     the float32 range raises ``ValueError``.
     """
-    w = _check_input(w, s)
-    norm, norm32 = _wire_norm(w)
+    w, norm, norm32 = _check_input(w, s)
     signs = _signs(w)
     if norm32 == 0.0:
         levels = np.zeros(w.size, dtype=np.int64)
@@ -202,8 +202,7 @@ def sample_dequantized(
     """
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
-    w = _check_input(w, s)
-    norm, norm32 = _wire_norm(w)
+    w, norm, norm32 = _check_input(w, s)
     if norm32 == 0.0:
         return np.zeros((n_draws, w.size))
     lower, frac = _lattice(w, s, norm)
@@ -246,9 +245,9 @@ def exact_variance(w: np.ndarray, s: int) -> float:
     Each coordinate rounds independently with Bernoulli carry probability
     ``p_i``, contributing ``p_i * (1 - p_i)`` lattice-cell variances.  Always
     at most :func:`variance_upper_bound` because ``p (1 - p) <= 1/4``.
+    Like :func:`quantize`, it rejects a norm beyond the float32 range.
     """
-    w = _check_input(w, s)
-    norm = float(np.linalg.norm(w))
+    w, norm, _ = _check_input(w, s)
     if norm == 0.0:
         return 0.0
     _, frac = _lattice(w, s, norm)

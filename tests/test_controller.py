@@ -15,7 +15,6 @@ from fedquant.controller import (
     QuantSchedule,
     adaptive_bound_terms,
     adaquant_level,
-    bits_for_level,
     bound_curve,
     bound_value,
     interval_tick,
@@ -132,19 +131,6 @@ class TestOptimalS:
     def test_undefined_without_noise(self):
         with pytest.raises(ValueError):
             optimal_s_closed_form(constants(grad_variance=0.0))
-
-
-class TestBitsForLevel:
-    def test_hand_cases(self):
-        assert bits_for_level(1) == 1
-        assert bits_for_level(4) == 3
-        assert bits_for_level(15) == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bits_for_level(0)
-        with pytest.raises(ValueError):
-            bits_for_level(2.5)
 
 
 def schedule(**kw) -> QuantSchedule:

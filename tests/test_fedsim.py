@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedquant import fedsim
 from fedquant.config import AdaquantMode, FileData, FixedMode, SyntheticData, TrainingConfig
@@ -68,6 +71,58 @@ class TestDeriveRng:
     def test_rejects_negative_components(self):
         with pytest.raises(ValueError):
             derive_rng(-1, 0)
+        for key in [(-1, 0, 0), (3, -1, 0), (3, 1, -1)]:
+            with pytest.raises(ValueError, match="non-negative"):
+                derive_rng(42, *key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        master=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**140)),
+        key=st.lists(
+            st.one_of(st.integers(0, 7), st.integers(0, 2**32 - 1), st.integers(2**32, 2**80)),
+            max_size=4,
+        ),
+    )
+    def test_equals_seed_sequence_stream(self, master, key):
+        # twice: the second call finds the key's prefix in the cache
+        for _ in range(2):
+            got = derive_rng(master, *key)
+            want = np.random.default_rng(np.random.SeedSequence(master, spawn_key=tuple(key)))
+            assert got.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(got.random(4), want.random(4))
+            assert np.array_equal(got.integers(0, 2**63, size=3), want.integers(0, 2**63, size=3))
+
+    @pytest.mark.parametrize(
+        "master, key",
+        [
+            (0, (fedsim.ROLE_INIT,)),
+            (2**128, (fedsim.ROLE_INIT,)),
+            (2**128 + 7, (fedsim.ROLE_SGD, 2**32, 5)),
+            (9, (fedsim.ROLE_QUANT, 3, 2**32)),
+            (2**32 - 1, (fedsim.ROLE_LOSS, 2**64 + 1, 2**96 + 3)),
+            (5, ()),
+            (2**200, ()),
+        ],
+    )
+    def test_equals_seed_sequence_at_word_edges(self, master, key):
+        want = np.random.default_rng(np.random.SeedSequence(master, spawn_key=key))
+        got = derive_rng(master, *key)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
+
+    def test_numpy_integers_and_bad_types(self):
+        parts = (np.uint64(2**63 + 5), np.int64(3), np.uint32(7), np.int8(1))
+        want = np.random.default_rng(np.random.SeedSequence(int(parts[0]), spawn_key=parts[1:]))
+        assert derive_rng(*parts).bit_generator.state == want.bit_generator.state
+        for bad in [(1.0, 3), (1, 3.0), (1, 2.0, 3)]:
+            derive_rng(*(int(part) for part in bad))  # the int form is cached
+            with pytest.raises(TypeError):
+                derive_rng(*bad)
+
+    def test_stream_seed_cannot_spawn(self):
+        rng = derive_rng(1, fedsim.ROLE_SGD, 0, 0)
+        with pytest.raises(TypeError):
+            rng.spawn(1)
 
 
 class TestLocalRound:
@@ -351,6 +406,61 @@ class TestRunUnquantized:
                 step += shard.weight * local_round(QUAD, shard, w, 3, 0.05, 8, rng)
             w = w + step
             np.testing.assert_array_equal(trail[k], w)
+
+
+def mismatched_shard(client_id=1, weight=0.5) -> ClientShard:
+    """A shard with four features, for the three-feature QUAD model."""
+    x = np.random.default_rng(client_id).standard_normal((6, 4))
+    return ClientShard(client_id=client_id, data=Dataset(features=x, labels=x[:, 0]), weight=weight)
+
+
+class TestShardChecks:
+    def test_run_training_rejects_data_the_model_does_not_fit(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        x = np.random.default_rng(0).standard_normal((20, 4))
+        np.savetxt(path, np.column_stack([x, x @ np.ones(4)]))
+        config = quad_config(data=FileData(path=str(path), kind="regression"), n_clients=2)
+        seen = []
+        for loss_estimate in ("full", "minibatch"):
+            with pytest.raises(ValueError, match="data has 4 features, model expects 3"):
+                run_training(replace(config, loss_estimate=loss_estimate), on_record=seen.append)
+        assert seen == []
+        with pytest.raises(ValueError, match="data has 4 features, model expects 3"):
+            run_unquantized(config)
+
+    def test_run_training_rejects_labels_the_model_does_not_take(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        x = np.random.default_rng(0).standard_normal((20, 3))
+        np.savetxt(path, np.column_stack([x, np.arange(20) % 3]))
+        config = quad_config(
+            model=ModelSpec.logistic(3),
+            data=FileData(path=str(path), kind="classification"),
+            n_clients=2,
+        )
+        with pytest.raises(ValueError, match="logistic labels must be 0 or 1"):
+            run_training(config)
+
+    def test_public_round_and_loss_reject_a_mismatched_shard(self):
+        shards = [quad_shard(client_id=0, weight=0.5), mismatched_shard()]
+        state = GlobalState(w=np.zeros(3), round_index=0, cumulative_bits=0)
+        match = "data has 4 features, model expects 3"
+        with pytest.raises(ValueError, match=match):
+            global_loss(QUAD, shards, np.zeros(3))
+        for train_loss in (None, 1.0):
+            with pytest.raises(ValueError, match=match):
+                run_round(
+                    QUAD,
+                    shards,
+                    state,
+                    3,
+                    0.1,
+                    local_steps=2,
+                    batch_size=4,
+                    master_seed=0,
+                    train_loss=train_loss,
+                )
+        with pytest.raises(ValueError, match=match):
+            local_round(QUAD, mismatched_shard(), np.zeros(3), 2, 0.1, 4, np.random.default_rng(0))
 
 
 class TestBuildProblem:

@@ -21,6 +21,7 @@ from fedquant.fedsim import (
     GlobalState,
     TrainingDiverged,
     _local_sgd,
+    local_round,
     run_round,
     run_training,
 )
@@ -193,8 +194,18 @@ def test_inputs_are_checked_before_stepping():
     bad = ClientShard(
         client_id=3, data=Dataset(features=np.zeros((2, 4)), labels=np.array([0, 2])), weight=0.1
     )
+    # the shards are checked by the public entries; the training loop
+    # checks them once per run and steps on checked shards
+    rngs = streams(1)
+    before = rngs[0].bit_generator.state
     with pytest.raises(ValueError, match="labels"):
-        _local_sgd(model, [*shards, bad], start_point(model), 2, 0.1, 2, streams(4))
+        local_round(model, bad, start_point(model), 2, 0.1, 2, rngs[0])
+    assert rngs[0].bit_generator.state == before
+    state = GlobalState(w=start_point(model), round_index=0, cumulative_bits=0)
+    with pytest.raises(ValueError, match="labels"):
+        run_round(
+            model, [*shards, bad], state, 2, 0.1, local_steps=2, batch_size=2, master_seed=0
+        )
     with pytest.raises(ValueError, match="length"):
         _local_sgd(model, shards, np.zeros(3), 2, 0.1, 2, streams(3))
     with pytest.raises(ValueError, match="batch_size"):

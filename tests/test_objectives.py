@@ -19,7 +19,6 @@ from fedquant.objectives import (
     loss,
     partition,
     sample_batch,
-    stochastic_gradient,
 )
 
 QUAD = ModelSpec.quadratic(5)
@@ -165,22 +164,7 @@ class TestGradient:
 
 
 class TestStochasticGradient:
-    def test_full_batch_default(self):
-        data = logi_data()
-        w = np.zeros(5)
-        np.testing.assert_array_equal(
-            stochastic_gradient(LOGI, w, data), gradient(LOGI, w, data)
-        )
-
-    def test_batch_size_covering_data_is_exact(self):
-        data = logi_data(m=20)
-        w = np.ones(5) * 0.1
-        g = stochastic_gradient(LOGI, w, data, batch_size=20, rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(g, gradient(LOGI, w, data))
-
-    def test_requires_rng_for_subsampling(self):
-        with pytest.raises(ValueError):
-            stochastic_gradient(LOGI, np.zeros(5), logi_data(), batch_size=4)
+    """Minibatch sampling, the stochastic part of local SGD's gradients."""
 
     def test_sample_batch_without_replacement(self):
         data = logi_data(m=30)

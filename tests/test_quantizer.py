@@ -105,6 +105,23 @@ class TestQuantizeBasics:
                 sample_dequantized(np.array(big_w), 2, np.random.default_rng(0), 3)
 
 
+    @pytest.mark.parametrize(
+        "bad_w", [[np.nan, 1.0], [np.inf, 0.0], [1e300, np.nan], [np.inf, -np.inf], [1e300, np.inf]]
+    )
+    def test_non_finite_entries_named_quietly(self, bad_w):
+        # the entries are scanned only when the norm is not finite; the
+        # error names them whatever the norm is, and NumPy stays silent
+        w = np.array(bad_w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="only finite values"):
+                quantize(w, 2, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="only finite values"):
+                sample_dequantized(w, 2, np.random.default_rng(0), 3)
+            with pytest.raises(ValueError, match="only finite values"):
+                exact_variance(w, 2)
+
+
 class TestQuantizedUpdate:
     def test_arrays_are_read_only(self):
         q = quantize(np.array([1.0, 2.0]), 3, np.random.default_rng(0))
@@ -195,6 +212,15 @@ class TestVariance:
         p = 1.0 / math.sqrt(2.0)
         expected = 2.0 * 2.0 * p * (1.0 - p)
         np.testing.assert_allclose(exact_variance(np.array([1.0, 1.0]), 1), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("big_w", [[1e300, 1.0], [1e39]])
+    def test_exact_variance_rejects_norm_beyond_float32_quietly(self, big_w):
+        # [1e300, 1] used to give nan and a RuntimeWarning: the float64
+        # norm overflowed and every carry probability became 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float32 range"):
+                exact_variance(np.array(big_w), 2)
 
     def test_exact_never_exceeds_upper_bound(self):
         rng = np.random.default_rng(5)
