@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .controller import LrSchedule
-from .objectives import ModelSpec
+from .objectives import _PARTITION_MODES, ModelSpec
 
 __all__ = [
     "SyntheticData",
@@ -130,7 +130,7 @@ class TrainingConfig:
             raise ValueError("batch_size must be at least 1")
         if self.rounds < 0:
             raise ValueError("rounds must be non-negative")
-        if self.partition_mode not in ("iid", "sorted_label"):
+        if self.partition_mode not in _PARTITION_MODES:
             raise ValueError(f"unknown partition mode {self.partition_mode!r}")
         if self.bit_budget is not None and self.bit_budget < 1:
             raise ValueError("bit_budget must be at least 1")

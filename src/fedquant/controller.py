@@ -23,7 +23,6 @@ __all__ = [
     "BoundConstants",
     "QuantSchedule",
     "LrSchedule",
-    "bound_curve",
     "bound_value",
     "optimal_s_closed_form",
     "adaquant_level",
@@ -108,8 +107,8 @@ class BoundConstants:
         return sgd + header
 
 
-def bound_curve(s, log2_coefficient: float, inv_square_coefficient: float, constant_term: float = 0.0):
-    """``log2_coefficient * log2(4 s) + inv_square_coefficient / s**2 + constant_term``.
+def bound_value(s, constants: BoundConstants):
+    """The fixed-level gap bound ``A1 log2(4 s) + A2 / s**2 + A3`` at level ``s``.
 
     Accepts scalar or array ``s`` (real-valued, so the curve can be plotted
     or searched on a continuous grid).
@@ -118,21 +117,11 @@ def bound_curve(s, log2_coefficient: float, inv_square_coefficient: float, const
     if np.any(s_arr <= 0.0):
         raise ValueError("s must be positive")
     value = (
-        log2_coefficient * np.log2(4.0 * s_arr)
-        + inv_square_coefficient / (s_arr * s_arr)
-        + constant_term
+        constants.log2_coefficient * np.log2(4.0 * s_arr)
+        + constants.inv_square_coefficient / (s_arr * s_arr)
+        + constants.constant_term
     )
     return float(value) if np.isscalar(s) or s_arr.ndim == 0 else value
-
-
-def bound_value(s, constants: BoundConstants):
-    """Evaluate the fixed-level gap bound at level ``s`` (scalar or array)."""
-    return bound_curve(
-        s,
-        constants.log2_coefficient,
-        constants.inv_square_coefficient,
-        constants.constant_term,
-    )
 
 
 def optimal_s_closed_form(constants: BoundConstants) -> float:
@@ -165,6 +154,8 @@ class QuantSchedule:
     traffic, scaling the starting level ``s0`` by how far the loss has
     fallen (and the step size with it) since training began.  ``f_w0`` is
     captured from the first observed loss when not set up front.
+    ``saturated`` says whether the last recomputation saw a loss at or
+    below ``f_star``.
     """
 
     s0: int
@@ -175,6 +166,7 @@ class QuantSchedule:
     f_w0: float | None = None
     interval_index: int = 0
     current_s: int | None = None
+    saturated: bool = False
 
     def __post_init__(self) -> None:
         if self.s0 < 1:
@@ -197,6 +189,12 @@ def adaquant_level(f_wk: float, eta_k: float, schedule: QuantSchedule) -> int:
     ``f_star`` would send the level to infinity, so it saturates at
     ``s_max`` with a warning.
     """
+    return _level(f_wk, eta_k, schedule, warn=True)[0]
+
+
+def _level(f_wk: float, eta_k: float, schedule: QuantSchedule, warn: bool) -> tuple[int, bool]:
+    """:func:`adaquant_level`, and whether the loss saturated it; the
+    saturation warning is logged only when ``warn`` is set."""
     if eta_k <= 0.0:
         raise ValueError("eta_k must be positive")
     if schedule.f_w0 is None:
@@ -205,12 +203,15 @@ def adaquant_level(f_wk: float, eta_k: float, schedule: QuantSchedule) -> int:
     excess = f_wk - schedule.f_star
     if base <= 0.0:
         logger.warning("initial loss %.6g at or below f_star; holding coarsest level", schedule.f_w0)
-        return 1
+        return 1, False
     if excess <= 0.0:
-        logger.warning("loss %.6g at or below f_star; saturating at s_max=%d", f_wk, schedule.s_max)
-        return schedule.s_max
+        if warn:
+            logger.warning(
+                "loss %.6g at or below f_star; saturating at s_max=%d", f_wk, schedule.s_max
+            )
+        return schedule.s_max, True
     raw = math.sqrt((eta_k / schedule.eta0) ** 2 * base / excess) * schedule.s0
-    return int(min(max(math.floor(raw + 0.5), 1), schedule.s_max))
+    return int(min(max(math.floor(raw + 0.5), 1), schedule.s_max)), False
 
 
 def interval_tick(
@@ -220,7 +221,9 @@ def interval_tick(
 
     Returns the level to use this round and the updated schedule.  The
     level is recomputed only when ``cumulative_bits`` has crossed into a
-    new ``interval_bits``-sized window since the last recomputation.
+    new ``interval_bits``-sized window since the last recomputation.  A
+    loss at or below ``f_star`` is warned about once, when the schedule
+    enters saturation, not at every recomputation that stays there.
     """
     if cumulative_bits < 0:
         raise ValueError("cumulative_bits must be non-negative")
@@ -228,10 +231,9 @@ def interval_tick(
         schedule = replace(schedule, f_w0=f_wk)
     index = cumulative_bits // schedule.interval_bits
     if index > schedule.interval_index:
+        level, saturated = _level(f_wk, eta_k, schedule, warn=not schedule.saturated)
         schedule = replace(
-            schedule,
-            interval_index=index,
-            current_s=adaquant_level(f_wk, eta_k, schedule),
+            schedule, interval_index=index, current_s=level, saturated=saturated
         )
     return schedule.current_s, schedule
 

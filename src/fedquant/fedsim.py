@@ -60,6 +60,8 @@ ROLE_QUANT = 4
 ROLE_LOSS = 5
 
 _WEIGHT_TOL = 1e-9
+# rounds of loss-estimate minibatches drawn per sampler call
+_LOSS_DRAW_ROUNDS = 16
 
 
 # derive_rng reproduces NumPy's SeedSequence hash (numpy/random/
@@ -170,6 +172,12 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     hash fixed by ``master_seed`` and ``key[:-1]`` is cached, so a call
     mixes in only ``key[-1]``.
     """
+    return np.random.Generator(_derive_bits(master_seed, *key))
+
+
+def _derive_bits(master_seed: int, *key: int) -> np.random.PCG64:
+    """The bit generator of :func:`derive_rng`; the minibatch sampler reads
+    a fresh one directly."""
     pool, h = _seed_prefix(bool(key), master_seed, *key[:-1])
     if key:
         last = operator.index(key[-1])
@@ -182,7 +190,7 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
         lo = ((pool[i] ^ xor_lo) * mult_lo) & _MASK32
         hi = ((pool[j] ^ xor_hi) * mult_hi) & _MASK32
         state.append((lo ^ (lo >> 16)) | (hi ^ (hi >> 16)) << 32)
-    return np.random.Generator(np.random.PCG64(_StreamSeed(np.array(state, dtype=np.uint64))))
+    return np.random.PCG64(_StreamSeed(np.array(state, dtype=np.uint64)))
 
 
 class TrainingDiverged(RuntimeError):
@@ -270,37 +278,40 @@ class TrainingRun:
 class _ClientStack:
     """The clients of a round that share one effective minibatch size.
 
-    Row ``i`` of ``w``, ``x`` and ``y`` belongs to the client at shard
-    position ``positions[i]``: its parameters, and the rows and labels of
-    its current minibatch.  A client whose minibatch is its whole shard
-    has them filled in once, here.
+    Row ``i`` of ``w`` belongs to the client at shard position
+    ``positions[i]``: its parameters.  ``x[i, t]`` and ``y[i, t]`` are the
+    rows and labels of its minibatch at local step ``t``, all drawn and
+    gathered when the round starts.  When no client of the stack samples
+    (each minibatch is the whole shard), one step's rows serve every step.
     """
 
-    def __init__(self, model, shards, rngs, positions, w_start, batch_size):
+    def __init__(self, model, shards, rngs, positions, w_start, batch_size, local_steps):
         self.positions = positions
-        self.batch_size = batch_size
-        self.clients = [
-            (shards[p].data, objectives._labels(model, shards[p].data.labels), rngs[p])
-            for p in positions
-        ]
         self.w = np.repeat(w_start[None, :], len(positions), axis=0)
-        b = min(batch_size, shards[positions[0]].data.m)
-        self.x = np.empty((len(positions), b, model.n_features))
-        self.y = np.empty((len(positions), b), dtype=self.clients[0][1].dtype)
-        for i, (data, labels, _) in enumerate(self.clients):
-            if batch_size >= data.m:
-                self.x[i] = data.features
-                self.y[i] = labels
-
-    def draw(self) -> None:
-        """Gather every client's next minibatch from its own stream."""
-        for i, (data, labels, rng) in enumerate(self.clients):
-            idx = objectives._draw_indices(data.m, self.batch_size, rng)
-            if idx is not None:
+        data = [shards[p].data for p in positions]
+        b = min(batch_size, data[0].m)
+        sampled = [i for i, d in enumerate(data) if d.m > b]
+        steps = local_steps if sampled else 1
+        labels = [objectives._labels(model, d.labels) for d in data]
+        self.x = np.empty((len(positions), steps, b, model.n_features))
+        self.y = np.empty((len(positions), steps, b), dtype=labels[0].dtype)
+        if sampled:
+            idx = objectives._draw_batches(
+                [rngs[positions[i]] for i in sampled], [data[i].m for i in sampled], b, steps
+            )
+            for i, rows in zip(sampled, idx):
                 # the indices lie in [0, m), so "clip" never clips; it
                 # lets take write straight into the buffer
-                data.features.take(idx, axis=0, out=self.x[i], mode="clip")
-                labels.take(idx, out=self.y[i], mode="clip")
+                data[i].features.take(rows, axis=0, out=self.x[i], mode="clip")
+                labels[i].take(rows, out=self.y[i], mode="clip")
+        for i, d in enumerate(data):
+            if d.m == b:
+                self.x[i], self.y[i] = d.features, labels[i]
+
+    def minibatch(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every client's rows and labels at local step ``t``."""
+        t = min(t, self.x.shape[1] - 1)
+        return self.x[:, t], self.y[:, t]
 
     def blown_up(self) -> list[int]:
         """Shard positions whose parameters left the finite floats or
@@ -319,7 +330,6 @@ class _ClientStack:
     def keep(self, rows: np.ndarray) -> None:
         """Drop the clients whose entry in the boolean ``rows`` is false."""
         self.positions = [p for p, k in zip(self.positions, rows) if k]
-        self.clients = [c for c, k in zip(self.clients, rows) if k]
         self.w, self.x, self.y = self.w[rows], self.x[rows], self.y[rows]
 
 
@@ -330,24 +340,27 @@ def _local_sgd(
     local_steps: int,
     eta: float,
     batch_size: int,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence,
 ) -> list[np.ndarray]:
     """Local SGD of all clients of a round, stepped together.
 
     Client ``i`` takes ``local_steps`` steps from ``w_start`` on
-    ``shards[i]``, drawing its minibatches from ``rngs[i]``; the result is
-    the list of parameter deltas in shard order.  The parameters are checked
-    here; the shards, which never change, by the caller.  At each step
-    every client draws its indices
-    from its own stream, as it would alone, and the clients that share an
-    effective batch size ``min(batch_size, m)`` get their gradients from
-    one stacked kernel call, so the deltas are bit-identical to stepping
-    the clients one at a time.
+    ``shards[i]``, drawing its minibatches from ``rngs[i]``, all Generators
+    or all fresh ``PCG64`` bit generators (see
+    ``objectives._draw_batches``); the result is the list of parameter
+    deltas in shard order.  The parameters are checked here; the shards,
+    which never change, by the caller.  Every client's minibatches for all
+    ``local_steps`` are drawn when the round starts, the indices it would
+    draw alone step by step, and the clients that share an effective batch
+    size ``min(batch_size, m)`` get their gradients from one stacked kernel
+    call, so the deltas are bit-identical to stepping the clients one at a
+    time.
 
     A client that diverges stops stepping, and so do the clients after it
-    in shard order.  The error raised names the first client in shard
-    order that diverges at all, at its first diverging step: the one a
-    client-by-client loop would have stopped at.
+    in shard order; their streams have given all their draws already.  The
+    error raised names the first client in shard order that diverges at
+    all, at its first diverging step: the one a client-by-client loop would
+    have stopped at.
     """
     if local_steps < 1:
         raise ValueError("local_steps must be at least 1")
@@ -360,15 +373,15 @@ def _local_sgd(
     for i, shard in enumerate(shards):
         groups.setdefault(min(batch_size, shard.data.m), []).append(i)
     stacks = [
-        _ClientStack(model, shards, rngs, positions, w_start, batch_size)
+        _ClientStack(model, shards, rngs, positions, w_start, batch_size, local_steps)
         for positions in groups.values()
     ]
     grad = np.empty((max(len(p) for p in groups.values()), model.dim))
     first_blowup: tuple[int, int] | None = None  # (shard position, step)
     for t in range(local_steps):
         for stack in stacks:
-            stack.draw()
-            g = objectives._gradients(model, stack.w, stack.x, stack.y, grad[: len(stack.w)])
+            x, y = stack.minibatch(t)
+            g = objectives._gradients(model, stack.w, x, y, grad[: len(stack.w)])
             g *= eta
             stack.w -= g
         for stack in stacks:
@@ -405,7 +418,12 @@ def local_round(
     batch_size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Run one client's local steps; returns the parameter delta."""
+    """Run one client's local steps; returns the parameter delta.
+
+    ``rng`` gives the minibatches of all ``local_steps`` up front, so it
+    has advanced by all of them even when the call raises
+    :class:`TrainingDiverged`.
+    """
     objectives._check_data(model, shard.data)
     return _local_sgd(model, [shard], w_start, local_steps, eta, batch_size, [rng])[0]
 
@@ -451,10 +469,12 @@ class _LossEstimate:
 
     With ``batch_size`` None this is the full loss on every row of every
     shard; otherwise each shard's ``min(batch_size, m)`` rows are drawn from
-    its ``ROLE_LOSS`` stream of the round, as ``sample_batch`` would.
-    Shards with the same row count get their losses from one stacked kernel
-    call.  Its buffers, and the rows that never change, are set up once per
-    run.  The weighted sum runs in shard order.
+    its ``ROLE_LOSS`` stream of the round, as ``sample_batch`` would.  No
+    minibatch depends on the model, so those of ``_LOSS_DRAW_ROUNDS``
+    rounds, up to ``rounds`` when given, are drawn in one call.  Shards with
+    the same row count get their losses from one stacked kernel call.  Its
+    buffers, and the rows that never change, are set up once per run.  The
+    weighted sum runs in shard order.
     """
 
     def __init__(
@@ -463,10 +483,12 @@ class _LossEstimate:
         shards: Sequence[ClientShard],
         batch_size: int | None,
         master_seed: int,
+        rounds: int | None = None,
     ) -> None:
         self.model = model
         self.weights = [sh.weight for sh in shards]
         self.master_seed = master_seed
+        self.rounds = rounds
         groups: dict[int, list[int]] = {}
         for i, sh in enumerate(shards):
             rows = sh.data.m if batch_size is None else min(batch_size, sh.data.m)
@@ -484,15 +506,35 @@ class _LossEstimate:
                 else:
                     draws.append((j, client_id, data, labels))
             self.groups.append((positions, x, y, draws))
+        self.drawn = [(0, np.empty((0,)))] * len(self.groups)  # (first round, indices)
+
+    def _indices(self, g: int, round_index: int) -> np.ndarray:
+        """Group ``g``'s minibatch indices at ``round_index``, a row per
+        sampling shard."""
+        start, idx = self.drawn[g]
+        if not start <= round_index < start + len(idx):
+            _, x, _, draws = self.groups[g]
+            start, stop = round_index, round_index + _LOSS_DRAW_ROUNDS
+            if self.rounds is not None:
+                stop = max(min(stop, self.rounds), start + 1)
+            seed, clients = self.master_seed, [c for _, c, _, _ in draws]
+            rngs = [
+                _derive_bits(seed, ROLE_LOSS, c, k) for k in range(start, stop) for c in clients
+            ]
+            ms = [data.m for _, _, data, _ in draws] * (stop - start)
+            b = x.shape[1]
+            idx = objectives._draw_batches(rngs, ms, b).reshape(stop - start, len(draws), b)
+            self.drawn[g] = start, idx
+        return idx[round_index - start]
 
     def __call__(self, w: np.ndarray, round_index: int) -> float:
         losses = [0.0] * len(self.weights)
-        for positions, x, y, draws in self.groups:
-            for j, client_id, data, labels in draws:
-                rng = derive_rng(self.master_seed, ROLE_LOSS, client_id, round_index)
-                idx = objectives._draw_indices(data.m, x.shape[1], rng)
-                data.features.take(idx, axis=0, out=x[j], mode="clip")  # as in _ClientStack
-                labels.take(idx, out=y[j], mode="clip")
+        for g, (positions, x, y, draws) in enumerate(self.groups):
+            if draws:
+                idx = self._indices(g, round_index)
+                for (j, _, data, labels), rows in zip(draws, idx):
+                    data.features.take(rows, axis=0, out=x[j], mode="clip")  # as in _ClientStack
+                    labels.take(rows, out=y[j], mode="clip")
             for p, value in zip(positions, objectives._losses(self.model, w, x, y)):
                 losses[p] = value
         total = 0.0
@@ -543,7 +585,7 @@ def _round(
     ``interval`` and ``feasible``.
     """
     k = state.round_index
-    rngs = [derive_rng(master_seed, ROLE_SGD, sh.client_id, k) for sh in shards]
+    rngs = [_derive_bits(master_seed, ROLE_SGD, sh.client_id, k) for sh in shards]
     try:
         deltas = _local_sgd(model, shards, state.w, local_steps, eta, batch_size, rngs)
     except TrainingDiverged as exc:
@@ -634,6 +676,7 @@ def run_training(
         shards,
         None if config.loss_estimate == "full" else config.batch_size,
         config.master_seed,
+        config.rounds,
     )
     w0 = objectives.init_params(model, derive_rng(config.master_seed, ROLE_INIT))
     state = GlobalState(w=w0, round_index=0, cumulative_bits=0)
@@ -721,7 +764,7 @@ def run_unquantized(config: TrainingConfig, rounds: int | None = None) -> list[n
     trail = []
     for k in range(total):
         eta_k = config.lr.eta_for_round(k)
-        rngs = [derive_rng(config.master_seed, ROLE_SGD, sh.client_id, k) for sh in shards]
+        rngs = [_derive_bits(config.master_seed, ROLE_SGD, sh.client_id, k) for sh in shards]
         deltas = _local_sgd(model, shards, w, config.local_steps, eta_k, config.batch_size, rngs)
         delta = np.zeros_like(w)
         for shard, client_delta in zip(shards, deltas):

@@ -20,7 +20,7 @@ from . import fedsim
 from .config import AdaquantMode, FileData, FixedMode, SyntheticData, TrainingConfig
 from .controller import LrSchedule
 from .fedsim import RoundRecord, TrainingRun
-from .objectives import ModelSpec, accuracy
+from .objectives import _PARTITION_MODES, ModelSpec, accuracy
 
 __all__ = [
     "ConfigError",
@@ -235,9 +235,7 @@ def _build(doc: _Doc) -> TrainingConfig:
         model=model,
         data=data,
         n_clients=doc.integer("federation", "clients"),
-        partition_mode=doc.choice(
-            "federation", "partition", ("iid", "sorted_label"), default="iid"
-        ),
+        partition_mode=doc.choice("federation", "partition", _PARTITION_MODES, default="iid"),
         local_steps=doc.integer("federation", "local_steps"),
         batch_size=doc.integer("federation", "batch_size"),
         lr=lr,

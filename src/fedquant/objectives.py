@@ -14,7 +14,10 @@ unbiased estimates of the full-data gradient.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -277,15 +280,239 @@ def _labels(model: ModelSpec, labels: np.ndarray) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64 if model.kind == "mlp" else np.float64)
 
 
-def _draw_indices(m: int, batch_size: int, rng: np.random.Generator) -> np.ndarray | None:
-    """Row indices of one minibatch drawn uniformly without replacement.
+# Generator.choice(m, b, replace=False) (numpy/random/_generator.pyx) takes
+# a sample with Floyd's algorithm and shuffles it, unless m > 10000 and
+# b > m // 50, where it shuffles the tail of arange(m) instead.  Every bound
+# it draws under is fixed by (m, b), so all the draws of many calls can be
+# made at once and the steps that depend on their values applied after.
+_FLOYD_MAX_ROWS = 10000
+_TAIL_CUTOFF = 50
+_U32 = 1 << 32
 
-    None when ``batch_size`` covers all ``m`` rows; that case draws nothing
-    from ``rng``.  Every minibatch in the package is drawn here.
+
+class _ChoicePlan:
+    """What ``count`` calls of ``choice(m, b, replace=False)`` draw on each
+    of a list of streams, and the constants that turn the draws into
+    samples.  Built once per shape, and shared: its arrays are read-only."""
+
+    def __init__(self, ms: tuple[int, ...], b: int, count: int) -> None:
+        if not all(b < m <= _U32 for m in ms):
+            raise ValueError(f"need batch_size < m <= 2**32 rows, got {b} of {ms}")
+        self.b = b
+        self.floyd = [m <= _FLOYD_MAX_ROWS or b <= m // _TAIL_CUTOFF for m in ms]
+        self.sizes = [(2 * b - 1 if fl else b) * count for fl in self.floyd]
+        highs = np.concatenate([
+            # Floyd: one draw below j + 1 for j = m-b .. m-1, then the
+            # shuffle's swaps below i + 1 for i = b-1 .. 1; tail: swaps for
+            # i = m-1 .. m-b
+            np.tile(np.r_[m - b + 1 : m + 1, b:1:-1] if fl else np.r_[m : m - b : -1], count)
+            for m, fl in zip(ms, self.floyd)
+        ]).astype(np.uint64)
+        self.highs, self.thresholds = highs, (_U32 - highs) % highs
+        # the words of the raw layout of bit generators that draws use: not
+        # the spare high half of an odd stream's last 64-bit word
+        pairs = [(n + 1) // 2 * 2 for n in self.sizes]
+        self.used = None if pairs == self.sizes else np.concatenate(
+            [np.arange(p) < n for p, n in zip(pairs, self.sizes)]
+        )
+        # sort keys (draw << shift | tag): Floyd draw k tagged k; the swap of
+        # step i tagged i and placed after all of them by ``offset``
+        self.shift = b.bit_length()
+        self.offset = 1 << max(ms).bit_length()
+        self.code = np.r_[0:b, (self.offset << self.shift) + np.arange(b - 1, 0, -1)]
+        rows = self.floyd.count(True) * count
+        self.lo = np.repeat([m - b for m, fl in zip(ms, self.floyd) if fl], count)[:, None]
+        self.j = self.lo + np.arange(b)
+        self.k = np.arange(b, dtype=np.uint64)
+        self.base = b * np.arange(rows)[:, None]
+        # flat index of each row's Floyd draw 0 in the pointer forest
+        self.draw_base = self.base + rows * b
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=64)
+def _choice_plan(ms: tuple[int, ...], b: int, count: int) -> _ChoicePlan:
+    return _ChoicePlan(ms, b, count)
+
+
+def _stream_words(streams, plan: _ChoicePlan) -> tuple[np.ndarray, Callable]:
+    """The 32-bit words every stream's draws start from, in order, and a
+    function giving stream ``i``'s next word after them.
+
+    A ``Generator`` is read through ``integers(0, 2**32, dtype=uint32)``,
+    word by word as its bounded draws read it, whatever its bit generator
+    and state.  A bare ``PCG64`` is read as a fresh ``Generator`` on it
+    would be: the low, then the high half of each raw 64-bit output.
     """
-    if batch_size >= m:
-        return None
-    return rng.choice(m, size=batch_size, replace=False)
+    kinds = {type(stream) for stream in streams}
+    if kinds == {np.random.Generator}:
+        words = np.concatenate(
+            [g.integers(0, _U32, n, dtype=np.uint32) for g, n in zip(streams, plan.sizes)]
+        )
+        return words, lambda i: streams[i].integers(0, _U32, 1, dtype=np.uint32)
+    if kinds != {np.random.PCG64}:
+        raise TypeError("streams must be all Generators or all PCG64 bit generators")
+    raw = np.concatenate([bg.random_raw((n + 1) // 2) for bg, n in zip(streams, plan.sizes)])
+    full = np.empty(2 * len(raw), dtype=np.uint32)
+    full[0::2], full[1::2] = raw, raw >> 32
+    words = full if plan.used is None else full[plan.used]
+    spares: dict[int, list[int]] = {}
+
+    def more(i: int) -> np.ndarray:
+        if i not in spares:  # an odd stream's spare half word comes first
+            end = sum((n + 1) // 2 * 2 for n in plan.sizes[: i + 1])
+            spares[i] = [int(full[end - 1])] if plan.sizes[i] % 2 else []
+        if not spares[i]:
+            r = int(streams[i].random_raw())
+            spares[i] = [r & 0xFFFF_FFFF, r >> 32]
+        return np.array([spares[i].pop(0)], dtype=np.uint32)
+
+    return words, more
+
+
+def _bounded(streams, plan: _ChoicePlan) -> np.ndarray:
+    """Every draw of the plan, as ``Generator.integers`` makes it.
+
+    Below 2**32 NumPy draws with Lemire's method on 32-bit words: ``word *
+    high`` keeps its high half unless the low half falls below the
+    threshold, when the next word is tried; about one word in ``2**32 /
+    high`` is.
+    """
+    words, more = _stream_words(streams, plan)
+    highs, thresholds = plan.highs, plan.thresholds
+    prod = words * highs
+    if ((prod & 0xFFFF_FFFF) < thresholds).any():
+        for i, (end, n) in enumerate(zip(itertools.accumulate(plan.sizes), plan.sizes)):
+            seg = slice(end - n, end)
+            w = words[seg]
+            while (bad := np.flatnonzero((w * highs[seg] & 0xFFFF_FFFF) < thresholds[seg])).size:
+                w = np.concatenate([w[: bad[0]], w[bad[0] + 1 :], more(i)])
+            prod[seg] = w * highs[seg]
+    return (prod >> 32).astype(np.int64)
+
+
+def _link_swaps(ptr, target, step, base, first):
+    """Point each position of a swap sequence at where its value comes from.
+
+    Position ``i`` is swapped with ``target <= i`` for ``i`` from the last
+    step down to ``first``; each row holds its swaps sorted by (target,
+    step), and ``base`` is the flat index in ``ptr`` of a row's position 0.
+    A position ``p`` holds what the first swap after step ``p`` into it
+    brought (a swap of ``p`` with itself moves nothing), and that swap
+    brings what position ``i`` held just before it: chains to higher steps.
+    """
+    node = step + base
+    repeat = target[:, 1:] == target[:, :-1]
+    noop = target == step
+    lead = ~noop
+    lead[:, 1:] &= ~repeat | noop[:, :-1]
+    if first > 1:
+        lead &= target >= first - 1
+    into = target + base
+    ptr[into[lead]] = node[lead]
+    return node, repeat, into
+
+
+def _roots(ptr: np.ndarray) -> np.ndarray:
+    """Follow every pointer of a forest to its root, a node pointing to
+    itself, by pointer doubling.  A shuffle's chains seldom pass 8 links,
+    so three doublings go unchecked."""
+    for _ in range(3):
+        ptr = ptr[ptr]
+    while not ((nxt := ptr[ptr]) == ptr).all():
+        ptr = nxt
+    return ptr
+
+
+def _sources(ptr, node, repeat, into):
+    """After :func:`_roots`: step ``i`` takes what its target held, the
+    value of the next swap into the same target or the target's own.
+    Returns ``ptr`` with each step's position pointing at its source."""
+    into[:, :-1][repeat] = ptr[node[:, 1:][repeat]]
+    ptr[node] = into
+    return ptr
+
+
+def _floyd_choice(u: np.ndarray, plan: _ChoicePlan) -> np.ndarray:
+    """Samples from rows of Floyd-regime draws: ``b`` for Floyd's algorithm,
+    then ``b - 1`` for the shuffle's swaps.
+
+    Floyd's draw ``k`` lies below ``j + 1`` for ``j = m - b + k`` and is
+    kept unless the sample holds it already, when ``j`` is taken: the
+    sample holds it when an earlier draw equals it, or when it is an
+    earlier ``j`` that was taken.  Both chains, this and the swaps', are
+    followed in one pointer forest: the shuffle's positions (flat, as in
+    the sample) and then the Floyd draws.
+    """
+    n_rows, b = len(u), plan.b
+    flat = n_rows * b
+    keys = u << plan.shift | plan.code
+    keys.sort(axis=1)
+    value, tag = keys >> plan.shift, keys & ((1 << plan.shift) - 1)
+    draws, v, k = u[:, :b], value[:, :b], tag[:, :b]
+    ptr = np.arange(2 * flat)
+    repeated = np.zeros(2 * flat, dtype=bool)
+    repeated[(k[:, 1:] + plan.draw_base)[v[:, 1:] == v[:, :-1]]] = True
+    earlier = draws - plan.lo
+    chain = (earlier.view(np.uint64) < plan.k) & ~repeated[flat:].reshape(n_rows, b)
+    ptr[flat:][chain.reshape(-1)] = (earlier + plan.draw_base)[chain]
+    if b > 1:
+        swaps = _link_swaps(ptr, value[:, b:] - plan.offset, tag[:, b:], plan.base, 1)
+    ptr = _roots(ptr)
+    sample = np.where(repeated[ptr[flat:]].reshape(n_rows, b), plan.j, draws)
+    if b == 1:
+        return sample
+    return sample.reshape(-1)[_sources(ptr, *swaps)[:flat]].reshape(n_rows, b)
+
+
+def _tail_choice(u: np.ndarray, m: int, b: int) -> np.ndarray:
+    """Samples from rows of tail-regime draws: the swaps of steps ``m-1``
+    down to ``m-b`` on ``arange(m)``, whose last ``b`` entries are taken."""
+    count, first, width = len(u), m - b, b + 1
+    shift = b.bit_length()
+    keys = u[:, ::-1] << shift | np.arange(b)
+    keys.sort(axis=1)
+    base = width * np.arange(count)[:, None] - (first - 1)
+    ptr = np.arange(count * width)
+    swaps = _link_swaps(ptr, keys >> shift, (keys & ((1 << shift) - 1)) + first, base, first)
+    ptr = _sources(_roots(ptr), *swaps)
+    return (ptr.reshape(count, width) - base)[:, 1:]
+
+
+def _draw_batches(streams, ms: Sequence[int], batch_size: int, count: int = 1) -> np.ndarray:
+    """Minibatch row indices for several streams, ``count`` each.
+
+    Entry ``[i, t]`` is bit for bit what the ``t``-th of ``count``
+    successive ``choice(ms[i], batch_size, replace=False)`` calls of a
+    ``Generator`` on stream ``i`` return.  ``streams`` are all Generators,
+    left in the state those calls leave, or all ``PCG64`` bit generators
+    that no ``Generator`` has read from, read as a fresh one would be and
+    left advanced by the 64-bit words read.  Each stream is read once, for all
+    its draws; Floyd's duplicate replacement and the shuffles then run on
+    all minibatches together.  Every ``ms[i]`` must exceed ``batch_size``.
+    """
+    b = batch_size
+    plan = _choice_plan(tuple(ms), b, count)
+    draws = _bounded(streams, plan)
+    if all(plan.floyd):
+        return _floyd_choice(draws.reshape(-1, 2 * b - 1), plan).reshape(len(ms), count, b)
+    out = np.empty((len(ms), count, b), dtype=np.int64)
+    rows, segments = [], []
+    for i, (m, fl, end, n) in enumerate(
+        zip(ms, plan.floyd, itertools.accumulate(plan.sizes), plan.sizes)
+    ):
+        seg = draws[end - n : end].reshape(count, -1)
+        if fl:
+            rows.append(i)
+            segments.append(seg)
+        else:
+            out[i] = _tail_choice(seg, m, b)
+    if rows:
+        u = np.concatenate(segments)
+        out[rows] = _floyd_choice(u, plan).reshape(len(rows), count, b)
+    return out
 
 
 def loss(model: ModelSpec, w: np.ndarray, data: Dataset) -> float:
@@ -315,8 +542,9 @@ def sample_batch(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    indices = _draw_indices(data.m, batch_size, rng)
-    return data if indices is None else data.subset(indices)
+    if batch_size >= data.m:
+        return data
+    return data.subset(_draw_batches([rng], [data.m], batch_size)[0, 0])
 
 
 def accuracy(model: ModelSpec, w: np.ndarray, data: Dataset) -> float:

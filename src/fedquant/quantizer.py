@@ -47,8 +47,7 @@ class QuantizedUpdate:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError("d must be at least 1")
-        if self.s < 1:
-            raise ValueError(f"quantization level s must be >= 1, got {self.s}")
+        _check_level(self.s)
         if not np.isfinite(self.norm) or self.norm < 0.0:
             raise ValueError(f"norm must be finite and non-negative, got {self.norm}")
         signs = np.asarray(self.signs, dtype=np.int8).copy()
@@ -114,6 +113,14 @@ class BitCost:
     norm_bits: int
 
 
+def _check_level(s: int) -> None:
+    """The level ``s`` must be an integer (not a bool) of at least 1."""
+    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
+        raise ValueError(f"s must be an integer, got {s!r}")
+    if s < 1:
+        raise ValueError(f"quantization level s must be >= 1, got {s}")
+
+
 def _check_input(w: np.ndarray, s: int) -> tuple[np.ndarray, float, float]:
     """``w`` as float64, its norm and the norm's float32 wire value.
 
@@ -129,10 +136,7 @@ def _check_input(w: np.ndarray, s: int) -> tuple[np.ndarray, float, float]:
         norm32 = float(np.float32(norm))
     if not math.isfinite(norm) and not np.all(np.isfinite(w)):
         raise ValueError("w must contain only finite values")
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-        raise ValueError(f"s must be an integer, got {s!r}")
-    if s < 1:
-        raise ValueError(f"quantization level s must be >= 1, got {s}")
+    _check_level(s)
     if math.isinf(norm32):
         raise ValueError(
             "the norm of w exceeds the wire's float32 range "
@@ -215,8 +219,7 @@ def bits_per_update(d: int, s: int) -> BitCost:
     """Wire size of an update: levels, then signs, then the float32 norm."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    if s < 1:
-        raise ValueError(f"quantization level s must be >= 1, got {s}")
+    _check_level(s)
     # ceil(log2(s + 1)) bits index the s + 1 levels; for integers that is
     # exactly the bit length of s.
     per_element = int(s).bit_length()
@@ -232,8 +235,7 @@ def variance_upper_bound(d: int, s: int, norm_sq: float) -> float:
     """Worst-case quantization variance: ``d / s**2`` times the squared norm."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    if s < 1:
-        raise ValueError(f"quantization level s must be >= 1, got {s}")
+    _check_level(s)
     if norm_sq < 0.0:
         raise ValueError("norm_sq must be non-negative")
     return (d / (s * s)) * norm_sq

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from fedquant.controller import (
     QuantSchedule,
     adaptive_bound_terms,
     adaquant_level,
-    bound_curve,
     bound_value,
     interval_tick,
     lr_condition_fixed,
     optimal_s_closed_form,
 )
+from fedquant.fedsim import run_training
+from fedquant.harness import reference_config
 
 
 def constants(**kw) -> BoundConstants:
@@ -65,8 +67,16 @@ class TestBoundConstants:
 
 class TestBoundValue:
     def test_hand_curve_value(self):
-        # coefficients (1, 1, 0) at s=2: log2(8) + 1/4
-        assert bound_curve(2, 1.0, 1.0, 0.0) == 3.25
+        # A1 = 2 * 1 * 32 / (0.5 * 128 * 1) = 1 and A2 = 0.5 * 1 * 32 * 1 / 16
+        # = 1; A3 = 0.5 * 1 / 16 (tau = 1: no drift) + A1 * 64 / 32 = 2.03125.
+        # At s = 2: log2(8) + 1/4 + A3
+        c = BoundConstants(
+            eta=0.5, smoothness=1.0, grad_variance=1.0, local_steps=1, n_clients=16,
+            dim=32, bit_budget=128.0, initial_loss=1.0,
+        )
+        coefficients = (c.log2_coefficient, c.inv_square_coefficient, c.constant_term)
+        assert coefficients == (1.0, 1.0, 2.03125)
+        assert bound_value(2, c) == 5.28125
 
     def test_matches_coefficient_expansion(self):
         c = constants()
@@ -211,6 +221,30 @@ class TestIntervalTick:
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
             interval_tick(schedule(), -1, 1.0, 0.1)
+
+    def test_saturation_warned_once_on_entering(self, caplog):
+        sched = schedule(f_w0=None, s_max=99, f_star=0.5)
+        levels = []
+        with caplog.at_level(logging.WARNING, logger="fedquant.controller"):
+            # two intervals above f_star, five at or below it, one above,
+            # then below again: one warning per entry into saturation
+            losses = [1.0, 0.8, 0.5, 0.4, 0.3, 0.2, 0.1, 0.6, 0.45]
+            for i, f in enumerate(losses):
+                s, sched = interval_tick(sched, 100 * i, f, 0.1)
+                levels.append(s)
+                if i == 6:
+                    assert sum("saturating" in m for m in caplog.messages) == 1
+        assert levels[2:7] == [99] * 5 and levels[7] < 99 and levels[8] == 99
+        assert sum("saturating" in m for m in caplog.messages) == 2
+
+    def test_reference_run_warns_once(self, caplog):
+        config = reference_config()
+        config = replace(config, quantization=replace(config.quantization, f_star=0.45))
+        with caplog.at_level(logging.WARNING, logger="fedquant.controller"):
+            run = run_training(config)
+        saturated = [r for r in run.records if r.s == config.quantization.s_max]
+        assert len(saturated) > 100
+        assert sum("saturating" in m for m in caplog.messages) == 1
 
 
 class TestLrConditions:

@@ -18,9 +18,11 @@ import pytest
 from fedquant.config import FixedMode, SyntheticData, TrainingConfig
 from fedquant.controller import LrSchedule
 from fedquant.fedsim import (
+    ROLE_SGD,
     GlobalState,
     TrainingDiverged,
     _local_sgd,
+    derive_rng,
     local_round,
     run_round,
     run_training,
@@ -268,3 +270,66 @@ def test_divergence_in_a_later_round_keeps_its_context():
     assert (exc.client_id, exc.step, exc.round_index) == (3, 1, 18)
     complete = run_training(replace(config, rounds=18))
     assert exc.records == complete.records
+
+
+def choice_local_sgd(model, shards, w_start, local_steps, eta, batch_size, rngs):
+    """The client-by-client loop with each minibatch drawn by
+    ``Generator.choice`` at its step, as before a round's minibatches were
+    drawn up front."""
+    deltas = []
+    for shard, rng in zip(shards, rngs):
+        w = np.array(w_start, dtype=np.float64)
+        for t in range(local_steps):
+            data = shard.data
+            if batch_size < data.m:
+                data = data.subset(rng.choice(data.m, batch_size, replace=False))
+            w -= eta * gradient(QUAD2, w, data)
+            if not np.all(np.isfinite(w)) or float(np.max(np.abs(w))) > 1e18:
+                raise TrainingDiverged(
+                    f"client {shard.client_id}: parameters blew up at local step {t}",
+                    step=t,
+                    client_id=shard.client_id,
+                )
+        deltas.append(w - w_start)
+    return deltas
+
+
+def test_diverging_round_drawn_ahead_keeps_its_error():
+    # every client samples 2 of its 4 rows; clients 2 and 3 blow up at
+    # once, client 1 later, and all minibatches of the round are drawn
+    # before the first step
+    shards = [scaled_shard(i, scale) for i, scale in enumerate((0.1, 3.0, 1e8, 1e8))]
+    state = GlobalState(w=np.ones(2), round_index=3, cumulative_bits=0)
+    sgd_streams = [derive_rng(0, ROLE_SGD, sh.client_id, 3) for sh in shards]
+    with pytest.raises(TrainingDiverged) as ref:
+        choice_local_sgd(QUAD2, shards, np.ones(2), 40, 1.0, 2, sgd_streams)
+    assert ref.value.client_id == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged) as got:
+            run_round(
+                QUAD2, shards, state, 3, 1.0, local_steps=40, batch_size=2, master_seed=0,
+                train_loss=1.0,
+            )
+    assert str(got.value) == str(ref.value)
+    assert (got.value.client_id, got.value.step, got.value.round_index) == (
+        ref.value.client_id, ref.value.step, 3,
+    )
+    # the clients before the diverging one are unaffected
+    first = shards[:1]
+    kept = _local_sgd(QUAD2, first, np.ones(2), 40, 1.0, 2, [derive_rng(0, ROLE_SGD, 0, 3)])
+    want = choice_local_sgd(QUAD2, first, np.ones(2), 40, 1.0, 2, [derive_rng(0, ROLE_SGD, 0, 3)])
+    assert np.array_equal(kept[0], want[0])
+
+
+def test_local_round_stream_gives_all_draws_even_when_diverging():
+    shard = scaled_shard(2, 1e8)
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged) as info:
+            local_round(QUAD2, shard, np.ones(2), 5, 1.0, 2, rng)
+    assert info.value.step < 4
+    for _ in range(5):
+        ref.choice(4, 2, replace=False)
+    assert rng.bit_generator.state == ref.bit_generator.state

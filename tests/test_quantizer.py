@@ -153,6 +153,28 @@ class TestQuantizedUpdate:
             QuantizedUpdate(norm=1.0, signs=np.array([0]), levels=np.array([1]), s=2, d=1)
 
 
+class TestLevelCheck:
+    """Every entry that takes a level rejects a non-integer one as quantize does."""
+
+    def test_non_integer_levels_rejected_everywhere(self):
+        with pytest.raises(ValueError, match="s must be an integer, got 2.5"):
+            bits_per_update(10, 2.5)
+        with pytest.raises(ValueError, match="s must be an integer, got True"):
+            bits_per_update(10, True)
+        with pytest.raises(ValueError, match="s must be an integer, got 2.5"):
+            variance_upper_bound(10, 2.5, 1.0)
+        with pytest.raises(ValueError, match="s must be an integer, got 2.5"):
+            QuantizedUpdate(norm=1.0, signs=[1, 1], levels=[0, 0], s=2.5, d=2)
+        with pytest.raises(ValueError, match="s must be an integer, got 2.5"):
+            quantize(np.ones(2), 2.5, np.random.default_rng(0))
+
+    def test_numpy_integer_levels_accepted(self):
+        assert bits_per_update(10, np.int64(3)) == bits_per_update(10, 3)
+        assert variance_upper_bound(10, np.int32(2), 1.0) == 2.5
+        q = QuantizedUpdate(norm=1.0, signs=[1, 1], levels=[0, 2], s=np.int64(2), d=2)
+        assert q.s == 2 and type(q.s) is int
+
+
 class TestDequantize:
     def test_hand_cases(self):
         q = QuantizedUpdate(
