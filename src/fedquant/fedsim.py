@@ -62,6 +62,8 @@ ROLE_LOSS = 5
 _WEIGHT_TOL = 1e-9
 # rounds of loss-estimate minibatches drawn per sampler call
 _LOSS_DRAW_ROUNDS = 16
+# bytes of minibatch rows a client stack gathers at once
+_GATHER_BYTES = 1 << 20
 
 
 # derive_rng reproduces NumPy's SeedSequence hash (numpy/random/
@@ -172,12 +174,6 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     hash fixed by ``master_seed`` and ``key[:-1]`` is cached, so a call
     mixes in only ``key[-1]``.
     """
-    return np.random.Generator(_derive_bits(master_seed, *key))
-
-
-def _derive_bits(master_seed: int, *key: int) -> np.random.PCG64:
-    """The bit generator of :func:`derive_rng`; the minibatch sampler reads
-    a fresh one directly."""
     pool, h = _seed_prefix(bool(key), master_seed, *key[:-1])
     if key:
         last = operator.index(key[-1])
@@ -190,7 +186,7 @@ def _derive_bits(master_seed: int, *key: int) -> np.random.PCG64:
         lo = ((pool[i] ^ xor_lo) * mult_lo) & _MASK32
         hi = ((pool[j] ^ xor_hi) * mult_hi) & _MASK32
         state.append((lo ^ (lo >> 16)) | (hi ^ (hi >> 16)) << 32)
-    return np.random.PCG64(_StreamSeed(np.array(state, dtype=np.uint64)))
+    return np.random.Generator(np.random.PCG64(_StreamSeed(np.array(state, dtype=np.uint64))))
 
 
 class TrainingDiverged(RuntimeError):
@@ -279,39 +275,50 @@ class _ClientStack:
     """The clients of a round that share one effective minibatch size.
 
     Row ``i`` of ``w`` belongs to the client at shard position
-    ``positions[i]``: its parameters.  ``x[i, t]`` and ``y[i, t]`` are the
-    rows and labels of its minibatch at local step ``t``, all drawn and
-    gathered when the round starts.  When no client of the stack samples
-    (each minibatch is the whole shard), one step's rows serve every step.
+    ``positions[i]``: its parameters.  Every client's minibatch indices for
+    all local steps are drawn when the round starts; their rows and labels
+    are gathered into ``x`` and ``y``, ``x[i, t % span]`` at step ``t``, for
+    ``span`` steps at a time, as many as fit in ``_GATHER_BYTES`` (at least
+    one).  A client whose minibatch is its whole shard has its rows filled
+    in once, here.
     """
 
     def __init__(self, model, shards, rngs, positions, w_start, batch_size, local_steps):
         self.positions = positions
         self.w = np.repeat(w_start[None, :], len(positions), axis=0)
         data = [shards[p].data for p in positions]
+        labels = [objectives._labels(model, d.labels) for d in data]
         b = min(batch_size, data[0].m)
         sampled = [i for i, d in enumerate(data) if d.m > b]
-        steps = local_steps if sampled else 1
-        labels = [objectives._labels(model, d.labels) for d in data]
-        self.x = np.empty((len(positions), steps, b, model.n_features))
-        self.y = np.empty((len(positions), steps, b), dtype=labels[0].dtype)
+        idx = [None] * len(data)
         if sampled:
-            idx = objectives._draw_batches(
-                [rngs[positions[i]] for i in sampled], [data[i].m for i in sampled], b, steps
+            drawn = objectives._draw_batches(
+                [rngs[positions[i]] for i in sampled], [data[i].m for i in sampled], b, local_steps
             )
-            for i, rows in zip(sampled, idx):
-                # the indices lie in [0, m), so "clip" never clips; it
-                # lets take write straight into the buffer
-                data[i].features.take(rows, axis=0, out=self.x[i], mode="clip")
-                labels[i].take(rows, out=self.y[i], mode="clip")
+            for i, steps in zip(sampled, drawn):
+                idx[i] = steps
+        step_bytes = len(positions) * b * model.n_features * 8
+        span = max(1, min(local_steps if sampled else 1, _GATHER_BYTES // step_bytes))
+        self.x = np.empty((len(positions), span, b, model.n_features))
+        self.y = np.empty((len(positions), span, b), dtype=labels[0].dtype)
         for i, d in enumerate(data):
-            if d.m == b:
+            if idx[i] is None:
                 self.x[i], self.y[i] = d.features, labels[i]
+        self.sources = list(zip(data, labels, idx))
 
     def minibatch(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every client's rows and labels at local step ``t``."""
-        t = min(t, self.x.shape[1] - 1)
-        return self.x[:, t], self.y[:, t]
+        """Every client's rows and labels at local step ``t``, the steps
+        taken in order."""
+        span = self.x.shape[1]
+        if t % span == 0:
+            for i, (data, labels, idx) in enumerate(self.sources):
+                if idx is not None:
+                    steps = idx[t : t + span]
+                    # the indices lie in [0, m), so "clip" never clips; it
+                    # lets take write straight into the buffer
+                    data.features.take(steps, axis=0, out=self.x[i, : len(steps)], mode="clip")
+                    labels.take(steps, out=self.y[i, : len(steps)], mode="clip")
+        return self.x[:, t % span], self.y[:, t % span]
 
     def blown_up(self) -> list[int]:
         """Shard positions whose parameters left the finite floats or
@@ -330,6 +337,7 @@ class _ClientStack:
     def keep(self, rows: np.ndarray) -> None:
         """Drop the clients whose entry in the boolean ``rows`` is false."""
         self.positions = [p for p, k in zip(self.positions, rows) if k]
+        self.sources = [c for c, k in zip(self.sources, rows) if k]
         self.w, self.x, self.y = self.w[rows], self.x[rows], self.y[rows]
 
 
@@ -471,10 +479,10 @@ class _LossEstimate:
     shard; otherwise each shard's ``min(batch_size, m)`` rows are drawn from
     its ``ROLE_LOSS`` stream of the round, as ``sample_batch`` would.  No
     minibatch depends on the model, so those of ``_LOSS_DRAW_ROUNDS``
-    rounds, up to ``rounds`` when given, are drawn in one call.  Shards with
-    the same row count get their losses from one stacked kernel call.  Its
-    buffers, and the rows that never change, are set up once per run.  The
-    weighted sum runs in shard order.
+    rounds are drawn in one call.  Shards with the same row count get their
+    losses from one stacked kernel call.  Its buffers, and the rows that
+    never change, are set up once per run.  The weighted sum runs in shard
+    order.
     """
 
     def __init__(
@@ -483,12 +491,10 @@ class _LossEstimate:
         shards: Sequence[ClientShard],
         batch_size: int | None,
         master_seed: int,
-        rounds: int | None = None,
     ) -> None:
         self.model = model
         self.weights = [sh.weight for sh in shards]
         self.master_seed = master_seed
-        self.rounds = rounds
         groups: dict[int, list[int]] = {}
         for i, sh in enumerate(shards):
             rows = sh.data.m if batch_size is None else min(batch_size, sh.data.m)
@@ -515,12 +521,9 @@ class _LossEstimate:
         if not start <= round_index < start + len(idx):
             _, x, _, draws = self.groups[g]
             start, stop = round_index, round_index + _LOSS_DRAW_ROUNDS
-            if self.rounds is not None:
-                stop = max(min(stop, self.rounds), start + 1)
             seed, clients = self.master_seed, [c for _, c, _, _ in draws]
-            rngs = [
-                _derive_bits(seed, ROLE_LOSS, c, k) for k in range(start, stop) for c in clients
-            ]
+            keys = [(c, k) for k in range(start, stop) for c in clients]
+            rngs = [derive_rng(seed, ROLE_LOSS, c, k).bit_generator for c, k in keys]
             ms = [data.m for _, _, data, _ in draws] * (stop - start)
             b = x.shape[1]
             idx = objectives._draw_batches(rngs, ms, b).reshape(stop - start, len(draws), b)
@@ -585,7 +588,7 @@ def _round(
     ``interval`` and ``feasible``.
     """
     k = state.round_index
-    rngs = [_derive_bits(master_seed, ROLE_SGD, sh.client_id, k) for sh in shards]
+    rngs = [derive_rng(master_seed, ROLE_SGD, sh.client_id, k).bit_generator for sh in shards]
     try:
         deltas = _local_sgd(model, shards, state.w, local_steps, eta, batch_size, rngs)
     except TrainingDiverged as exc:
@@ -676,7 +679,6 @@ def run_training(
         shards,
         None if config.loss_estimate == "full" else config.batch_size,
         config.master_seed,
-        config.rounds,
     )
     w0 = objectives.init_params(model, derive_rng(config.master_seed, ROLE_INIT))
     state = GlobalState(w=w0, round_index=0, cumulative_bits=0)
@@ -764,7 +766,9 @@ def run_unquantized(config: TrainingConfig, rounds: int | None = None) -> list[n
     trail = []
     for k in range(total):
         eta_k = config.lr.eta_for_round(k)
-        rngs = [_derive_bits(config.master_seed, ROLE_SGD, sh.client_id, k) for sh in shards]
+        rngs = [
+            derive_rng(config.master_seed, ROLE_SGD, sh.client_id, k).bit_generator for sh in shards
+        ]
         deltas = _local_sgd(model, shards, w, config.local_steps, eta_k, config.batch_size, rngs)
         delta = np.zeros_like(w)
         for shard, client_delta in zip(shards, deltas):

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fedquant import fedsim
 from fedquant.config import FixedMode, SyntheticData, TrainingConfig
 from fedquant.controller import LrSchedule
 from fedquant.fedsim import (
@@ -169,6 +170,23 @@ def test_stacked_deltas_equal_reference_loop(kind, layout):
         assert a.bit_generator.state == b.bit_generator.state
 
 
+@pytest.mark.parametrize("gather_bytes", [0, 2048, 3072])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_rows_gathered_a_few_steps_at_a_time(monkeypatch, layout, gather_bytes):
+    # a stack gathers its clients' rows for as many steps as fit in
+    # _GATHER_BYTES, at least one: "equal" steps 4 clients of batch 8 in
+    # 1024 bytes, so its 5 steps are gathered 1, 2 or 3 at a time
+    monkeypatch.setattr(fedsim, "_GATHER_BYTES", gather_bytes)
+    model = MODELS["logistic"]
+    sizes, batch_size, steps = LAYOUTS[layout]
+    shards = make_shards(model, sizes)
+    w0 = start_point(model)
+    expected = reference_local_sgd(model, shards, w0, steps, 0.3, batch_size, streams(len(sizes)))
+    got = _local_sgd(model, shards, w0, steps, 0.3, batch_size, streams(len(sizes)))
+    for want, have in zip(expected, got):
+        assert np.array_equal(want, have)
+
+
 def test_full_batch_clients_draw_nothing():
     model = MODELS["logistic"]
     shards = make_shards(model, [4, 3, 3])
@@ -320,6 +338,26 @@ def test_diverging_round_drawn_ahead_keeps_its_error():
     kept = _local_sgd(QUAD2, first, np.ones(2), 40, 1.0, 2, [derive_rng(0, ROLE_SGD, 0, 3)])
     want = choice_local_sgd(QUAD2, first, np.ones(2), 40, 1.0, 2, [derive_rng(0, ROLE_SGD, 0, 3)])
     assert np.array_equal(kept[0], want[0])
+
+
+@pytest.mark.parametrize("gather_bytes", [0, 384])
+def test_divergence_inside_a_gathered_span_keeps_its_error(monkeypatch, gather_bytes):
+    # a step of 4 clients of batch 2 on 2 features is 128 bytes: the rows
+    # of 1 or 3 steps are gathered at once.  Clients 2 and 3 blow up at
+    # step 1, so step 2, the first span's last, runs without them; client
+    # 1 blows up at step 27
+    monkeypatch.setattr(fedsim, "_GATHER_BYTES", gather_bytes)
+    shards = [scaled_shard(i, scale) for i, scale in enumerate((0.1, 3.0, 1e8, 1e8))]
+    with pytest.raises(TrainingDiverged) as ref:
+        choice_local_sgd(QUAD2, shards, np.ones(2), 40, 1.0, 2, streams(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged) as got:
+            _local_sgd(QUAD2, shards, np.ones(2), 40, 1.0, 2, streams(4))
+    assert str(got.value) == str(ref.value)
+    kept = _local_sgd(QUAD2, shards[:2], np.ones(2), 20, 1.0, 2, streams(2))
+    want = choice_local_sgd(QUAD2, shards[:2], np.ones(2), 20, 1.0, 2, streams(2))
+    assert all(np.array_equal(a, b) for a, b in zip(kept, want))
 
 
 def test_local_round_stream_gives_all_draws_even_when_diverging():

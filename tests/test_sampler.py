@@ -110,11 +110,22 @@ def test_rejects_batches_that_cover_the_rows():
         _draw_batches(generators(0, 1), [2**32 + 1], 3)
 
 
-def test_streams_are_all_generators_or_all_pcg64():
-    mixed = [np.random.default_rng(0), np.random.PCG64(1)]
-    for streams in (mixed, mixed[::-1], [np.random.MT19937(0)]):
-        with pytest.raises(TypeError, match="all Generators or all PCG64"):
-            _draw_batches(streams, [10] * len(streams), 3)
+def test_any_bit_generator_and_state_match_choice():
+    # 32-bit native words (MT19937), another 64-bit generator (Philox), and
+    # a PCG64 holding the spare half of a word it has already drawn
+    def streams():
+        half = np.random.default_rng(3)
+        half.integers(0, 2**32, 1, dtype=np.uint32)
+        bits = (np.random.MT19937(1), np.random.Philox(2))
+        return [np.random.Generator(bg) for bg in bits] + [half]
+
+    got_rngs, ref_rngs = streams(), streams()
+    got = _draw_batches(got_rngs, [250, 251, 97], 32, 3)
+    for i, (m, ref) in enumerate(zip([250, 251, 97], ref_rngs)):
+        for t in range(3):
+            assert np.array_equal(got[i, t], ref.choice(m, 32, replace=False)), (i, t)
+    for used, ref in zip(got_rngs, ref_rngs):
+        np.testing.assert_equal(used.bit_generator.state, ref.bit_generator.state)
 
 
 def test_sample_batch_is_choice_subset():
