@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .controller import LrSchedule
 from .objectives import _PARTITION_MODES, ModelSpec
+from .quantizer import _MAX_EXACT_LEVEL
 
 __all__ = [
     "SyntheticData",
@@ -98,6 +99,8 @@ class AdaquantMode:
             raise ValueError("s0 must be at least 1")
         if self.s_max < self.s0:
             raise ValueError("s_max must be at least s0")
+        if self.s_max > _MAX_EXACT_LEVEL:
+            raise ValueError(f"s_max must be at most 2**53, got {self.s_max}")
         if self.interval_bits is not None and self.interval_bits < 1:
             raise ValueError("interval_bits must be at least 1")
 

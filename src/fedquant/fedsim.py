@@ -3,7 +3,10 @@
 Every round, each client takes ``local_steps`` SGD steps from the current
 global parameters, quantizes the resulting parameter delta, and sends it
 up; the server dequantizes, averages by shard weight, and applies the
-result.  Only uplink traffic is metered.
+result.  Only uplink traffic is metered.  The uplink runs client by
+client in buffers reused across clients; it is bit for bit
+``aggregate(w, [quantize(delta, s, rng), ...], weights)`` but builds no
+``QuantizedUpdate``.
 
 Determinism contract: every random draw comes from a generator derived
 from ``(master_seed, role, client_id, round_index)``, so results do not
@@ -23,11 +26,12 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from . import objectives
+from . import objectives, quantizer
 from .config import AdaquantMode, FileData, SyntheticData, TrainingConfig
 from .controller import QuantSchedule, interval_tick, lr_condition_fixed
 from .objectives import ClientShard, Dataset, ModelSpec
-from .quantizer import QuantizedUpdate, bits_per_update, dequantize, quantize
+# quantize is not called here; perfbench's tracer wraps fedsim.quantize by name
+from .quantizer import QuantizedUpdate, bits_per_update, dequantize, quantize  # noqa: F401
 
 __all__ = [
     "ROLE_INIT",
@@ -436,6 +440,22 @@ def local_round(
     return _local_sgd(model, [shard], w_start, local_steps, eta, batch_size, [rng])[0]
 
 
+def _check_weights(weights: Sequence[float]) -> None:
+    if not all(math.isfinite(p) for p in weights):
+        raise ValueError("weights must be finite")
+    total = float(sum(weights))
+    if abs(total - 1.0) > _WEIGHT_TOL:
+        raise ValueError(f"weights must sum to 1 (got {total!r})")
+    if any(p <= 0.0 for p in weights):
+        raise ValueError("weights must be positive")
+
+
+def _accumulate(out: np.ndarray, step: np.ndarray, p: float) -> None:
+    """``out += p * step`` in place; ``step`` is overwritten."""
+    step *= p
+    out += step
+
+
 def aggregate(
     w: np.ndarray,
     updates: Sequence[QuantizedUpdate],
@@ -445,20 +465,33 @@ def aggregate(
     if len(updates) == 0 or len(updates) != len(weights):
         raise ValueError("need one weight per update, at least one of each")
     w = np.asarray(w, dtype=np.float64)
-    if not all(math.isfinite(p) for p in weights):
-        raise ValueError("weights must be finite")
-    total = float(sum(weights))
-    if abs(total - 1.0) > _WEIGHT_TOL:
-        raise ValueError(f"weights must sum to 1 (got {total!r})")
-    if any(p <= 0.0 for p in weights):
-        raise ValueError("weights must be positive")
+    _check_weights(weights)
     out = w.copy()
     for q, p in zip(updates, weights):
         if q.d != w.size:
             raise ValueError(f"update dimension {q.d} does not match parameters ({w.size})")
-        step = dequantize(q)
-        step *= p
-        out += step
+        _accumulate(out, dequantize(q), p)
+    return out
+
+
+def _uplink(
+    w: np.ndarray, deltas: Sequence[np.ndarray], s: int, rngs: Sequence, weights: Sequence[float]
+) -> np.ndarray:
+    """``aggregate(w, [quantize(delta, s, rng), ...], weights)`` bit for bit,
+    on checked weights, client by client in buffers allocated once per call:
+    no ``QuantizedUpdate``, integer level or per-client array is built."""
+    out = np.array(w, dtype=np.float64)
+    frac, lower, u = np.empty((3, out.size))
+    carry = np.empty(out.size, dtype=bool)
+    for delta, rng, p in zip(deltas, rngs, weights):
+        delta, norm, norm32 = quantizer._check_input(delta, s)
+        if norm32 == 0.0:
+            lower.fill(0.0)  # quantize's zero path: no draw, signed zeros below
+        else:
+            quantizer._lattice(delta, s, norm, frac, lower)
+            quantizer._carry(lower, frac, rng, u, carry)
+        signs = quantizer._signs(delta, out=carry)
+        _accumulate(out, quantizer._scale(lower, norm32, s, signs), p)
     return out
 
 
@@ -470,6 +503,7 @@ def global_loss(model: ModelSpec, shards: Sequence[ClientShard], w: np.ndarray) 
 def _check_shards(model: ModelSpec, shards: Sequence[ClientShard]) -> None:
     for shard in shards:
         objectives._check_data(model, shard.data)
+    _check_weights([shard.weight for shard in shards])
 
 
 class _LossEstimate:
@@ -594,12 +628,8 @@ def _round(
     except TrainingDiverged as exc:
         exc.round_index = k
         raise
-    updates = [
-        quantize(delta, s, derive_rng(master_seed, ROLE_QUANT, sh.client_id, k))
-        for sh, delta in zip(shards, deltas)
-    ]
-    del deltas  # the stacked parameters, freed before aggregating
-    w_next = aggregate(state.w, updates, [sh.weight for sh in shards])
+    rngs = [derive_rng(master_seed, ROLE_QUANT, sh.client_id, k) for sh in shards]
+    w_next = _uplink(state.w, deltas, s, rngs, [sh.weight for sh in shards])
     cost = bits_per_update(model.dim, s)
     new_state = GlobalState(
         w=w_next, round_index=k + 1, cumulative_bits=state.cumulative_bits + cost.total_bits

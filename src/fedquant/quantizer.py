@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 NORM_BITS = 32  # the norm travels as a little-endian IEEE 754 float32
+# Levels are formed in float64 and cast to int64; both hold every integer
+# up to 2**53 exactly, so quantization rejects a larger s.
+_MAX_EXACT_LEVEL = 2**53
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +140,8 @@ def _check_input(w: np.ndarray, s: int) -> tuple[np.ndarray, float, float]:
     if not math.isfinite(norm) and not np.all(np.isfinite(w)):
         raise ValueError("w must contain only finite values")
     _check_level(s)
+    if s > _MAX_EXACT_LEVEL:
+        raise ValueError(f"quantization level s must be at most 2**53, got {s}")
     if math.isinf(norm32):
         raise ValueError(
             "the norm of w exceeds the wire's float32 range "
@@ -145,25 +150,45 @@ def _check_input(w: np.ndarray, s: int) -> tuple[np.ndarray, float, float]:
     return w, norm, norm32
 
 
-def _signs(w: np.ndarray) -> np.ndarray:
-    """+1 or -1 per coordinate as int8; zeros (and -0.0) count as positive."""
-    signs = (w < 0.0).view(np.int8)
+def _signs(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """+1 or -1 per coordinate as int8, in the bool buffer ``out`` when
+    given; zeros (and -0.0) count as positive."""
+    signs = np.less(w, 0.0, out=out).view(np.int8)
     signs *= -2
     signs += 1
     return signs
 
 
-def _lattice(w: np.ndarray, s: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lower lattice level and carry probability per coordinate; ``norm > 0``."""
+def _lattice(
+    w: np.ndarray, s: int, norm: float, frac=None, lower=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower lattice level and carry probability per coordinate, in
+    ``lower`` and ``frac`` when given; ``norm > 0``."""
     # Multiply before dividing so ratios that are exact in float (e.g. 3/5)
     # land on their lattice point instead of a hair below it.
-    frac = np.abs(w)
+    frac = np.abs(w, out=frac)
     frac *= s
     frac /= norm
     np.minimum(frac, float(s), out=frac)
-    lower = np.floor(frac)
+    lower = np.floor(frac, out=lower)
     frac -= lower
     return lower, frac
+
+
+def _carry(levels: np.ndarray, frac: np.ndarray, rng, u: np.ndarray, carry=None) -> None:
+    """Add 1 to the lower ``levels`` in place where a draw
+    ``rng.random(out=u)`` falls below ``frac``, comparing into ``carry``
+    when given.  ``frac`` is 0 where a level is s, so levels stay in [0, s],
+    and float levels are exact integers since s <= 2**53."""
+    levels += np.less(rng.random(out=u), frac, out=carry)
+
+
+def _scale(levels: np.ndarray, norm: float, s: int, signs: np.ndarray) -> np.ndarray:
+    """The real values that float ``levels`` stand for, in place."""
+    levels *= norm
+    levels /= s
+    levels *= signs
+    return levels
 
 
 def quantize(w: np.ndarray, s: int, rng: np.random.Generator) -> QuantizedUpdate:
@@ -181,19 +206,13 @@ def quantize(w: np.ndarray, s: int, rng: np.random.Generator) -> QuantizedUpdate
     else:
         lower, frac = _lattice(w, s, norm)
         levels = lower.astype(np.int64)
-        # The carry draw reuses lower's buffer.  frac is 0 wherever lower
-        # is s, so levels stay in [0, s].
-        levels += rng.random(out=lower) < frac
+        _carry(levels, frac, rng, lower)  # the draws reuse lower's buffer
     return QuantizedUpdate._adopt(norm32, signs, levels, s, w.size)
 
 
 def dequantize(q: QuantizedUpdate) -> np.ndarray:
     """Reconstruct the real vector a ``QuantizedUpdate`` stands for."""
-    out = q.levels.astype(np.float64)
-    out *= q.norm
-    out /= q.s
-    out *= q.signs
-    return out
+    return _scale(q.levels.astype(np.float64), q.norm, q.s, q.signs)
 
 
 def sample_dequantized(
@@ -207,12 +226,12 @@ def sample_dequantized(
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
     w, norm, norm32 = _check_input(w, s)
-    if norm32 == 0.0:
-        return np.zeros((n_draws, w.size))
-    lower, frac = _lattice(w, s, norm)
-    carry = rng.random((n_draws, w.size)) < frac
-    levels = lower + carry
-    return _signs(w) * ((norm32 * levels) / s)
+    levels = np.zeros((n_draws, w.size))
+    if norm32 != 0.0:
+        lower, frac = _lattice(w, s, norm)
+        levels += lower
+        _carry(levels, frac, rng, np.empty(levels.shape))
+    return _scale(levels, norm32, s, _signs(w))
 
 
 def bits_per_update(d: int, s: int) -> BitCost:

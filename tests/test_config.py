@@ -54,6 +54,9 @@ class TestModes:
             AdaquantMode(s0=0)
         with pytest.raises(ValueError):
             AdaquantMode(s0=10, s_max=5)
+        with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+            AdaquantMode(s_max=2**53 + 1)
+        assert AdaquantMode(s_max=2**53).s_max == 2**53
         with pytest.raises(ValueError):
             AdaquantMode(interval_bits=0)
 

@@ -440,6 +440,12 @@ class TestShardChecks:
         with pytest.raises(ValueError, match="logistic labels must be 0 or 1"):
             run_training(config)
 
+    def test_public_round_rejects_weights_that_do_not_sum_to_one(self):
+        shards = [quad_shard(client_id=0, weight=0.5), quad_shard(seed=1, client_id=1, weight=0.75)]
+        state = GlobalState(w=np.zeros(3), round_index=0, cumulative_bits=0)
+        with pytest.raises(ValueError, match="weights must sum to 1"):
+            run_round(QUAD, shards, state, 3, 0.1, local_steps=2, batch_size=4, master_seed=0)
+
     def test_public_round_and_loss_reject_a_mismatched_shard(self):
         shards = [quad_shard(client_id=0, weight=0.5), mismatched_shard()]
         state = GlobalState(w=np.zeros(3), round_index=0, cumulative_bits=0)

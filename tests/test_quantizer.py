@@ -105,6 +105,32 @@ class TestQuantizeBasics:
                 sample_dequantized(np.array(big_w), 2, np.random.default_rng(0), 3)
 
 
+    @pytest.mark.parametrize("s", [2**53 + 1, 2**63, 2**70])
+    def test_level_past_exact_float_range_rejected(self, s):
+        # at s = 2**70 the levels used to wrap to -2**63 with only a
+        # RuntimeWarning, and dequantize gave -0.0078 for the 0.6 entry
+        w = np.array([0.6, -0.8, 0.0])
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: quantize(w, s, rng),
+                lambda: sample_dequantized(w, s, rng, 3),
+                lambda: exact_variance(w, s),
+            ):
+                with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+                    call()
+        assert rng.bit_generator.state == before
+        # the update record itself takes any integer level; the wire refuses it
+        QuantizedUpdate(norm=1.0, signs=np.array([1]), levels=np.array([1]), s=s, d=1)
+
+    def test_largest_exact_level_is_exact(self):
+        w = np.array([0.6, -0.8, 0.0])
+        q = quantize(w, 2**53, np.random.default_rng(0))
+        assert q.levels.tolist() == [int(0.6 * 2**53), int(0.8 * 2**53), 0]
+        np.testing.assert_allclose(dequantize(q), w, rtol=1e-7)
+
     @pytest.mark.parametrize(
         "bad_w", [[np.nan, 1.0], [np.inf, 0.0], [1e300, np.nan], [np.inf, -np.inf], [1e300, np.inf]]
     )
@@ -281,7 +307,9 @@ class TestSampleDequantized:
         w = np.array([1e-46, -3e-47, 0.0])
         out = sample_dequantized(w, 2, np.random.default_rng(0), 4)
         assert not out.any()
-        np.testing.assert_array_equal(out[0], dequantize(quantize(w, 2, np.random.default_rng(0))))
+        # signed zeros included: the -3e-47 entry is -0.0 in both
+        want = dequantize(quantize(w, 2, np.random.default_rng(0))).tobytes()
+        assert all(row.tobytes() == want for row in out)
 
     def test_rejects_bad_draw_count(self):
         with pytest.raises(ValueError):

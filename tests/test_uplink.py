@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedquant.fedsim import aggregate
+from fedquant.fedsim import _uplink, aggregate
 from fedquant.quantizer import QuantizedUpdate, dequantize, exact_variance, quantize
 from fedquant.wire import decode, encode
 
@@ -154,3 +154,48 @@ class TestAgainstReference:
         out = dequantize(q)
         assert out.tobytes() == reference_dequantize(q).tobytes()
         assert np.signbit(out[1]) and not np.signbit(out[0])
+
+
+def client_delta(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
+    """A delta of one of the shapes the uplink treats apart: ``-0.0``
+    entries, all zeros of both signs, or a norm that is 0 in float32."""
+    if kind == "zero":
+        return np.where(rng.random(d) < 0.5, -0.0, 0.0)
+    if kind == "underflow":
+        return rng.choice([-1e-47, 0.0, -0.0, 1e-47], size=d)  # norm < 1e-45
+    delta = rng.standard_normal(d) * 10.0 ** rng.uniform(-30, 30)
+    delta[rng.random(d) < 0.2] = -0.0
+    return delta
+
+
+class TestRoundUplink:
+    @given(
+        d=st.integers(1, 3000),
+        s=st.sampled_from([1, 2, 3, 255, 256, 65535, 2**32 - 1]),
+        kinds=st.lists(st.sampled_from(["normal", "zero", "underflow"]), min_size=1, max_size=5),
+        raw_weights=st.lists(st.integers(1, 1000), min_size=5, max_size=5),
+        seed=seeds,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_quantize_then_aggregate(self, d, s, kinds, raw_weights, seed):
+        rng = np.random.default_rng(seed)
+        deltas = [client_delta(kind, d, rng) for kind in kinds]
+        weights = [k / sum(raw_weights[: len(kinds)]) for k in raw_weights[: len(kinds)]]
+        base = rng.standard_normal(d)
+        base[rng.random(d) < 0.1] = -0.0
+        ref_rngs = [np.random.default_rng([seed, i]) for i in range(len(kinds))]
+        rngs = [np.random.default_rng([seed, i]) for i in range(len(kinds))]
+        updates = [quantize(delta, s, r) for delta, r in zip(deltas, ref_rngs)]
+        want = reference_aggregate(base, updates, weights)
+        got = _uplink(base, deltas, s, rngs, weights)
+        assert got.tobytes() == want.tobytes()
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+
+    def test_inputs_are_left_alone(self):
+        w = np.array([0.5, -0.0, 2.0])
+        w.setflags(write=False)
+        deltas = [np.array([1.0, -2.0, 0.0]), np.array([-0.0, 3.0, 1e-46])]
+        before = [delta.copy() for delta in deltas]
+        rngs = [np.random.default_rng(i) for i in range(2)]
+        _uplink(w, deltas, 3, rngs, [0.25, 0.75])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(deltas, before))
