@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .controller import LrSchedule
-from .objectives import _PARTITION_MODES, ModelSpec
+from .objectives import _DATA_KINDS, _PARTITION_MODES, ModelSpec
 from .quantizer import _MAX_EXACT_LEVEL
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 DEFAULT_S_MAX = 2**16 - 1
+_LOSS_ESTIMATES = ("full", "minibatch")
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class SyntheticData:
     eval_samples: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("regression", "classification"):
+        if self.kind not in _DATA_KINDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
@@ -60,7 +61,7 @@ class FileData:
     eval_samples: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("regression", "classification"):
+        if self.kind not in _DATA_KINDS:
             raise ValueError(f"unknown data kind {self.kind!r}")
         if self.eval_samples < 0:
             raise ValueError("eval_samples must be non-negative")
@@ -139,7 +140,7 @@ class TrainingConfig:
             raise ValueError("bit_budget must be at least 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
-        if self.loss_estimate not in ("full", "minibatch"):
+        if self.loss_estimate not in _LOSS_ESTIMATES:
             raise ValueError(f"loss_estimate must be 'full' or 'minibatch', got {self.loss_estimate!r}")
         if self.smoothness is not None and self.smoothness <= 0.0:
             raise ValueError("smoothness must be positive")

@@ -33,8 +33,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-LOG2_E = math.log2(math.e)
-
 
 @dataclass(frozen=True)
 class BoundConstants:

@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -591,9 +591,6 @@ def run_round(
     batch_size: int,
     master_seed: int,
     train_loss: float | None = None,
-    eval_metric: float | None = None,
-    interval: int | None = None,
-    feasible: bool | None = None,
 ) -> tuple[GlobalState, RoundRecord]:
     """One synchronous round at level ``s``; returns new state and record."""
     _check_shards(model, shards)
@@ -601,7 +598,7 @@ def run_round(
         train_loss = global_loss(model, shards, state.w)
     return _round(
         model, shards, state, s, eta, local_steps, batch_size, master_seed,
-        train_loss=float(train_loss), eval_metric=eval_metric, interval=interval, feasible=feasible,
+        bits_per_update(model.dim, s), _uplink, train_loss=float(train_loss),
     )
 
 
@@ -614,12 +611,16 @@ def _round(
     local_steps: int,
     batch_size: int,
     master_seed: int,
+    cost: quantizer.BitCost,
+    uplink: Callable[..., np.ndarray],
     **fields,
 ) -> tuple[GlobalState, RoundRecord]:
     """:func:`run_round` on shards already checked against the model.
 
-    ``fields`` are the record's ``train_loss``, ``eval_metric``,
-    ``interval`` and ``feasible``.
+    ``cost`` is ``bits_per_update(model.dim, s)``; ``uplink`` takes the
+    deltas to the next global parameters, with :func:`_uplink`'s
+    signature.  ``fields`` are the record's ``train_loss``,
+    ``eval_metric``, ``interval`` and ``feasible``.
     """
     k = state.round_index
     rngs = [derive_rng(master_seed, ROLE_SGD, sh.client_id, k).bit_generator for sh in shards]
@@ -629,8 +630,7 @@ def _round(
         exc.round_index = k
         raise
     rngs = [derive_rng(master_seed, ROLE_QUANT, sh.client_id, k) for sh in shards]
-    w_next = _uplink(state.w, deltas, s, rngs, [sh.weight for sh in shards])
-    cost = bits_per_update(model.dim, s)
+    w_next = uplink(state.w, deltas, s, rngs, [sh.weight for sh in shards])
     new_state = GlobalState(
         w=w_next, round_index=k + 1, cumulative_bits=state.cumulative_bits + cost.total_bits
     )
@@ -701,15 +701,45 @@ def run_training(
     ``loss_threshold``.  ``on_record`` fires after every completed round,
     which is how the CSV writer streams rows.
     """
+    return _train(config, _uplink, on_record, keep_parameters)
+
+
+def _exact_uplink(
+    w: np.ndarray, deltas: Sequence[np.ndarray], s: int, rngs: Sequence, weights: Sequence[float]
+) -> np.ndarray:
+    """The weighted sum of the exact deltas, in shard order, applied to
+    ``w``; ``s`` and ``rngs`` are unused."""
+    delta = np.zeros_like(w)
+    for p, client_delta in zip(weights, deltas):
+        delta += p * client_delta
+    return w + delta
+
+
+def run_unquantized(config: TrainingConfig) -> list[np.ndarray]:
+    """Reference trajectory with exact (unquantized) uplinks.
+
+    Runs :func:`run_training`'s loop on the same data, init, and SGD
+    streams, so any drift from it is attributable to quantization alone.
+    Neither ``bit_budget`` nor ``loss_threshold`` stops it: it returns the
+    global parameters after each of ``config.rounds`` rounds.
+    """
+    exact = replace(config, bit_budget=None, loss_threshold=None)
+    return list(_train(exact, _exact_uplink, None, True).parameter_trail)
+
+
+def _train(
+    config: TrainingConfig,
+    uplink: Callable[..., np.ndarray],
+    on_record: Callable[[RoundRecord], None] | None,
+    keep_parameters: bool,
+) -> TrainingRun:
+    """The round loop of :func:`run_training`, with the uplink as a
+    function of :func:`_uplink`'s signature."""
     problem = build_problem(config)
     model, shards = problem.model, problem.shards
     _check_shards(model, shards)
-    loss_estimate = _LossEstimate(
-        model,
-        shards,
-        None if config.loss_estimate == "full" else config.batch_size,
-        config.master_seed,
-    )
+    batch = None if config.loss_estimate == "full" else config.batch_size
+    loss_estimate = _LossEstimate(model, shards, batch, config.master_seed)
     w0 = objectives.init_params(model, derive_rng(config.master_seed, ROLE_INIT))
     state = GlobalState(w=w0, round_index=0, cumulative_bits=0)
     quant = config.quantization
@@ -739,8 +769,9 @@ def run_training(
         else:
             s_k = quant.s
             interval = None
-        cost = bits_per_update(model.dim, s_k).total_bits
-        if config.bit_budget is not None and state.cumulative_bits + cost > config.bit_budget:
+        cost = bits_per_update(model.dim, s_k)
+        spent = state.cumulative_bits + cost.total_bits
+        if config.bit_budget is not None and spent > config.bit_budget:
             break
         feasible = None
         if config.smoothness is not None:
@@ -758,6 +789,8 @@ def run_training(
                 config.local_steps,
                 config.batch_size,
                 config.master_seed,
+                cost,
+                uplink,
                 train_loss=f_wk,
                 eval_metric=metric,
                 interval=interval,
@@ -779,30 +812,3 @@ def run_training(
         problem=problem,
         parameter_trail=tuple(trail) if keep_parameters else None,
     )
-
-
-def run_unquantized(config: TrainingConfig, rounds: int | None = None) -> list[np.ndarray]:
-    """Reference trajectory with exact (unquantized) uplinks.
-
-    Consumes the same data, init, and SGD streams as :func:`run_training`,
-    so any drift from it is attributable to quantization alone.  Returns
-    the global parameters after each round.
-    """
-    problem = build_problem(config)
-    model, shards = problem.model, problem.shards
-    _check_shards(model, shards)
-    w = objectives.init_params(model, derive_rng(config.master_seed, ROLE_INIT))
-    total = config.rounds if rounds is None else rounds
-    trail = []
-    for k in range(total):
-        eta_k = config.lr.eta_for_round(k)
-        rngs = [
-            derive_rng(config.master_seed, ROLE_SGD, sh.client_id, k).bit_generator for sh in shards
-        ]
-        deltas = _local_sgd(model, shards, w, config.local_steps, eta_k, config.batch_size, rngs)
-        delta = np.zeros_like(w)
-        for shard, client_delta in zip(shards, deltas):
-            delta += shard.weight * client_delta
-        w = w + delta
-        trail.append(w.copy())
-    return trail

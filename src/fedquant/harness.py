@@ -14,13 +14,20 @@ import configparser
 import csv
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from . import fedsim
-from .config import AdaquantMode, FileData, FixedMode, SyntheticData, TrainingConfig
+from .config import (
+    _LOSS_ESTIMATES,
+    AdaquantMode,
+    FileData,
+    FixedMode,
+    SyntheticData,
+    TrainingConfig,
+)
 from .controller import LrSchedule
 from .fedsim import RoundRecord, TrainingRun
-from .objectives import _PARTITION_MODES, ModelSpec, accuracy
+from .objectives import _DATA_KINDS, _MODEL_KINDS, _PARTITION_MODES, ModelSpec
 
 __all__ = [
     "ConfigError",
@@ -50,6 +57,8 @@ CSV_COLUMNS = (
 )
 
 SWEEP_FIXED_BITS = (2, 4, 8, 16)
+
+_Name = TypeVar("_Name")
 
 
 class ConfigError(ValueError):
@@ -98,16 +107,14 @@ _MISSING = object()
 
 
 class _Doc:
-    """Typed, key-tracking view over a parsed INI document."""
+    """Typed view over a parsed INI document."""
 
     def __init__(self, parser: configparser.ConfigParser) -> None:
         self.sections = {name: dict(parser.items(name)) for name in parser.sections()}
-        self._seen: dict[str, set[str]] = {name: set() for name in self.sections}
 
     def raw(self, section: str, key: str, default=_MISSING):
         values = self.sections.get(section, {})
         if key in values:
-            self._seen[section].add(key)
             return values[key].strip()
         if default is _MISSING:
             raise ConfigError(f"missing required key {section}.{key}")
@@ -175,7 +182,7 @@ def parse_config(text: str) -> TrainingConfig:
 
 
 def _build(doc: _Doc) -> TrainingConfig:
-    kind = doc.choice("model", "kind", ("quadratic", "logistic", "mlp"))
+    kind = doc.choice("model", "kind", _MODEL_KINDS)
     features = doc.integer("model", "features")
     if kind == "mlp":
         model = ModelSpec.mlp(
@@ -187,10 +194,7 @@ def _build(doc: _Doc) -> TrainingConfig:
 
     source = doc.choice("data", "source", ("synthetic", "file"), default="synthetic")
     data_kind = doc.choice(
-        "data",
-        "kind",
-        ("regression", "classification"),
-        default="regression" if kind == "quadratic" else "classification",
+        "data", "kind", _DATA_KINDS, default="regression" if kind == "quadratic" else "classification"
     )
     if source == "synthetic":
         doc.forbid("data", ("path",), "for synthetic data")
@@ -245,9 +249,7 @@ def _build(doc: _Doc) -> TrainingConfig:
         loss_threshold=doc.number("run", "loss_threshold", None),
         master_seed=doc.integer("run", "seed", 0),
         eval_every=doc.integer("run", "eval_every", 1),
-        loss_estimate=doc.choice(
-            "run", "loss_estimate", ("full", "minibatch"), default="full"
-        ),
+        loss_estimate=doc.choice("run", "loss_estimate", _LOSS_ESTIMATES, default="full"),
         smoothness=doc.number("run", "smoothness", None),
         output=doc.raw("run", "output", None),
     )
@@ -332,42 +334,52 @@ def _summarize(config: TrainingConfig, run: TrainingRun) -> ExperimentSummary:
     problem = run.problem
     final_w = run.final_state.w
     final_loss = fedsim.global_loss(problem.model, problem.shards, final_w)
-    final_metric = None
-    if problem.eval_data is not None and problem.model.kind != "quadratic":
-        final_metric = accuracy(problem.model, final_w, problem.eval_data)
-    crossed = (
-        bits_to_threshold(run.records, config.loss_threshold)
-        if config.loss_threshold is not None
-        else None
-    )
+    threshold = config.loss_threshold
+    crossed = None if threshold is None else bits_to_threshold(run.records, threshold)
     return ExperimentSummary(
         rounds=len(run.records),
         final_loss=final_loss,
-        final_eval_metric=final_metric,
+        final_eval_metric=fedsim._eval_metric(problem, final_w),
         cumulative_bits=run.final_state.cumulative_bits,
         bits_to_threshold=crossed,
         s_trajectory=tuple(r.s for r in run.records),
     )
 
 
-def run_experiment(
-    config: TrainingConfig, csv_path: str | None = None
-) -> tuple[ExperimentSummary, tuple[RoundRecord, ...]]:
-    """Run one configured experiment, streaming CSV if a path is set.
+def run_experiment(config: TrainingConfig) -> tuple[ExperimentSummary, tuple[RoundRecord, ...]]:
+    """Run one configured experiment, streaming CSV to ``config.output``
+    if it is set.
 
     On divergence the rows written so far remain on disk as a valid CSV
     prefix, and the error propagates.
     """
-    path = csv_path if csv_path is not None else config.output
-    stream = _CsvStream(path) if path is not None else None
+    stream = _CsvStream(config.output) if config.output is not None else None
     try:
-        run = fedsim.run_training(
-            config, on_record=stream.write if stream is not None else None
-        )
+        run = fedsim.run_training(config, on_record=None if stream is None else stream.write)
     finally:
         if stream is not None:
             stream.close()
     return _summarize(config, run), run.records
+
+
+def _adaptive(config: TrainingConfig) -> AdaquantMode:
+    """The config's adaptive mode, else the default one."""
+    quant = config.quantization
+    return quant if isinstance(quant, AdaquantMode) else AdaquantMode()
+
+
+def _run_legs(
+    config: TrainingConfig, legs: dict[_Name, FixedMode | AdaquantMode], out_dir: str | None = None
+) -> dict[_Name, ExperimentSummary]:
+    """Run ``config`` once per named quantization mode, on its one master
+    seed; with ``out_dir``, leg ``name`` writes ``<out_dir>/<name>.csv``."""
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    summaries: dict[_Name, ExperimentSummary] = {}
+    for name, quant in legs.items():
+        output = os.path.join(out_dir, f"{name}.csv") if out_dir is not None else None
+        summaries[name], _ = run_experiment(replace(config, quantization=quant, output=output))
+    return summaries
 
 
 def grid_search_s0(
@@ -380,30 +392,16 @@ def grid_search_s0(
         raise ValueError("candidates must be non-empty")
     if cands[0] < 1:
         raise ValueError("candidates must be at least 1")
-    base = (
-        config.quantization
-        if isinstance(config.quantization, AdaquantMode)
-        else AdaquantMode()
+    base = _adaptive(config)
+    summaries = _run_legs(
+        config, {s0: replace(base, s0=s0, s_max=max(base.s_max, s0)) for s0 in cands}
     )
-    summaries: dict[int, ExperimentSummary] = {}
-    for s0 in cands:
-        quant = replace(base, s0=s0, s_max=max(base.s_max, s0))
-        summary, _ = run_experiment(
-            replace(config, quantization=quant, output=None), csv_path=None
-        )
-        summaries[s0] = summary
-    infinity = float("inf")
-    best = min(
-        cands,
-        key=lambda c: (
-            summaries[c].bits_to_threshold
-            if summaries[c].bits_to_threshold is not None
-            else infinity,
-            summaries[c].final_loss,
-            c,
-        ),
-    )
-    return best, summaries
+
+    def rank(c: int) -> tuple[float, float, int]:
+        crossed = summaries[c].bits_to_threshold
+        return (float("inf") if crossed is None else crossed, summaries[c].final_loss, c)
+
+    return min(cands, key=rank), summaries
 
 
 def sweep(config: TrainingConfig, out_dir: str) -> dict[str, ExperimentSummary]:
@@ -413,23 +411,11 @@ def sweep(config: TrainingConfig, out_dir: str) -> dict[str, ExperimentSummary]:
     partition, initial weights, and minibatch order.  Each leg writes
     ``<out_dir>/<name>.csv``.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    legs: list[tuple[str, FixedMode | AdaquantMode]] = [
-        (f"fixed_b{b}", FixedMode(bits=b)) for b in SWEEP_FIXED_BITS
-    ]
-    adaptive = (
-        config.quantization
-        if isinstance(config.quantization, AdaquantMode)
-        else AdaquantMode()
-    )
-    legs.append(("adaquant", adaptive))
-    results: dict[str, ExperimentSummary] = {}
-    for name, quant in legs:
-        leg_config = replace(config, quantization=quant, output=None)
-        path = os.path.join(out_dir, f"{name}.csv")
-        summary, _ = run_experiment(leg_config, csv_path=path)
-        results[name] = summary
-    return results
+    legs: dict[str, FixedMode | AdaquantMode] = {
+        f"fixed_b{b}": FixedMode(bits=b) for b in SWEEP_FIXED_BITS
+    }
+    legs["adaquant"] = _adaptive(config)
+    return _run_legs(config, legs, out_dir)
 
 
 def reference_config(**overrides) -> TrainingConfig:

@@ -35,7 +35,8 @@ __all__ = [
     "load_delimited",
 ]
 
-_KINDS = ("quadratic", "logistic", "mlp")
+_MODEL_KINDS = ("quadratic", "logistic", "mlp")
+_DATA_KINDS = ("regression", "classification")
 _PARTITION_MODES = ("iid", "sorted_label")
 
 
@@ -97,8 +98,8 @@ class ModelSpec:
     n_classes: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}, expected one of {_KINDS}")
+        if self.kind not in _MODEL_KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}, expected one of {_MODEL_KINDS}")
         if self.n_features < 1:
             raise ValueError("n_features must be at least 1")
         if self.kind == "mlp":
@@ -587,7 +588,7 @@ def generate_synthetic(
     or, for ``n_classes > 2``, argmax-linear labels with ``noise`` as the
     label-flip probability).
     """
-    if kind not in ("regression", "classification"):
+    if kind not in _DATA_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}")
     if m < 1 or n_features < 1:
         raise ValueError("m and n_features must be at least 1")
@@ -657,7 +658,7 @@ def load_delimited(
     path: str, kind: str = "classification", delimiter: str | None = None
 ) -> Dataset:
     """Read a numeric table; last column is the label, the rest features."""
-    if kind not in ("regression", "classification"):
+    if kind not in _DATA_KINDS:
         raise ValueError(f"unknown data kind {kind!r}")
     try:
         table = np.loadtxt(path, delimiter=delimiter, ndmin=2)

@@ -407,6 +407,26 @@ class TestRunUnquantized:
             w = w + step
             np.testing.assert_array_equal(trail[k], w)
 
+    def test_budget_and_threshold_do_not_stop_it(self):
+        first = run_training(quad_config(rounds=6)).records[0]
+        for stop in (
+            {"bit_budget": 2 * first.bits_this_round},
+            {"loss_threshold": first.train_loss},
+        ):
+            config = quad_config(rounds=6, **stop)
+            assert len(run_training(config).records) < 6
+            trail = run_unquantized(config)
+            assert len(trail) == 6 and not trail[0].flags.writeable
+            np.testing.assert_array_equal(trail[-1], run_unquantized(quad_config(rounds=6))[-1])
+
+    def test_divergence_carries_round_and_partial_records(self):
+        config = quad_config(lr=LrSchedule.constant(10.0), rounds=50)
+        with pytest.raises(TrainingDiverged) as info:
+            run_unquantized(config)
+        k = info.value.round_index
+        assert k is not None and k > 0
+        assert [r.round_index for r in info.value.records] == list(range(k))
+
 
 def mismatched_shard(client_id=1, weight=0.5) -> ClientShard:
     """A shard with four features, for the three-feature QUAD model."""

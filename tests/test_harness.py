@@ -196,8 +196,8 @@ class TestRunExperiment:
 
     def test_csv_written_and_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_experiment(small_quad(), csv_path=str(a))
-        run_experiment(small_quad(), csv_path=str(b))
+        run_experiment(replace(small_quad(), output=str(a)))
+        run_experiment(replace(small_quad(), output=str(b)))
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().startswith(",".join(CSV_COLUMNS).encode())
 
@@ -210,7 +210,7 @@ class TestRunExperiment:
         out = tmp_path / "partial.csv"
         bad = small_quad(lr=LrSchedule.constant(1e9), rounds=50)
         with pytest.raises(TrainingDiverged):
-            run_experiment(bad, csv_path=str(out))
+            run_experiment(replace(bad, output=str(out)))
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(CSV_COLUMNS)
