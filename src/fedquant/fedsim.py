@@ -3,8 +3,9 @@
 Every round, each client takes ``local_steps`` SGD steps from the current
 global parameters, quantizes the resulting parameter delta, and sends it
 up; the server dequantizes, averages by shard weight, and applies the
-result.  Only uplink traffic is metered.  The uplink runs client by
-client in buffers reused across clients; it is bit for bit
+result.  Only uplink traffic is metered.  The uplink quantizes the
+clients' deltas as planes of as many clients as fit in a cache-sized
+buffer, reused across the round; it is bit for bit
 ``aggregate(w, [quantize(delta, s, rng), ...], weights)`` but builds no
 ``QuantizedUpdate``.
 
@@ -12,6 +13,8 @@ Determinism contract: every random draw comes from a generator derived
 from ``(master_seed, role, client_id, round_index)``, so results do not
 depend on client execution order and any single client round can be
 replayed in isolation.  Reruns with the same config are bit-identical.
+A run derives the streams of all its clients for several rounds at once,
+each identical to the one ``derive_rng`` gives.
 """
 
 from __future__ import annotations
@@ -64,10 +67,13 @@ ROLE_QUANT = 4
 ROLE_LOSS = 5
 
 _WEIGHT_TOL = 1e-9
-# rounds of loss-estimate minibatches drawn per sampler call
-_LOSS_DRAW_ROUNDS = 16
 # bytes of minibatch rows a client stack gathers at once
 _GATHER_BYTES = 1 << 20
+# bytes of client deltas the uplink quantizes as one plane; with its three
+# buffers of the same size, a group stays within a 2 MiB cache
+_UPLINK_BYTES = 1 << 18
+# rounds whose stream seeds, and loss-estimate minibatches, are drawn at once
+_STREAM_ROUNDS = 16
 
 
 # derive_rng reproduces NumPy's SeedSequence hash (numpy/random/
@@ -193,6 +199,51 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_StreamSeed(np.array(state, dtype=np.uint64))))
 
 
+class _Streams:
+    """One role's streams for a run's clients, round by round.
+
+    ``streams(k)[i]`` is ``derive_rng(master_seed, role, client_ids[i],
+    k).bit_generator``.  Each client's hash prefix is mixed once; the
+    round, the last key word, is mixed into every client's pool for
+    ``_STREAM_ROUNDS`` rounds at a time in one pass over uint32 arrays,
+    whose products wrap as the hash's do.  A round of two words (2**32 or
+    more) goes through ``derive_rng``.
+    """
+
+    def __init__(self, master_seed: int, role: int, client_ids: Sequence[int]) -> None:
+        self.key = (master_seed, role, list(client_ids))
+        prefixes = [_seed_prefix(True, master_seed, role, c) for c in client_ids]
+        self.pools = np.array([pool for pool, _ in prefixes], dtype=np.uint32).reshape(1, -1, 4)
+        steps = np.array([_absorb_steps(h) for _, h in prefixes], dtype=np.uint32).reshape(-1, 4, 2)
+        self.xor, self.mult = steps[None, :, :, 0], steps[None, :, :, 1]
+        self.start, self.states = 0, np.empty((0, len(prefixes), 4), dtype=np.uint64)
+
+    def __call__(self, k: int) -> list[np.random.PCG64]:
+        if not self.start <= k < self.start + len(self.states):
+            if not 0 <= k <= _MASK32:
+                master_seed, role, client_ids = self.key
+                return [derive_rng(master_seed, role, c, k).bit_generator for c in client_ids]
+            self.start, self.states = k, self._mix(k, min(k + _STREAM_ROUNDS, _MASK32 + 1))
+        return [np.random.PCG64(_StreamSeed(state)) for state in self.states[k - self.start]]
+
+    def _mix(self, start: int, stop: int) -> np.ndarray:
+        """The PCG64 seed words of rounds [start, stop), indexed (round,
+        client, word); ``derive_rng``'s absorb and generate steps."""
+        x = np.arange(start, stop, dtype=np.uint32).reshape(-1, 1, 1) ^ self.xor
+        x *= self.mult
+        x ^= x >> 16
+        pool = _MIX_L * self.pools - _MIX_R * x
+        pool ^= pool >> 16
+        words = []
+        for i, xor_lo, mult_lo, j, xor_hi, mult_hi in _GENERATE_PAIRS:
+            lo = (pool[..., i] ^ xor_lo) * mult_lo
+            hi = (pool[..., j] ^ xor_hi) * mult_hi
+            lo ^= lo >> 16
+            hi ^= hi >> 16
+            words.append(lo.astype(np.uint64) | hi.astype(np.uint64) << 32)
+        return np.stack(words, axis=-1)
+
+
 class TrainingDiverged(RuntimeError):
     """Parameters left the finite floats.
 
@@ -232,6 +283,17 @@ class GlobalState:
             raise ValueError("round_index and cumulative_bits must be non-negative")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
+
+    @classmethod
+    def _adopt(cls, w: np.ndarray, round_index: int, cumulative_bits: int) -> GlobalState:
+        """Wrap parameters the round loop just built: ``w`` is a fresh 1-D
+        float64 array referenced nowhere else, so it is frozen in place
+        rather than copied and checked again."""
+        w.setflags(write=False)
+        state = object.__new__(cls)
+        for name, value in (("w", w), ("round_index", round_index), ("cumulative_bits", cumulative_bits)):
+            object.__setattr__(state, name, value)
+        return state
 
 
 @dataclass(frozen=True)
@@ -353,18 +415,19 @@ def _local_sgd(
     eta: float,
     batch_size: int,
     rngs: Sequence,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Local SGD of all clients of a round, stepped together.
 
     Client ``i`` takes ``local_steps`` steps from ``w_start`` on
     ``shards[i]``, drawing its minibatches from ``rngs[i]``, all Generators
     or all fresh ``PCG64`` bit generators (see
-    ``objectives._draw_batches``); the result is the list of parameter
-    deltas in shard order.  The parameters are checked here; the shards,
-    which never change, by the caller.  Every client's minibatches for all
-    ``local_steps`` are drawn when the round starts, the indices it would
-    draw alone step by step, and the clients that share an effective batch
-    size ``min(batch_size, m)`` get their gradients from one stacked kernel
+    ``objectives._draw_batches``); the result is the ``(len(shards), dim)``
+    plane of parameter deltas, a row per shard in shard order.  The
+    parameters are checked here; the shards, which never change, by the
+    caller.  Every client's minibatches for all ``local_steps`` are drawn
+    when the round starts, the indices it would draw alone step by step,
+    and the clients that share an effective batch size
+    ``min(batch_size, m)`` get their gradients from one stacked kernel
     call, so the deltas are bit-identical to stepping the clients one at a
     time.
 
@@ -414,11 +477,14 @@ def _local_sgd(
             step=t,
             client_id=client_id,
         )
-    deltas: dict[int, np.ndarray] = {}
     for stack in stacks:
         stack.w -= w_start
-        deltas.update(zip(stack.positions, stack.w))
-    return [deltas[i] for i in range(len(shards))]
+    if len(stacks) == 1:  # its positions are every shard's, in order
+        return stacks[0].w
+    deltas = np.empty((len(shards), model.dim))
+    for stack in stacks:
+        deltas[stack.positions] = stack.w
+    return deltas
 
 
 def local_round(
@@ -450,12 +516,6 @@ def _check_weights(weights: Sequence[float]) -> None:
         raise ValueError("weights must be positive")
 
 
-def _accumulate(out: np.ndarray, step: np.ndarray, p: float) -> None:
-    """``out += p * step`` in place; ``step`` is overwritten."""
-    step *= p
-    out += step
-
-
 def aggregate(
     w: np.ndarray,
     updates: Sequence[QuantizedUpdate],
@@ -470,28 +530,55 @@ def aggregate(
     for q, p in zip(updates, weights):
         if q.d != w.size:
             raise ValueError(f"update dimension {q.d} does not match parameters ({w.size})")
-        _accumulate(out, dequantize(q), p)
+        step = dequantize(q)
+        step *= p
+        out += step
     return out
 
 
 def _uplink(
-    w: np.ndarray, deltas: Sequence[np.ndarray], s: int, rngs: Sequence, weights: Sequence[float]
+    w: np.ndarray, deltas: np.ndarray, s: int, rngs: Sequence, weights: Sequence[float]
 ) -> np.ndarray:
     """``aggregate(w, [quantize(delta, s, rng), ...], weights)`` bit for bit,
-    on checked weights, client by client in buffers allocated once per call:
-    no ``QuantizedUpdate``, integer level or per-client array is built."""
+    on checked weights, with no ``QuantizedUpdate`` or integer level built.
+
+    ``deltas`` are the rows of a plane, checked and quantized in groups of
+    as many rows as fit in ``_UPLINK_BYTES`` (at least one), in buffers
+    allocated once per call.  The lattice, carry, sign and scale steps run
+    once per group; each row has its own norm and draws from its own
+    generator, none when its norm is zero in float32; the rows are added
+    to ``w`` one at a time, in order.
+    """
+    plane = np.asarray(deltas, dtype=np.float64)
+    d = plane.shape[-1]
+    g = max(1, min(len(plane), _UPLINK_BYTES // (8 * d)))
     out = np.array(w, dtype=np.float64)
-    frac, lower, u = np.empty((3, out.size))
-    carry = np.empty(out.size, dtype=bool)
-    for delta, rng, p in zip(deltas, rngs, weights):
-        delta, norm, norm32 = quantizer._check_input(delta, s)
-        if norm32 == 0.0:
-            lower.fill(0.0)  # quantize's zero path: no draw, signed zeros below
-        else:
-            quantizer._lattice(delta, s, norm, frac, lower)
-            quantizer._carry(lower, frac, rng, u, carry)
-        signs = quantizer._signs(delta, out=carry)
-        _accumulate(out, quantizer._scale(lower, norm32, s, signs), p)
+    frac, lower, u = np.empty((3, g, d))
+    carry = np.empty((g, d), dtype=bool)
+    weights = np.array(weights, dtype=np.float64)[:, None]
+    # the rows as lists of views, made once: at large d the caches are cold
+    # between steps, where each array index or iteration costs microseconds
+    lower_rows, u_rows = list(lower), list(u)
+    for a in range(0, len(plane), g):
+        rows, norms, norms32 = quantizer._check_input(plane[a : a + g], s)
+        if len(rows) < g:  # the last group is short
+            frac, lower, u, carry = (buf[: len(rows)] for buf in (frac, lower, u, carry))
+        zero = [norm32 == 0.0 for norm32 in norms32.tolist()]
+        if any(zero):
+            # quantize's zero path: dividing by inf puts every level and carry
+            # probability at 0, so the row's levels are 0, and signed zeros below
+            norms[zero] = np.inf
+        quantizer._lattice(rows, s, norms[:, None], frac, lower)
+        for rng, draws, no_draw in zip(rngs[a : a + g], u_rows, zero):
+            if no_draw:
+                draws.fill(0.0)  # not below a carry probability of 0
+            else:
+                rng.random(out=draws)
+        quantizer._carry(lower, frac, u, carry)
+        quantizer._scale(lower, norms32[:, None], s, quantizer._signs(rows, out=carry))
+        lower *= weights[a : a + g]
+        for row in lower_rows[: len(rows)]:
+            out += row
     return out
 
 
@@ -512,7 +599,7 @@ class _LossEstimate:
     With ``batch_size`` None this is the full loss on every row of every
     shard; otherwise each shard's ``min(batch_size, m)`` rows are drawn from
     its ``ROLE_LOSS`` stream of the round, as ``sample_batch`` would.  No
-    minibatch depends on the model, so those of ``_LOSS_DRAW_ROUNDS``
+    minibatch depends on the model, so those of ``_STREAM_ROUNDS``
     rounds are drawn in one call.  Shards with the same row count get their
     losses from one stacked kernel call.  Its buffers, and the rows that
     never change, are set up once per run.  The weighted sum runs in shard
@@ -528,12 +615,12 @@ class _LossEstimate:
     ) -> None:
         self.model = model
         self.weights = [sh.weight for sh in shards]
-        self.master_seed = master_seed
         groups: dict[int, list[int]] = {}
         for i, sh in enumerate(shards):
             rows = sh.data.m if batch_size is None else min(batch_size, sh.data.m)
             groups.setdefault(rows, []).append(i)
         self.groups = []
+        self.streams = []
         for rows, positions in groups.items():
             members = [(shards[p].client_id, shards[p].data) for p in positions]
             members = [(c, data, objectives._labels(model, data.labels)) for c, data in members]
@@ -546,6 +633,7 @@ class _LossEstimate:
                 else:
                     draws.append((j, client_id, data, labels))
             self.groups.append((positions, x, y, draws))
+            self.streams.append(_Streams(master_seed, ROLE_LOSS, [c for _, c, _, _ in draws]))
         self.drawn = [(0, np.empty((0,)))] * len(self.groups)  # (first round, indices)
 
     def _indices(self, g: int, round_index: int) -> np.ndarray:
@@ -554,10 +642,8 @@ class _LossEstimate:
         start, idx = self.drawn[g]
         if not start <= round_index < start + len(idx):
             _, x, _, draws = self.groups[g]
-            start, stop = round_index, round_index + _LOSS_DRAW_ROUNDS
-            seed, clients = self.master_seed, [c for _, c, _, _ in draws]
-            keys = [(c, k) for k in range(start, stop) for c in clients]
-            rngs = [derive_rng(seed, ROLE_LOSS, c, k).bit_generator for c, k in keys]
+            start, stop = round_index, round_index + _STREAM_ROUNDS
+            rngs = [bg for k in range(start, stop) for bg in self.streams[g](k)]
             ms = [data.m for _, _, data, _ in draws] * (stop - start)
             b = x.shape[1]
             idx = objectives._draw_batches(rngs, ms, b).reshape(stop - start, len(draws), b)
@@ -596,8 +682,11 @@ def run_round(
     _check_shards(model, shards)
     if train_loss is None:
         train_loss = global_loss(model, shards, state.w)
+    k = state.round_index
+    sgd = [derive_rng(master_seed, ROLE_SGD, sh.client_id, k).bit_generator for sh in shards]
+    quant = [derive_rng(master_seed, ROLE_QUANT, sh.client_id, k) for sh in shards]
     return _round(
-        model, shards, state, s, eta, local_steps, batch_size, master_seed,
+        model, shards, state, s, eta, local_steps, batch_size, sgd, quant,
         bits_per_update(model.dim, s), _uplink, train_loss=float(train_loss),
     )
 
@@ -610,30 +699,29 @@ def _round(
     eta: float,
     local_steps: int,
     batch_size: int,
-    master_seed: int,
+    sgd_rngs: Sequence[np.random.PCG64],
+    quant_rngs: Sequence[np.random.Generator],
     cost: quantizer.BitCost,
     uplink: Callable[..., np.ndarray],
     **fields,
 ) -> tuple[GlobalState, RoundRecord]:
     """:func:`run_round` on shards already checked against the model.
 
-    ``cost`` is ``bits_per_update(model.dim, s)``; ``uplink`` takes the
-    deltas to the next global parameters, with :func:`_uplink`'s
+    ``sgd_rngs`` and ``quant_rngs`` are the round's ``ROLE_SGD`` bit
+    generators and ``ROLE_QUANT`` generators, one per shard; ``cost`` is
+    ``bits_per_update(model.dim, s)``; ``uplink`` takes the deltas to the
+    next global parameters, which it builds fresh, with :func:`_uplink`'s
     signature.  ``fields`` are the record's ``train_loss``,
     ``eval_metric``, ``interval`` and ``feasible``.
     """
     k = state.round_index
-    rngs = [derive_rng(master_seed, ROLE_SGD, sh.client_id, k).bit_generator for sh in shards]
     try:
-        deltas = _local_sgd(model, shards, state.w, local_steps, eta, batch_size, rngs)
+        deltas = _local_sgd(model, shards, state.w, local_steps, eta, batch_size, sgd_rngs)
     except TrainingDiverged as exc:
         exc.round_index = k
         raise
-    rngs = [derive_rng(master_seed, ROLE_QUANT, sh.client_id, k) for sh in shards]
-    w_next = uplink(state.w, deltas, s, rngs, [sh.weight for sh in shards])
-    new_state = GlobalState(
-        w=w_next, round_index=k + 1, cumulative_bits=state.cumulative_bits + cost.total_bits
-    )
+    w_next = uplink(state.w, deltas, s, quant_rngs, [sh.weight for sh in shards])
+    new_state = GlobalState._adopt(w_next, k + 1, state.cumulative_bits + cost.total_bits)
     record = RoundRecord(
         round_index=k,
         s=s,
@@ -701,7 +789,7 @@ def run_training(
     ``loss_threshold``.  ``on_record`` fires after every completed round,
     which is how the CSV writer streams rows.
     """
-    return _train(config, _uplink, on_record, keep_parameters)
+    return _train(config, on_record, keep_parameters)
 
 
 def _exact_uplink(
@@ -723,23 +811,28 @@ def run_unquantized(config: TrainingConfig) -> list[np.ndarray]:
     Neither ``bit_budget`` nor ``loss_threshold`` stops it: it returns the
     global parameters after each of ``config.rounds`` rounds.
     """
-    exact = replace(config, bit_budget=None, loss_threshold=None)
-    return list(_train(exact, _exact_uplink, None, True).parameter_trail)
+    unlimited = replace(config, bit_budget=None, loss_threshold=None)
+    return list(_train(unlimited, None, True, exact=True).parameter_trail)
 
 
 def _train(
     config: TrainingConfig,
-    uplink: Callable[..., np.ndarray],
     on_record: Callable[[RoundRecord], None] | None,
     keep_parameters: bool,
+    *,
+    exact: bool = False,
 ) -> TrainingRun:
-    """The round loop of :func:`run_training`, with the uplink as a
-    function of :func:`_uplink`'s signature."""
+    """The round loop of :func:`run_training`; with ``exact`` the uplink is
+    :func:`_exact_uplink`, which derives no ``ROLE_QUANT`` stream."""
     problem = build_problem(config)
     model, shards = problem.model, problem.shards
     _check_shards(model, shards)
     batch = None if config.loss_estimate == "full" else config.batch_size
     loss_estimate = _LossEstimate(model, shards, batch, config.master_seed)
+    client_ids = [sh.client_id for sh in shards]
+    sgd_streams = _Streams(config.master_seed, ROLE_SGD, client_ids)
+    quant_streams = None if exact else _Streams(config.master_seed, ROLE_QUANT, client_ids)
+    uplink = _exact_uplink if exact else _uplink
     w0 = objectives.init_params(model, derive_rng(config.master_seed, ROLE_INIT))
     state = GlobalState(w=w0, round_index=0, cumulative_bits=0)
     quant = config.quantization
@@ -788,7 +881,8 @@ def _train(
                 eta_k,
                 config.local_steps,
                 config.batch_size,
-                config.master_seed,
+                sgd_streams(k),
+                () if exact else [np.random.Generator(bg) for bg in quant_streams(k)],
                 cost,
                 uplink,
                 train_loss=f_wk,

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence, TypeVar
 from . import fedsim
 from .config import (
     _LOSS_ESTIMATES,
+    DEFAULT_S_MAX,
     AdaquantMode,
     FileData,
     FixedMode,
@@ -231,7 +232,7 @@ def _build(doc: _Doc) -> TrainingConfig:
         quant = AdaquantMode(
             s0=doc.integer("quantization", "s0", 2),
             interval_bits=doc.integer("quantization", "interval_bits", None),
-            s_max=doc.integer("quantization", "s_max", 2**16 - 1),
+            s_max=doc.integer("quantization", "s_max", DEFAULT_S_MAX),
             f_star=doc.number("quantization", "f_star", 0.0),
         )
 

@@ -124,30 +124,44 @@ def _check_level(s: int) -> None:
         raise ValueError(f"quantization level s must be >= 1, got {s}")
 
 
-def _check_input(w: np.ndarray, s: int) -> tuple[np.ndarray, float, float]:
-    """``w`` as float64, its norm and the norm's float32 wire value.
+def _check_input(plane: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``plane``, a stack of vectors ``w`` one per row, as float64, with
+    each row's norm and the norm's float32 wire value.
 
-    ``w`` must be finite and its norm within the float32 range.  A finite
-    norm means every entry is finite, so the entries are scanned only when
-    the norm is not.
+    Every ``w`` must be finite and its norm within the float32 range.  A
+    finite norm means every entry of its row is finite, so the entries are
+    scanned only when some norm is not.  :func:`_check_vector` checks one
+    vector as the one row of a plane.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.size < 1:
+    plane = np.asarray(plane, dtype=np.float64)
+    if plane.ndim != 2 or plane.shape[1] < 1:
         raise ValueError("w must be a non-empty 1-D vector")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(w))
-        norm32 = float(np.float32(norm))
-    if not math.isfinite(norm) and not np.all(np.isfinite(w)):
+        if plane.flags.c_contiguous:  # np.linalg.norm's BLAS dot, row by row
+            norms = np.sqrt(np.vecdot(plane, plane))
+        else:
+            norms = np.array([np.linalg.norm(w) for w in plane])
+        norms32 = norms.astype(np.float32).astype(np.float64)
+    in_range = all(map(math.isfinite, norms32.tolist()))
+    if not in_range and not np.isfinite(plane).all():
         raise ValueError("w must contain only finite values")
     _check_level(s)
     if s > _MAX_EXACT_LEVEL:
         raise ValueError(f"quantization level s must be at most 2**53, got {s}")
-    if math.isinf(norm32):
+    if not in_range:
         raise ValueError(
             "the norm of w exceeds the wire's float32 range "
             f"(largest finite value {float(np.finfo(np.float32).max):.6g})"
         )
-    return w, norm, norm32
+    return plane, norms, norms32
+
+
+def _check_vector(w: np.ndarray, s: int) -> tuple[np.ndarray, float, float]:
+    """:func:`_check_input` on the one vector ``w``: ``w`` as float64, its
+    norm and the norm's float32 wire value."""
+    w = np.asarray(w, dtype=np.float64)
+    _, norms, norms32 = _check_input(w[None], s)
+    return w, float(norms[0]), float(norms32[0])
 
 
 def _signs(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -159,11 +173,10 @@ def _signs(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return signs
 
 
-def _lattice(
-    w: np.ndarray, s: int, norm: float, frac=None, lower=None
-) -> tuple[np.ndarray, np.ndarray]:
+def _lattice(w: np.ndarray, s: int, norm, frac=None, lower=None) -> tuple[np.ndarray, np.ndarray]:
     """Lower lattice level and carry probability per coordinate, in
-    ``lower`` and ``frac`` when given; ``norm > 0``."""
+    ``lower`` and ``frac`` when given; ``norm > 0``, a float, or a column
+    of one norm per row of ``w``."""
     # Multiply before dividing so ratios that are exact in float (e.g. 3/5)
     # land on their lattice point instead of a hair below it.
     frac = np.abs(w, out=frac)
@@ -175,16 +188,17 @@ def _lattice(
     return lower, frac
 
 
-def _carry(levels: np.ndarray, frac: np.ndarray, rng, u: np.ndarray, carry=None) -> None:
-    """Add 1 to the lower ``levels`` in place where a draw
-    ``rng.random(out=u)`` falls below ``frac``, comparing into ``carry``
-    when given.  ``frac`` is 0 where a level is s, so levels stay in [0, s],
-    and float levels are exact integers since s <= 2**53."""
-    levels += np.less(rng.random(out=u), frac, out=carry)
+def _carry(levels: np.ndarray, frac: np.ndarray, u: np.ndarray, carry=None) -> None:
+    """Add 1 to the lower ``levels`` in place where the uniform draw in
+    ``u`` falls below ``frac``, comparing into ``carry`` when given.
+    ``frac`` is 0 where a level is s, so levels stay in [0, s], and float
+    levels are exact integers since s <= 2**53."""
+    levels += np.less(u, frac, out=carry)
 
 
-def _scale(levels: np.ndarray, norm: float, s: int, signs: np.ndarray) -> np.ndarray:
-    """The real values that float ``levels`` stand for, in place."""
+def _scale(levels: np.ndarray, norm, s: int, signs: np.ndarray) -> np.ndarray:
+    """The real values that float ``levels`` stand for, in place; ``norm``
+    as in :func:`_lattice`."""
     levels *= norm
     levels /= s
     levels *= signs
@@ -199,14 +213,14 @@ def quantize(w: np.ndarray, s: int, rng: np.random.Generator) -> QuantizedUpdate
     levels, deterministically, and consumes no randomness.  A norm above
     the float32 range raises ``ValueError``.
     """
-    w, norm, norm32 = _check_input(w, s)
+    w, norm, norm32 = _check_vector(w, s)
     signs = _signs(w)
     if norm32 == 0.0:
         levels = np.zeros(w.size, dtype=np.int64)
     else:
         lower, frac = _lattice(w, s, norm)
         levels = lower.astype(np.int64)
-        _carry(levels, frac, rng, lower)  # the draws reuse lower's buffer
+        _carry(levels, frac, rng.random(out=lower))  # the draws reuse lower's buffer
     return QuantizedUpdate._adopt(norm32, signs, levels, s, w.size)
 
 
@@ -225,12 +239,12 @@ def sample_dequantized(
     """
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
-    w, norm, norm32 = _check_input(w, s)
+    w, norm, norm32 = _check_vector(w, s)
     levels = np.zeros((n_draws, w.size))
     if norm32 != 0.0:
         lower, frac = _lattice(w, s, norm)
         levels += lower
-        _carry(levels, frac, rng, np.empty(levels.shape))
+        _carry(levels, frac, rng.random(levels.shape))
     return _scale(levels, norm32, s, _signs(w))
 
 
@@ -268,7 +282,7 @@ def exact_variance(w: np.ndarray, s: int) -> float:
     at most :func:`variance_upper_bound` because ``p (1 - p) <= 1/4``.
     Like :func:`quantize`, it rejects a norm beyond the float32 range.
     """
-    w, norm, _ = _check_input(w, s)
+    w, norm, _ = _check_vector(w, s)
     if norm == 0.0:
         return 0.0
     _, frac = _lattice(w, s, norm)

@@ -125,6 +125,60 @@ class TestDeriveRng:
             rng.spawn(1)
 
 
+class TestStreamBlocks:
+    """A run's streams mixed many rounds at a time equal ``derive_rng``'s."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        master=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**140)),
+        role=st.sampled_from([fedsim.ROLE_SGD, fedsim.ROLE_QUANT, fedsim.ROLE_LOSS]),
+        clients=st.lists(
+            st.one_of(st.integers(0, 40), st.integers(2**32, 2**70)), min_size=1, max_size=5
+        ),
+        first=st.sampled_from([0, 7, 2**32 - 2 * fedsim._STREAM_ROUNDS - 3, 2**32 - 5, 2**32, 2**40]),
+        jumps=st.lists(st.integers(-20, 40), min_size=1, max_size=6),
+    )
+    def test_equal_derive_rng_state_for_state(self, master, role, clients, first, jumps):
+        # rounds run forward across block edges, then jump back and ahead,
+        # and reach 2**32 and beyond, where the round is two words
+        streams = fedsim._Streams(master, role, clients)
+        rounds = list(range(first, first + 2 * fedsim._STREAM_ROUNDS + 3))
+        for jump in jumps:
+            rounds.append(max(0, rounds[-1] + jump))
+        for k in rounds:
+            got = streams(k)
+            assert len(got) == len(clients)
+            for c, bg in zip(clients, got):
+                want = derive_rng(master, role, c, k).bit_generator
+                assert bg.state == want.state
+                assert np.array_equal(bg.random_raw(3), want.random_raw(3))
+
+    def test_negative_round_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            fedsim._Streams(3, fedsim.ROLE_SGD, [0, 1])(-1)
+
+    def test_unquantized_run_derives_no_quantization_stream(self, monkeypatch):
+        roles = []
+        streams, derive = fedsim._Streams, fedsim.derive_rng
+
+        def recording_streams(master_seed, role, client_ids):
+            roles.append(role)
+            return streams(master_seed, role, client_ids)
+
+        def recording_derive(master_seed, *key):
+            roles.extend(key[:1])
+            return derive(master_seed, *key)
+
+        monkeypatch.setattr(fedsim, "_Streams", recording_streams)
+        monkeypatch.setattr(fedsim, "derive_rng", recording_derive)
+        config = quad_config(loss_estimate="minibatch")
+        run_unquantized(config)
+        assert fedsim.ROLE_SGD in roles and fedsim.ROLE_LOSS in roles
+        assert fedsim.ROLE_QUANT not in roles
+        run_training(config)
+        assert fedsim.ROLE_QUANT in roles
+
+
 class TestLocalRound:
     def test_single_step_is_one_gradient(self):
         shard = quad_shard()
@@ -524,6 +578,30 @@ class TestBuildProblem:
         )
         with pytest.raises(ValueError):
             build_problem(config)
+
+    def test_global_state_copies_what_it_is_given(self):
+        w = np.array([1.0, 2.0])
+        state = GlobalState(w=w, round_index=0, cumulative_bits=0)
+        assert not np.shares_memory(state.w, w) and not state.w.flags.writeable
+        w[0] = 5.0
+        assert state.w[0] == 1.0 and w.flags.writeable
+
+    def test_round_loop_adopts_the_uplink_result(self):
+        shards = [quad_shard(seed=i, client_id=i, weight=0.5) for i in range(2)]
+        state = GlobalState(w=np.zeros(3), round_index=4, cumulative_bits=10)
+        built = []
+
+        def uplink(w, deltas, s, rngs, weights):
+            built.append(fedsim._exact_uplink(w, deltas, s, rngs, weights))
+            return built[-1]
+
+        rngs = [derive_rng(0, fedsim.ROLE_SGD, sh.client_id, 4).bit_generator for sh in shards]
+        cost = bits_per_update(3, 3)
+        new_state, _ = fedsim._round(
+            QUAD, shards, state, 3, 0.05, 2, 4, rngs, (), cost, uplink, train_loss=1.0
+        )
+        assert new_state.w is built[0] and not built[0].flags.writeable
+        assert (new_state.round_index, new_state.cumulative_bits) == (5, 10 + cost.total_bits)
 
     def test_global_state_validation(self):
         with pytest.raises(ValueError):

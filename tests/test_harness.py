@@ -97,6 +97,13 @@ class TestParseConfig:
         assert config.bit_budget is None
         assert config.master_seed == 0
 
+    def test_config_file_without_s_max_gets_the_default(self, tmp_path):
+        path = tmp_path / "adaquant.ini"
+        path.write_text(ini(quantization="mode = adaquant\ns0 = 3"))
+        quant = load_config(str(path)).quantization
+        assert quant.s0 == 3
+        assert quant.s_max == AdaquantMode().s_max
+
     def test_fixed_bits_to_levels(self):
         config = parse_config(ini(quantization="mode = fixed\nbits = 4"))
         assert config.quantization == FixedMode(bits=4)
@@ -201,10 +208,13 @@ class TestRunExperiment:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().startswith(",".join(CSV_COLUMNS).encode())
 
-    def test_output_field_used_when_no_explicit_path(self, tmp_path):
+    def test_csv_lands_at_config_output(self, tmp_path):
         out = tmp_path / "via_config.csv"
-        run_experiment(small_quad(output=str(out)))
-        assert out.exists()
+        _, records = run_experiment(small_quad(output=str(out)))
+        # the one file written, holding a row per returned record
+        assert list(tmp_path.iterdir()) == [out]
+        emit_csv(records, str(tmp_path / "expected.csv"))
+        assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_divergence_leaves_valid_csv_prefix(self, tmp_path):
         out = tmp_path / "partial.csv"

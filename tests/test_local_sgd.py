@@ -170,6 +170,20 @@ def test_stacked_deltas_equal_reference_loop(kind, layout):
         assert a.bit_generator.state == b.bit_generator.state
 
 
+@pytest.mark.parametrize("sizes", [[6, 3, 6, 3], [3, 6, 6, 3, 6]])
+def test_deltas_are_one_plane_in_shard_order(sizes):
+    # batch 4 puts the shards of 6 rows and those of 3 in two groups that
+    # interleave in shard order; the uplink takes the rows as one plane
+    model = MODELS["logistic"]
+    shards = make_shards(model, sizes)
+    w0 = start_point(model)
+    expected = reference_local_sgd(model, shards, w0, 3, 0.3, 4, streams(len(sizes)))
+    got = _local_sgd(model, shards, w0, 3, 0.3, 4, streams(len(sizes)))
+    assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+    assert got.shape == (len(sizes), model.dim)
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
 @pytest.mark.parametrize("gather_bytes", [0, 2048, 3072])
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_rows_gathered_a_few_steps_at_a_time(monkeypatch, layout, gather_bytes):

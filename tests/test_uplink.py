@@ -10,12 +10,16 @@ arrays that the public constructor would accept unchanged.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedquant import fedsim
 from fedquant.fedsim import _uplink, aggregate
-from fedquant.quantizer import QuantizedUpdate, dequantize, exact_variance, quantize
+from fedquant.quantizer import QuantizedUpdate, _check_input, dequantize, exact_variance, quantize
 from fedquant.wire import decode, encode
 
 # Coordinates from subnormal to 1e37; thirty of them keep the norm inside
@@ -168,7 +172,27 @@ def client_delta(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
     return delta
 
 
+def assert_uplink_matches(d, s, kinds, raw_weights, seed, group=None):
+    """``_uplink`` against quantize-then-aggregate on the reference
+    formulas; with ``group``, the budget holds that many rows of ``d``."""
+    rng = np.random.default_rng(seed)
+    deltas = [client_delta(kind, d, rng) for kind in kinds]
+    weights = [k / sum(raw_weights[: len(kinds)]) for k in raw_weights[: len(kinds)]]
+    base = rng.standard_normal(d)
+    base[rng.random(d) < 0.1] = -0.0
+    ref_rngs = [np.random.default_rng([seed, i]) for i in range(len(kinds))]
+    rngs = [np.random.default_rng([seed, i]) for i in range(len(kinds))]
+    updates = [quantize(delta, s, r) for delta, r in zip(deltas, ref_rngs)]
+    want = reference_aggregate(base, updates, weights)
+    budget = fedsim._UPLINK_BYTES if group is None else 8 * d * group
+    with mock.patch.object(fedsim, "_UPLINK_BYTES", budget):
+        got = _uplink(base, np.array(deltas), s, rngs, weights)
+    assert got.tobytes() == want.tobytes()
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+
+
 class TestRoundUplink:
+    @pytest.mark.parametrize("group", [None, 1, 2, 3])
     @given(
         d=st.integers(1, 3000),
         s=st.sampled_from([1, 2, 3, 255, 256, 65535, 2**32 - 1]),
@@ -177,19 +201,36 @@ class TestRoundUplink:
         seed=seeds,
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_quantize_then_aggregate(self, d, s, kinds, raw_weights, seed):
-        rng = np.random.default_rng(seed)
-        deltas = [client_delta(kind, d, rng) for kind in kinds]
-        weights = [k / sum(raw_weights[: len(kinds)]) for k in raw_weights[: len(kinds)]]
-        base = rng.standard_normal(d)
-        base[rng.random(d) < 0.1] = -0.0
-        ref_rngs = [np.random.default_rng([seed, i]) for i in range(len(kinds))]
-        rngs = [np.random.default_rng([seed, i]) for i in range(len(kinds))]
-        updates = [quantize(delta, s, r) for delta, r in zip(deltas, ref_rngs)]
-        want = reference_aggregate(base, updates, weights)
-        got = _uplink(base, deltas, s, rngs, weights)
-        assert got.tobytes() == want.tobytes()
-        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+    def test_matches_quantize_then_aggregate(self, group, d, s, kinds, raw_weights, seed):
+        # group None is the default budget: every client in one group up to
+        # d = 4096 over 5 clients
+        assert_uplink_matches(d, s, kinds, raw_weights, seed, group)
+
+    @pytest.mark.parametrize("group", [1, 2, 3])
+    def test_zero_norm_clients_inside_a_group(self, group):
+        # groups of 2 and 3 over 5 clients each hold a zero and an
+        # underflowing client beside clients that draw
+        kinds = ["normal", "zero", "normal", "underflow", "normal"]
+        for seed in range(20):
+            assert_uplink_matches(37, 5, kinds, [3, 1, 4, 1, 5], seed, group)
+
+    @given(
+        rows=st.lists(vectors, min_size=1, max_size=6),
+        layout=st.sampled_from(["plane", "strided", "reversed"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_plane_norms_are_each_rows_linalg_norm(self, rows, layout):
+        d = rows[0].size
+        plane = np.array([np.resize(w, d) for w in rows])
+        if layout == "strided":
+            plane = np.repeat(plane, 2, axis=1)[:, ::2]
+        elif layout == "reversed":
+            plane = plane[::-1, ::-1]
+        _, norms, norms32 = _check_input(plane, 3)
+        for w, norm, norm32 in zip(plane, norms, norms32):
+            want = float(np.linalg.norm(w))
+            assert norm.tobytes() == np.float64(want).tobytes()
+            assert norm32 == float(np.float32(want))
 
     def test_inputs_are_left_alone(self):
         w = np.array([0.5, -0.0, 2.0])
