@@ -13,8 +13,8 @@ Determinism contract: every random draw comes from a generator derived
 from ``(master_seed, role, client_id, round_index)``, so results do not
 depend on client execution order and any single client round can be
 replayed in isolation.  Reruns with the same config are bit-identical.
-A run derives the streams of all its clients for several rounds at once,
-each identical to the one ``derive_rng`` gives.
+A run derives the streams of all its clients, and draws their minibatches,
+for several rounds at once; each stream is the one ``derive_rng`` gives.
 """
 
 from __future__ import annotations
@@ -244,6 +244,28 @@ class _Streams:
         return np.stack(words, axis=-1)
 
 
+class _Batches:
+    """Minibatch row indices of ``shards``, each sampling ``b`` of its rows:
+    ``self(k)[i, t]`` is what the ``t``-th of ``count`` successive
+    ``choice(m, b, replace=False)`` calls draw on shard ``i``'s ``role``
+    stream of round ``k``.  No minibatch depends on the model, so those of
+    ``_STREAM_ROUNDS`` rounds, never past ``rounds``, come from one
+    ``_draw_batches`` call."""
+
+    def __init__(self, master_seed, role, shards, b: int, count: int, rounds: int) -> None:
+        self.streams = _Streams(master_seed, role, [sh.client_id for sh in shards])
+        self.ms, self.b, self.count, self.rounds = [sh.data.m for sh in shards], b, count, rounds
+        self.start, self.drawn = 0, np.empty((0, len(shards), count, b), dtype=np.int64)
+
+    def __call__(self, k: int) -> np.ndarray:
+        if not self.start <= k < self.start + len(self.drawn):
+            stop = min(k + _STREAM_ROUNDS, self.rounds)
+            rngs = [bg for r in range(k, stop) for bg in self.streams(r)]
+            drawn = objectives._draw_batches(rngs, self.ms * (stop - k), self.b, self.count)
+            self.start, self.drawn = k, drawn.reshape(stop - k, len(self.ms), self.count, self.b)
+        return self.drawn[k - self.start]
+
+
 class TrainingDiverged(RuntimeError):
     """Parameters left the finite floats.
 
@@ -338,39 +360,32 @@ class TrainingRun:
 
 
 class _ClientStack:
-    """The clients of a round that share one effective minibatch size.
+    """The clients of a round that share one effective minibatch size ``b``.
 
     Row ``i`` of ``w`` belongs to the client at shard position
-    ``positions[i]``: its parameters.  Every client's minibatch indices for
-    all local steps are drawn when the round starts; their rows and labels
-    are gathered into ``x`` and ``y``, ``x[i, t % span]`` at step ``t``, for
-    ``span`` steps at a time, as many as fit in ``_GATHER_BYTES`` (at least
-    one).  A client whose minibatch is its whole shard has its rows filled
-    in once, here.
+    ``positions[i]``: its parameters.  The clients that sample (``m > b``)
+    bring their minibatch indices for all local steps, ``drawn``, a row per
+    such client in shard order; their rows and labels are gathered into
+    ``x`` and ``y``, ``x[i, t % span]`` at step ``t``, for ``span`` steps
+    at a time, as many as fit in ``_GATHER_BYTES`` (at least one).  A
+    client whose minibatch is its whole shard has its rows filled in once,
+    here.
     """
 
-    def __init__(self, model, shards, rngs, positions, w_start, batch_size, local_steps):
+    def __init__(self, model, shards, labels, positions, w_start, b, local_steps, drawn):
         self.positions = positions
         self.w = np.repeat(w_start[None, :], len(positions), axis=0)
         data = [shards[p].data for p in positions]
-        labels = [objectives._labels(model, d.labels) for d in data]
-        b = min(batch_size, data[0].m)
-        sampled = [i for i, d in enumerate(data) if d.m > b]
-        idx = [None] * len(data)
-        if sampled:
-            drawn = objectives._draw_batches(
-                [rngs[positions[i]] for i in sampled], [data[i].m for i in sampled], b, local_steps
-            )
-            for i, steps in zip(sampled, drawn):
-                idx[i] = steps
+        rows = iter(() if drawn is None else drawn)
+        idx = [next(rows) if d.m > b else None for d in data]
         step_bytes = len(positions) * b * model.n_features * 8
-        span = max(1, min(local_steps if sampled else 1, _GATHER_BYTES // step_bytes))
+        span = max(1, min(local_steps if drawn is not None else 1, _GATHER_BYTES // step_bytes))
         self.x = np.empty((len(positions), span, b, model.n_features))
-        self.y = np.empty((len(positions), span, b), dtype=labels[0].dtype)
-        for i, d in enumerate(data):
+        self.y = np.empty((len(positions), span, b), dtype=labels[positions[0]].dtype)
+        for i, (d, p) in enumerate(zip(data, positions)):
             if idx[i] is None:
-                self.x[i], self.y[i] = d.features, labels[i]
-        self.sources = list(zip(data, labels, idx))
+                self.x[i], self.y[i] = d.features, labels[p]
+        self.sources = list(zip(data, [labels[p] for p in positions], idx))
 
     def minibatch(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Every client's rows and labels at local step ``t``, the steps
@@ -407,35 +422,34 @@ class _ClientStack:
         self.w, self.x, self.y = self.w[rows], self.x[rows], self.y[rows]
 
 
-def _local_sgd(
+def _sgd(
     model: ModelSpec,
     shards: Sequence[ClientShard],
+    labels: Sequence[np.ndarray],
     w_start: np.ndarray,
     local_steps: int,
     eta: float,
     batch_size: int,
-    rngs: Sequence,
+    draw: Callable[[int, list[int]], np.ndarray],
 ) -> np.ndarray:
     """Local SGD of all clients of a round, stepped together.
 
     Client ``i`` takes ``local_steps`` steps from ``w_start`` on
-    ``shards[i]``, drawing its minibatches from ``rngs[i]``, all Generators
-    or all fresh ``PCG64`` bit generators (see
-    ``objectives._draw_batches``); the result is the ``(len(shards), dim)``
-    plane of parameter deltas, a row per shard in shard order.  The
-    parameters are checked here; the shards, which never change, by the
-    caller.  Every client's minibatches for all ``local_steps`` are drawn
-    when the round starts, the indices it would draw alone step by step,
-    and the clients that share an effective batch size
-    ``min(batch_size, m)`` get their gradients from one stacked kernel
-    call, so the deltas are bit-identical to stepping the clients one at a
-    time.
+    ``shards[i]``, whose labels in the kernels' dtype are ``labels[i]``;
+    the result is the ``(len(shards), dim)`` plane of parameter deltas, a
+    row per shard in shard order.  The parameters are checked here; the
+    shards, which never change, by the caller.  Then ``draw(b, positions)``
+    gives the minibatch indices, (client, step, row), of the clients of
+    effective batch size ``b = min(batch_size, m)`` that sample (``m >
+    b``).  The clients that share an effective batch size get their
+    gradients from one stacked kernel call, so the deltas are
+    bit-identical to stepping the clients one at a time.
 
     A client that diverges stops stepping, and so do the clients after it
-    in shard order; their streams have given all their draws already.  The
-    error raised names the first client in shard order that diverges at
-    all, at its first diverging step: the one a client-by-client loop would
-    have stopped at.
+    in shard order; their minibatches were all drawn before.  The error
+    raised names the first client in shard order that diverges at all, at
+    its first diverging step: the one a client-by-client loop would have
+    stopped at.
     """
     if local_steps < 1:
         raise ValueError("local_steps must be at least 1")
@@ -447,11 +461,12 @@ def _local_sgd(
     groups: dict[int, list[int]] = {}
     for i, shard in enumerate(shards):
         groups.setdefault(min(batch_size, shard.data.m), []).append(i)
-    stacks = [
-        _ClientStack(model, shards, rngs, positions, w_start, batch_size, local_steps)
-        for positions in groups.values()
-    ]
-    grad = np.empty((max(len(p) for p in groups.values()), model.dim))
+    stacks = []
+    for b, positions in groups.items():
+        sampled = [p for p in positions if shards[p].data.m > b]
+        drawn = draw(b, sampled) if sampled else None
+        stacks.append(_ClientStack(model, shards, labels, positions, w_start, b, local_steps, drawn))
+    grad = np.empty((max(len(stack.positions) for stack in stacks), model.dim))
     first_blowup: tuple[int, int] | None = None  # (shard position, step)
     for t in range(local_steps):
         for stack in stacks:
@@ -485,6 +500,28 @@ def _local_sgd(
     for stack in stacks:
         deltas[stack.positions] = stack.w
     return deltas
+
+
+def _local_sgd(
+    model: ModelSpec,
+    shards: Sequence[ClientShard],
+    w_start: np.ndarray,
+    local_steps: int,
+    eta: float,
+    batch_size: int,
+    rngs: Sequence,
+) -> np.ndarray:
+    """:func:`_sgd` with each client's minibatches for all ``local_steps``
+    drawn from ``rngs[i]`` when the round starts, the indices it would
+    draw alone step by step; ``rngs`` are all Generators or all fresh
+    ``PCG64`` bit generators (see ``objectives._draw_batches``)."""
+
+    def draw(b: int, positions: list[int]) -> np.ndarray:
+        ms = [shards[p].data.m for p in positions]
+        return objectives._draw_batches([rngs[p] for p in positions], ms, b, local_steps)
+
+    labels = [objectives._labels(model, shard.data.labels) for shard in shards]
+    return _sgd(model, shards, labels, w_start, local_steps, eta, batch_size, draw)
 
 
 def local_round(
@@ -598,12 +635,11 @@ class _LossEstimate:
 
     With ``batch_size`` None this is the full loss on every row of every
     shard; otherwise each shard's ``min(batch_size, m)`` rows are drawn from
-    its ``ROLE_LOSS`` stream of the round, as ``sample_batch`` would.  No
-    minibatch depends on the model, so those of ``_STREAM_ROUNDS``
-    rounds are drawn in one call.  Shards with the same row count get their
-    losses from one stacked kernel call.  Its buffers, and the rows that
-    never change, are set up once per run.  The weighted sum runs in shard
-    order.
+    its ``ROLE_LOSS`` stream of the round, as ``sample_batch`` would, in
+    blocks of rounds (see :class:`_Batches`) up to ``rounds``.  Shards with
+    the same row count get their losses from one stacked kernel call.  Its
+    buffers, and the rows that never change, are set up once per run.  The
+    weighted sum runs in shard order.
     """
 
     def __init__(
@@ -612,50 +648,33 @@ class _LossEstimate:
         shards: Sequence[ClientShard],
         batch_size: int | None,
         master_seed: int,
+        rounds: int,
     ) -> None:
         self.model = model
+        labels = [objectives._labels(model, sh.data.labels) for sh in shards]
         self.weights = [sh.weight for sh in shards]
         groups: dict[int, list[int]] = {}
         for i, sh in enumerate(shards):
             rows = sh.data.m if batch_size is None else min(batch_size, sh.data.m)
             groups.setdefault(rows, []).append(i)
         self.groups = []
-        self.streams = []
         for rows, positions in groups.items():
-            members = [(shards[p].client_id, shards[p].data) for p in positions]
-            members = [(c, data, objectives._labels(model, data.labels)) for c, data in members]
             x = np.empty((len(positions), rows, model.n_features))
-            y = np.empty((len(positions), rows), dtype=members[0][2].dtype)
-            draws = []
-            for j, (client_id, data, labels) in enumerate(members):
-                if rows == data.m:
-                    x[j], y[j] = data.features, labels
-                else:
-                    draws.append((j, client_id, data, labels))
-            self.groups.append((positions, x, y, draws))
-            self.streams.append(_Streams(master_seed, ROLE_LOSS, [c for _, c, _, _ in draws]))
-        self.drawn = [(0, np.empty((0,)))] * len(self.groups)  # (first round, indices)
-
-    def _indices(self, g: int, round_index: int) -> np.ndarray:
-        """Group ``g``'s minibatch indices at ``round_index``, a row per
-        sampling shard."""
-        start, idx = self.drawn[g]
-        if not start <= round_index < start + len(idx):
-            _, x, _, draws = self.groups[g]
-            start, stop = round_index, round_index + _STREAM_ROUNDS
-            rngs = [bg for k in range(start, stop) for bg in self.streams[g](k)]
-            ms = [data.m for _, _, data, _ in draws] * (stop - start)
-            b = x.shape[1]
-            idx = objectives._draw_batches(rngs, ms, b).reshape(stop - start, len(draws), b)
-            self.drawn[g] = start, idx
-        return idx[round_index - start]
+            y = np.empty((len(positions), rows), dtype=labels[positions[0]].dtype)
+            sampled = [(j, p) for j, p in enumerate(positions) if shards[p].data.m > rows]
+            for j, p in enumerate(positions):
+                if shards[p].data.m == rows:
+                    x[j], y[j] = shards[p].data.features, labels[p]
+            draws = [(j, shards[p].data, labels[p]) for j, p in sampled]
+            members = [shards[p] for _, p in sampled]
+            batches = _Batches(master_seed, ROLE_LOSS, members, rows, 1, rounds) if sampled else None
+            self.groups.append((positions, x, y, draws, batches))
 
     def __call__(self, w: np.ndarray, round_index: int) -> float:
         losses = [0.0] * len(self.weights)
-        for g, (positions, x, y, draws) in enumerate(self.groups):
+        for positions, x, y, draws, batches in self.groups:
             if draws:
-                idx = self._indices(g, round_index)
-                for (j, _, data, labels), rows in zip(draws, idx):
+                for (j, data, labels), rows in zip(draws, batches(round_index)[:, 0]):
                     data.features.take(rows, axis=0, out=x[j], mode="clip")  # as in _ClientStack
                     labels.take(rows, out=y[j], mode="clip")
             for p, value in zip(positions, objectives._losses(self.model, w, x, y)):
@@ -685,41 +704,35 @@ def run_round(
     k = state.round_index
     sgd = [derive_rng(master_seed, ROLE_SGD, sh.client_id, k).bit_generator for sh in shards]
     quant = [derive_rng(master_seed, ROLE_QUANT, sh.client_id, k) for sh in shards]
-    return _round(
-        model, shards, state, s, eta, local_steps, batch_size, sgd, quant,
-        bits_per_update(model.dim, s), _uplink, train_loss=float(train_loss),
-    )
+    try:
+        deltas = _local_sgd(model, shards, state.w, local_steps, eta, batch_size, sgd)
+    except TrainingDiverged as exc:
+        exc.round_index = k
+        raise
+    cost = bits_per_update(model.dim, s)
+    return _round(shards, state, s, eta, deltas, quant, cost, _uplink, train_loss=float(train_loss))
 
 
 def _round(
-    model: ModelSpec,
     shards: Sequence[ClientShard],
     state: GlobalState,
     s: int,
     eta: float,
-    local_steps: int,
-    batch_size: int,
-    sgd_rngs: Sequence[np.random.PCG64],
+    deltas: np.ndarray,
     quant_rngs: Sequence[np.random.Generator],
     cost: quantizer.BitCost,
     uplink: Callable[..., np.ndarray],
     **fields,
 ) -> tuple[GlobalState, RoundRecord]:
-    """:func:`run_round` on shards already checked against the model.
+    """The rest of :func:`run_round` once the clients' ``deltas`` are in.
 
-    ``sgd_rngs`` and ``quant_rngs`` are the round's ``ROLE_SGD`` bit
-    generators and ``ROLE_QUANT`` generators, one per shard; ``cost`` is
-    ``bits_per_update(model.dim, s)``; ``uplink`` takes the deltas to the
-    next global parameters, which it builds fresh, with :func:`_uplink`'s
-    signature.  ``fields`` are the record's ``train_loss``,
-    ``eval_metric``, ``interval`` and ``feasible``.
+    ``quant_rngs`` are the round's ``ROLE_QUANT`` generators, one per
+    shard; ``cost`` is ``bits_per_update(model.dim, s)``; ``uplink`` takes
+    the deltas to the next global parameters, which it builds fresh, with
+    :func:`_uplink`'s signature.  ``fields`` are the record's
+    ``train_loss``, ``eval_metric``, ``interval`` and ``feasible``.
     """
     k = state.round_index
-    try:
-        deltas = _local_sgd(model, shards, state.w, local_steps, eta, batch_size, sgd_rngs)
-    except TrainingDiverged as exc:
-        exc.round_index = k
-        raise
     w_next = uplink(state.w, deltas, s, quant_rngs, [sh.weight for sh in shards])
     new_state = GlobalState._adopt(w_next, k + 1, state.cumulative_bits + cost.total_bits)
     record = RoundRecord(
@@ -827,10 +840,19 @@ def _train(
     problem = build_problem(config)
     model, shards = problem.model, problem.shards
     _check_shards(model, shards)
+    labels = [objectives._labels(model, sh.data.labels) for sh in shards]
     batch = None if config.loss_estimate == "full" else config.batch_size
-    loss_estimate = _LossEstimate(model, shards, batch, config.master_seed)
+    loss_estimate = _LossEstimate(model, shards, batch, config.master_seed, config.rounds)
+    blocks: dict[int, _Batches] = {}  # by effective batch size
+
+    def sgd_batches(b: int, positions: list[int], k: int) -> np.ndarray:
+        """The ``draw`` of :func:`_sgd` in round ``k``."""
+        if b not in blocks:
+            members = [shards[p] for p in positions]
+            blocks[b] = _Batches(config.master_seed, ROLE_SGD, members, b, config.local_steps, config.rounds)
+        return blocks[b](k)
+
     client_ids = [sh.client_id for sh in shards]
-    sgd_streams = _Streams(config.master_seed, ROLE_SGD, client_ids)
     quant_streams = None if exact else _Streams(config.master_seed, ROLE_QUANT, client_ids)
     uplink = _exact_uplink if exact else _uplink
     w0 = objectives.init_params(model, derive_rng(config.master_seed, ROLE_INIT))
@@ -872,26 +894,18 @@ def _train(
                 eta_k, config.smoothness, model.dim, config.local_steps, s_k, config.n_clients
             )
         metric = _eval_metric(problem, state.w) if k % config.eval_every == 0 else None
+        quant_rngs = () if exact else [np.random.Generator(bg) for bg in quant_streams(k)]
+        draw = functools.partial(sgd_batches, k=k)
         try:
+            # no name holds the deltas, so they are freed when the round ends
             state, record = _round(
-                model,
-                shards,
-                state,
-                s_k,
-                eta_k,
-                config.local_steps,
-                config.batch_size,
-                sgd_streams(k),
-                () if exact else [np.random.Generator(bg) for bg in quant_streams(k)],
-                cost,
-                uplink,
-                train_loss=f_wk,
-                eval_metric=metric,
-                interval=interval,
-                feasible=feasible,
+                shards, state, s_k, eta_k,
+                _sgd(model, shards, labels, state.w, config.local_steps, eta_k, config.batch_size, draw),
+                quant_rngs, cost, uplink,
+                train_loss=f_wk, eval_metric=metric, interval=interval, feasible=feasible,
             )
         except TrainingDiverged as exc:
-            exc.records = tuple(records)
+            exc.round_index, exc.records = k, tuple(records)
             raise
         records.append(record)
         if keep_parameters:

@@ -15,7 +15,6 @@ unbiased estimates of the full-data gradient.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -229,10 +228,11 @@ def _losses(model: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np
         return 0.5 * np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0] / b
     if model.kind == "logistic":
         z = x @ w[:-1] + w[-1]
-        return (_softplus(z) - y * z).mean(axis=1)
+        # mean(axis=1) is add.reduce and a divide by the count, done here
+        return np.add.reduce(_softplus(z) - y * z, axis=1) / b
     _, _, logits = _mlp_forward(model, w, x)
     log_p = _log_softmax(logits)
-    return -log_p[np.arange(n)[:, None], np.arange(b), y].mean(axis=1)
+    return -(np.add.reduce(log_p[np.arange(n)[:, None], np.arange(b), y], axis=1) / b)
 
 
 def _gradients(
@@ -260,7 +260,7 @@ def _gradients(
         resid = _sigmoid(z) - y
         np.matmul(xt, resid[:, :, None], out=out[:, :-1, None])
         out[:, :-1] /= b
-        out[:, -1] = resid.mean(axis=1)
+        out[:, -1] = np.add.reduce(resid, axis=1) / b  # resid.mean(axis=1), as in _losses
         return out
     pre, hidden, logits = _mlp_forward(model, w, x)
     probs = np.exp(_log_softmax(logits))
@@ -291,56 +291,44 @@ _TAIL_CUTOFF = 50
 _U32 = 1 << 32
 
 
-class _ChoicePlan:
-    """What ``count`` calls of ``choice(m, b, replace=False)`` draw on each
-    of a list of streams, and the constants that turn the draws into
-    samples.  Built once per shape, and shared: its arrays are read-only."""
+class _Regime:
+    """The streams of a plan in one of ``choice``'s regimes: their
+    positions in the plan's list and the bounds one call draws under, a
+    row per distinct row count ``ms[r]``; stream ``positions[i]`` has row
+    ``rows[i]``.  The rows are broadcast over the calls, and over the
+    streams when they share one, so they do not grow with either."""
 
-    def __init__(self, ms: tuple[int, ...], b: int, count: int) -> None:
-        if not all(b < m <= _U32 for m in ms):
-            raise ValueError(f"need batch_size < m <= 2**32 rows, got {b} of {ms}")
-        self.b = b
-        self.floyd = [m <= _FLOYD_MAX_ROWS or b <= m // _TAIL_CUTOFF for m in ms]
-        self.sizes = [(2 * b - 1 if fl else b) * count for fl in self.floyd]
-        highs = np.concatenate([
-            # Floyd: one draw below j + 1 for j = m-b .. m-1, then the
-            # shuffle's swaps below i + 1 for i = b-1 .. 1; tail: swaps for
-            # i = m-1 .. m-b
-            np.tile(np.r_[m - b + 1 : m + 1, b:1:-1] if fl else np.r_[m : m - b : -1], count)
-            for m, fl in zip(ms, self.floyd)
-        ]).astype(np.uint64)
-        self.highs, self.thresholds = highs, (_U32 - highs) % highs
-        # the words of the raw layout of bit generators that draws use: not
-        # the spare high half of an odd stream's last 64-bit word
-        pairs = [(n + 1) // 2 * 2 for n in self.sizes]
-        self.used = None if pairs == self.sizes else np.concatenate(
-            [np.arange(p) < n for p, n in zip(pairs, self.sizes)]
-        )
-        # sort keys (draw << shift | tag): Floyd draw k tagged k; the swap of
-        # step i tagged i and placed after all of them by ``offset``
-        self.shift = b.bit_length()
-        self.offset = 1 << max(ms).bit_length()
-        self.code = np.r_[0:b, (self.offset << self.shift) + np.arange(b - 1, 0, -1)]
-        rows = self.floyd.count(True) * count
-        self.lo = np.repeat([m - b for m, fl in zip(ms, self.floyd) if fl], count)[:, None]
-        self.j = self.lo + np.arange(b)
-        self.k = np.arange(b, dtype=np.uint64)
-        self.base = b * np.arange(rows)[:, None]
-        # flat index of each row's Floyd draw 0 in the pointer forest
-        self.draw_base = self.base + rows * b
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+    def __init__(self, positions: list[int], ms: list[int], bounds: Callable) -> None:
+        self.positions = positions
+        self.ms, self.rows = np.unique(ms, return_inverse=True)
+        self.highs = np.array([bounds(m) for m in self.ms.tolist()], dtype=np.uint64)[:, None]
+        self.thresholds = ((_U32 - self.highs) % self.highs).astype(np.uint32)
+        for value in (self.ms, self.rows, self.highs, self.thresholds):
+            value.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=64)
-def _choice_plan(ms: tuple[int, ...], b: int, count: int) -> _ChoicePlan:
-    return _ChoicePlan(ms, b, count)
+def _choice_plan(ms: tuple[int, ...], b: int) -> tuple[_Regime | None, _Regime | None]:
+    """The streams of ``ms`` rows in Floyd's regime of ``choice(m, b,
+    replace=False)`` and those in the tail regime, each None when no
+    stream is in it.  Built once per shape, and shared."""
+    if not all(b < m <= _U32 for m in ms):
+        raise ValueError(f"need batch_size < m <= 2**32 rows, got {b} of {ms}")
+    floyd = [i for i, m in enumerate(ms) if m <= _FLOYD_MAX_ROWS or b <= m // _TAIL_CUTOFF]
+    tail = sorted(set(range(len(ms))) - set(floyd))
+    # Floyd: one draw below j + 1 for j = m-b .. m-1, then the shuffle's
+    # swaps below i + 1 for i = b-1 .. 1; tail: swaps for i = m-1 .. m-b
+    bounds = (lambda m: np.r_[m - b + 1 : m + 1, b:1:-1], lambda m: np.r_[m : m - b : -1])
+    return tuple(
+        _Regime(positions, [ms[i] for i in positions], bound) if positions else None
+        for positions, bound in zip((floyd, tail), bounds)
+    )
 
 
-def _stream_words(streams, plan: _ChoicePlan) -> tuple[np.ndarray, Callable]:
-    """The 32-bit words every stream's draws start from, in order, and a
-    function giving stream ``i``'s next word after them.
+def _stream_words(streams, n: int) -> tuple[np.ndarray, Callable]:
+    """The first ``n`` 32-bit words each stream's draws read, a row per
+    stream held in 64 bits, and a function giving stream ``i``'s next word
+    after them.
 
     A ``Generator`` is read through ``integers(0, 2**32, dtype=uint32)``,
     word by word as its bounded draws read it, whatever its bit generator
@@ -350,47 +338,51 @@ def _stream_words(streams, plan: _ChoicePlan) -> tuple[np.ndarray, Callable]:
     ``choice`` call does.
     """
     if isinstance(streams[0], np.random.Generator):
-        words = np.concatenate(
-            [g.integers(0, _U32, n, dtype=np.uint32) for g, n in zip(streams, plan.sizes)]
-        )
-        return words, lambda i: streams[i].integers(0, _U32, 1, dtype=np.uint32)
-    raw = np.concatenate([bg.random_raw((n + 1) // 2) for bg, n in zip(streams, plan.sizes)])
-    full = np.empty(2 * len(raw), dtype=np.uint32)
-    full[0::2], full[1::2] = raw, raw >> 32
-    words = full if plan.used is None else full[plan.used]
+        words = np.stack([g.integers(0, _U32, n, dtype=np.uint32) for g in streams])
+        return words.astype(np.uint64), lambda i: streams[i].integers(0, _U32, 1, dtype=np.uint32)
+    raw = np.concatenate([bg.random_raw((n + 1) // 2) for bg in streams]).reshape(len(streams), -1)
+    full = np.empty((len(streams), 2 * raw.shape[1]), dtype=np.uint64)
+    np.bitwise_and(raw, 0xFFFF_FFFF, out=full[:, 0::2])
+    np.right_shift(raw, 32, out=full[:, 1::2])
     spares: dict[int, list[int]] = {}
 
     def more(i: int) -> np.ndarray:
         if i not in spares:  # an odd stream's spare half word comes first
-            end = sum((n + 1) // 2 * 2 for n in plan.sizes[: i + 1])
-            spares[i] = [int(full[end - 1])] if plan.sizes[i] % 2 else []
+            spares[i] = [int(full[i, n])] if n % 2 else []
         if not spares[i]:
             r = int(streams[i].random_raw())
             spares[i] = [r & 0xFFFF_FFFF, r >> 32]
         return np.array([spares[i].pop(0)], dtype=np.uint32)
 
-    return words, more
+    return full[:, :n], more
 
 
-def _bounded(streams, plan: _ChoicePlan) -> np.ndarray:
-    """Every draw of the plan, as ``Generator.integers`` makes it.
+def _bounded(streams, regime: _Regime, count: int) -> np.ndarray:
+    """Every draw of ``count`` calls on each of the regime's streams, as
+    ``Generator.integers`` makes it: uint32, indexed (stream, call, draw).
 
     Below 2**32 NumPy draws with Lemire's method on 32-bit words: ``word *
     high`` keeps its high half unless the low half falls below the
     threshold, when the next word is tried; about one word in ``2**32 /
     high`` is.
     """
-    words, more = _stream_words(streams, plan)
-    highs, thresholds = plan.highs, plan.thresholds
-    prod = words * highs
-    if ((prod & 0xFFFF_FFFF) < thresholds).any():
-        for i, (end, n) in enumerate(zip(itertools.accumulate(plan.sizes), plan.sizes)):
-            seg = slice(end - n, end)
-            w = words[seg]
-            while (bad := np.flatnonzero((w * highs[seg] & 0xFFFF_FFFF) < thresholds[seg])).size:
+    rows = slice(None) if len(regime.ms) == 1 else regime.rows  # one row broadcasts
+    highs, thresholds = regime.highs[rows], regime.thresholds[rows]
+    words, more = _stream_words(streams, count * highs.shape[-1])
+    prod = words.reshape(len(streams), count, -1)
+    prod *= highs  # in place: each word is prod // high
+    low = prod.astype(np.uint32)
+    rejected = low < thresholds
+    if rejected.any():
+        for i in np.flatnonzero(rejected.any(axis=(1, 2))):
+            h, t = (np.broadcast_to(a, prod.shape)[i].ravel() for a in (highs, thresholds))
+            w = prod[i].ravel() // h
+            while (bad := np.flatnonzero((w * h & 0xFFFF_FFFF) < t)).size:
                 w = np.concatenate([w[: bad[0]], w[bad[0] + 1 :], more(i)])
-            prod[seg] = w * highs[seg]
-    return (prod >> 32).astype(np.int64)
+            prod[i] = (w * h).reshape(count, -1)
+    prod >>= 32
+    low[...] = prod
+    return low
 
 
 def _link_swaps(ptr, target, step, base, first):
@@ -435,36 +427,56 @@ def _sources(ptr, node, repeat, into):
     return ptr
 
 
-def _floyd_choice(u: np.ndarray, plan: _ChoicePlan) -> np.ndarray:
-    """Samples from rows of Floyd-regime draws: ``b`` for Floyd's algorithm,
-    then ``b - 1`` for the shuffle's swaps.
-
-    Floyd's draw ``k`` lies below ``j + 1`` for ``j = m - b + k`` and is
-    kept unless the sample holds it already, when ``j`` is taken: the
-    sample holds it when an earlier draw equals it, or when it is an
-    earlier ``j`` that was taken.  Both chains, this and the swaps', are
-    followed in one pointer forest: the shuffle's positions (flat, as in
-    the sample) and then the Floyd draws.
-    """
-    n_rows, b = len(u), plan.b
-    flat = n_rows * b
-    keys = u << plan.shift | plan.code
+def _floyd_taken(u: np.ndarray, sample: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Which of Floyd's draws, ``sample`` indexed (step, row), are not kept:
+    flat, like ``sample``.  Draw ``k`` of a row lies below ``j + 1`` for
+    ``j = lo + k`` and is not kept when the sample holds it already: when
+    an earlier draw of its row equals it, or when it is the ``j`` of an
+    earlier step whose draw was not kept, which ``j`` the sample then
+    holds."""
+    b, n = sample.shape
+    taken = np.zeros(b * n, dtype=bool)
+    # draws equal to an earlier one: each row's (draw, step) keys, sorted
+    shift = b.bit_length()
+    narrow = (int(lo.max()) + b) << shift <= _U32
+    keys = u[:, :b].astype(np.uint32 if narrow else np.uint64)
+    keys <<= shift
+    keys |= np.arange(b, dtype=keys.dtype)
     keys.sort(axis=1)
-    value, tag = keys >> plan.shift, keys & ((1 << plan.shift) - 1)
-    draws, v, k = u[:, :b], value[:, :b], tag[:, :b]
-    ptr = np.arange(2 * flat)
-    repeated = np.zeros(2 * flat, dtype=bool)
-    repeated[(k[:, 1:] + plan.draw_base)[v[:, 1:] == v[:, :-1]]] = True
-    earlier = draws - plan.lo
-    chain = (earlier.view(np.uint64) < plan.k) & ~repeated[flat:].reshape(n_rows, b)
-    ptr[flat:][chain.reshape(-1)] = (earlier + plan.draw_base)[chain]
-    if b > 1:
-        swaps = _link_swaps(ptr, value[:, b:] - plan.offset, tag[:, b:], plan.base, 1)
-    ptr = _roots(ptr)
-    sample = np.where(repeated[ptr[flat:]].reshape(n_rows, b), plan.j, draws)
-    if b == 1:
-        return sample
-    return sample.reshape(-1)[_sources(ptr, *swaps)[:flat]].reshape(n_rows, b)
+    keys = keys.reshape(-1)
+    repeat = (keys[1:] >> shift) == (keys[:-1] >> shift)
+    repeat[b - 1 :: b] = False  # a row's first key follows the last row's last
+    later = np.flatnonzero(repeat) + 1
+    taken[(keys[later] & ((1 << shift) - 1)).astype(np.intp) * n + later // b] = True
+    # draws equal to an earlier step's j (below lo the difference wraps);
+    # each pass carries the marks one link further along a chain
+    earlier = sample - lo
+    hit = np.flatnonzero(earlier < np.arange(b, dtype=np.uint32)[:, None])
+    source = earlier.reshape(-1)[hit].astype(np.intp) * n + hit % n
+    while (grow := taken[source] & ~taken[hit]).any():
+        taken[hit[grow]] = True
+    return taken
+
+
+def _floyd_samples(u: np.ndarray, lo: np.ndarray, b: int) -> np.ndarray:
+    """Samples from rows of Floyd-regime draws, ``b`` for Floyd's algorithm
+    and then ``b - 1`` for the shuffle's swaps, resolved in lockstep across
+    the rows; ``lo = m - b`` is given per row.  The result has a column
+    per row."""
+    n = len(u)
+    sample = u[:, :b].T.copy()
+    flat = sample.reshape(-1)
+    at = np.flatnonzero(_floyd_taken(u, sample, lo))
+    flat[at] = lo[at % n] + at // n  # the j of each draw not kept
+    # the shuffle: step i swaps position i with one at or before it
+    swaps = u[:, b:].T.astype(np.intp)
+    swaps *= n
+    swaps += np.arange(n)
+    for i, j in zip(range(b - 1, 0, -1), swaps):
+        held = flat[j]
+        flat[j] = sample[i]
+        sample[i] = held
+    return sample
 
 
 def _tail_choice(u: np.ndarray, m: int, b: int) -> np.ndarray:
@@ -494,24 +506,17 @@ def _draw_batches(streams, ms: Sequence[int], batch_size: int, count: int = 1) -
     all minibatches together.  Every ``ms[i]`` must exceed ``batch_size``.
     """
     b = batch_size
-    plan = _choice_plan(tuple(ms), b, count)
-    draws = _bounded(streams, plan)
-    if all(plan.floyd):
-        return _floyd_choice(draws.reshape(-1, 2 * b - 1), plan).reshape(len(ms), count, b)
+    floyd, tail = _choice_plan(tuple(ms), b)
     out = np.empty((len(ms), count, b), dtype=np.int64)
-    rows, segments = [], []
-    for i, (m, fl, end, n) in enumerate(
-        zip(ms, plan.floyd, itertools.accumulate(plan.sizes), plan.sizes)
-    ):
-        seg = draws[end - n : end].reshape(count, -1)
-        if fl:
-            rows.append(i)
-            segments.append(seg)
-        else:
-            out[i] = _tail_choice(seg, m, b)
-    if rows:
-        u = np.concatenate(segments)
-        out[rows] = _floyd_choice(u, plan).reshape(len(rows), count, b)
+    if floyd:
+        lo = np.repeat((floyd.ms - b).astype(np.uint32)[floyd.rows], count)
+        draws = _bounded([streams[i] for i in floyd.positions], floyd, count)
+        samples = _floyd_samples(draws.reshape(-1, 2 * b - 1), lo, b)
+        out[floyd.positions] = samples.T.reshape(len(floyd.positions), count, b)
+    if tail:
+        draws = _bounded([streams[i] for i in tail.positions], tail, count)
+        for i, m, u in zip(tail.positions, tail.ms[tail.rows].tolist(), draws):
+            out[i] = _tail_choice(u.astype(np.int64), m, b)
     return out
 
 

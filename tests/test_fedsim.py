@@ -596,9 +596,10 @@ class TestBuildProblem:
             return built[-1]
 
         rngs = [derive_rng(0, fedsim.ROLE_SGD, sh.client_id, 4).bit_generator for sh in shards]
+        deltas = fedsim._local_sgd(QUAD, shards, state.w, 2, 0.05, 4, rngs)
         cost = bits_per_update(3, 3)
         new_state, _ = fedsim._round(
-            QUAD, shards, state, 3, 0.05, 2, 4, rngs, (), cost, uplink, train_loss=1.0
+            shards, state, 3, 0.05, deltas, (), cost, uplink, train_loss=1.0
         )
         assert new_state.w is built[0] and not built[0].flags.writeable
         assert (new_state.round_index, new_state.cumulative_bits) == (5, 10 + cost.total_bits)

@@ -92,7 +92,7 @@ def reference_estimate(model, shards, w, batch_size, master_seed, round_index) -
 def test_full_estimate_equals_global_loss(kind, layout):
     model = MODELS[kind]
     shards = make_shards(model, layout)
-    estimate = _LossEstimate(model, shards, None, 0)
+    estimate = _LossEstimate(model, shards, None, 0, 3)
     for k in range(3):
         w = start_point(model) * (k + 1)
         expected = reference_estimate(model, shards, w, None, 0, k)
@@ -105,7 +105,7 @@ def test_full_estimate_equals_global_loss(kind, layout):
 def test_minibatch_estimate_equals_reference_loop(kind, layout, batch_size):
     model = MODELS[kind]
     shards = make_shards(model, layout)
-    estimate = _LossEstimate(model, shards, batch_size, 17)
+    estimate = _LossEstimate(model, shards, batch_size, 17, 3)
     for k in range(3):
         w = start_point(model) * (k + 1)
         assert estimate(w, k) == reference_estimate(model, shards, w, batch_size, 17, k)
@@ -117,7 +117,7 @@ def test_minibatches_drawn_for_blocks_of_rounds():
     # streams give
     model = MODELS["logistic"]
     shards = make_shards(model, (9, 4, 4, 9, 7))
-    estimate = _LossEstimate(model, shards, 5, 17)
+    estimate = _LossEstimate(model, shards, 5, 17, 42)
     for k in (0, 1, 15, 16, 17, 19, 3, 40, 41):
         w = start_point(model) * (k + 1)
         assert estimate(w, k) == reference_estimate(model, shards, w, 5, 17, k)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedquant.objectives import Dataset, _draw_batches, sample_batch
+from fedquant.objectives import Dataset, _choice_plan, _draw_batches, sample_batch
 
 
 def generators(seed: int, n: int) -> list[np.random.Generator]:
@@ -96,7 +96,28 @@ def test_boundaries_match_choice(m, b, count):
     assert_matches_choice([m], b, count, seed=m + b)
 
 
-@pytest.mark.parametrize("count", [1, 10])
+@pytest.mark.parametrize(
+    "ms, b",
+    [
+        # one row per call, and all rows but one, on streams of unequal rows
+        ([2, 3, 300, 10_000, 2], 1),
+        ([300, 300, 300], 299),
+        ([10_000, 10_000], 9_999),
+    ],
+)
+def test_lockstep_extremes_match_choice(ms, b):
+    assert_matches_choice(ms, b, 3, seed=b)
+
+
+def test_plan_holds_one_row_of_bounds_per_row_count():
+    # a reference block, 8 clients over 16 rounds, holds the same plan
+    # whatever the local steps: its size grows with neither
+    floyd, tail = _choice_plan((250,) * 128, 32)
+    held = [v for v in vars(floyd).values() if isinstance(v, np.ndarray)]
+    assert tail is None and sum(a.nbytes for a in held) < 64 * 1024
+
+
+@pytest.mark.parametrize("count", [1, 10, 16])
 def test_unequal_rows_in_one_call(count):
     # Floyd, tail, Floyd (10049 // 50 = 200 < 201: tail), Floyd
     assert_matches_choice([300, 10_001, 20_000, 10_049, 250], 201, count, seed=7)
