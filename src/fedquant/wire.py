@@ -18,6 +18,8 @@ raises :class:`DecodeError` rather than guessing.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 
 import numpy as np
@@ -45,28 +47,49 @@ def encoded_size_bytes(d: int, s: int) -> int:
     return _HEADER.size + _NORM.size + (payload_bits + 7) // 8
 
 
-def _level_width(element_bits: int) -> int:
-    """Bytes of the narrowest unsigned integer that holds a level."""
-    return next(width for width in (1, 2, 4) if 8 * width >= element_bits)
+@functools.cache
+def _fields(eb: int) -> tuple:
+    """The schedule of ``eb``-bit levels: ``g`` of them end on a byte, in
+    ``nbytes`` bytes held in ``count`` little-endian words of ``word``; level
+    ``j`` of a group sits at (word, shift, carry shift into the next word)."""
+    g = 8 // math.gcd(eb, 8)
+    nbytes = g * eb // 8
+    size = next((w for w in (1, 2, 4) if w >= nbytes), 8)
+    places = [divmod(j * eb, 8 * size) for j in range(g)]
+    schedule = tuple((k, sh, 8 * size - sh if sh + eb > 8 * size else 0) for k, sh in places)
+    return g, nbytes, np.dtype(f"<u{size}"), -(-nbytes // size), schedule
 
 
 def encode(q: QuantizedUpdate) -> bytes:
     if q.s > _U32_MAX or q.d > _U32_MAX:
         raise ValueError("s and d must fit in 32 bits")
-    cost = bits_per_update(q.d, q.s)
-    eb = cost.element_bits
-    width = _level_width(eb)
-    # Each level's bits, LSB first, read off its little-endian bytes; one
-    # flat unpackbits over the whole array, not one per row.
-    level_bits = np.unpackbits(
-        q.levels.astype(f"<u{width}").view(np.uint8), bitorder="little"
-    ).reshape(q.d, 8 * width)
-    plane = np.empty(cost.total_bits - NORM_BITS, dtype=np.uint8)
-    plane[: q.d] = q.signs < 0
-    plane[q.d :].reshape(q.d, eb)[...] = level_bits[:, :eb]
-    payload = np.packbits(plane, bitorder="little").tobytes()
+    g, nbytes, word, count, schedule = _fields(q.s.bit_length())
+    n = -(-q.d // g)
+    fields = np.zeros((n, g), word)
+    fields.reshape(-1)[: q.d] = q.levels
+    if g > 1:
+        words = np.zeros((n, count), word)
+        for j, (k, shift, carry) in enumerate(schedule):
+            words[:, k] |= fields[:, j] << shift
+            if carry:
+                words[:, k + 1] |= fields[:, j] >> carry
+        fields = words
+    # Each group's bytes, cut from its words, then shifted r bits up across
+    # byte boundaries to start after the last sign bit; one spare byte.
+    plane = np.zeros(n * nbytes + 1, np.uint8)
+    plane[:-1].reshape(n, nbytes)[...] = fields.view(np.uint8)[:, :nbytes]
+    r = q.d % 8
+    if r:
+        high = plane[:-1] >> (8 - r)
+        plane <<= r
+        plane[1:] |= high
+    payload = np.zeros(encoded_size_bytes(q.d, q.s) - _HEADER.size - _NORM.size, np.uint8)
+    signs = np.packbits(q.signs < 0, bitorder="little")
+    payload[: len(signs)] = signs
+    tail = payload[len(signs) - (r > 0) :]
+    tail |= plane[: len(tail)]
     return (
-        _HEADER.pack(MAGIC, VERSION, q.s, q.d) + _NORM.pack(q.norm) + payload
+        _HEADER.pack(MAGIC, VERSION, q.s, q.d) + _NORM.pack(q.norm) + payload.tobytes()
     )
 
 
@@ -86,30 +109,45 @@ def decode(blob: bytes, d: int) -> QuantizedUpdate:
         raise DecodeError(f"invalid quantization level s={s}")
     if d_wire != d:
         raise DecodeError(f"dimension mismatch: header says {d_wire}, expected {d}")
-    expected = encoded_size_bytes(d, s)
+    cost = bits_per_update(d, s)
+    used = cost.total_bits - NORM_BITS
+    expected = prefix + (used + 7) // 8
     if len(blob) != expected:
         raise DecodeError(f"wrong length: {len(blob)} bytes, expected {expected}")
     (norm,) = _NORM.unpack_from(blob, _HEADER.size)
     if not np.isfinite(norm) or norm < 0.0:
         raise DecodeError(f"invalid norm {norm}")
-    cost = bits_per_update(d, s)
-    eb = cost.element_bits
-    width = _level_width(eb)
-    bits = np.unpackbits(
-        np.frombuffer(blob, dtype=np.uint8, offset=prefix), bitorder="little"
-    )
-    used = cost.total_bits - NORM_BITS
-    if np.any(bits[used:]):
+    # padding is the high bits of the last byte; with none, the shift is 8
+    if blob[-1] >> (8 - -used % 8):
         raise DecodeError("nonzero padding bits")
-    signs = 1 - 2 * bits[:d].view(np.int8)
-    # Widen each level to whole little-endian bytes with zero high bits,
-    # then pack the flat array once and read it back as integers.
-    level_bits = np.zeros((d, 8 * width), dtype=np.uint8)
-    level_bits[:, :eb] = bits[d:used].reshape(d, eb)
-    levels = np.packbits(level_bits, bitorder="little").view(f"<u{width}")
+    payload = np.frombuffer(blob, dtype=np.uint8, offset=prefix)
+    ns, r = (d + 7) // 8, d % 8
+    signs = 1 - 2 * np.unpackbits(payload[:ns], count=d, bitorder="little").view(np.int8)
+    eb = cost.element_bits
+    g, nbytes, word, count, schedule = _fields(eb)
+    n = -(-d // g)
+    # encode's steps in reverse: shift the level bytes r bits down, spread
+    # each group's bytes over its words, cut the fields out
+    plane = np.zeros(n * nbytes + 1, np.uint8)
+    body = payload[ns - (r > 0) :]
+    plane[: len(body)] = body
+    if r:
+        high = plane[1:] << (8 - r)
+        plane >>= r
+        plane[:-1] |= high
+    grid = np.zeros((n, count * word.itemsize), np.uint8)
+    grid[:, :nbytes] = plane[:-1].reshape(n, nbytes)
+    words = grid.view(word)
+    levels = np.empty((n, g), np.int64)
+    for j, (k, shift, carry) in enumerate(schedule):
+        field = words[:, k] >> shift
+        if carry:
+            field |= words[:, k + 1] << carry
+        np.bitwise_and(field, (1 << eb) - 1, out=levels[:, j], casting="unsafe")
+    levels = levels.reshape(-1)[:d]
     if np.any(levels > s):
         raise DecodeError("level exceeds s")
     if norm == 0.0 and np.any(levels != 0):
         raise DecodeError("zero norm with nonzero levels")
     # Every field is checked above; the fresh arrays are handed over as is.
-    return QuantizedUpdate._adopt(norm, signs, levels.astype(np.int64), s, d)
+    return QuantizedUpdate._adopt(norm, signs, levels, s, d)

@@ -243,3 +243,55 @@ class TestStrictDecoderFuzz:
             assert same_fields(result, expected)
         else:
             assert result == expected
+
+
+class TestEveryWidth:
+    """Every level width 1-32, each d % 8 and d % g, against the reference.
+
+    The fields are drawn uniformly from [0, s] so that every bit of every
+    field is exercised, which Gaussian updates at a large s rarely do.
+    """
+
+    @staticmethod
+    def uniform_update(d: int, s: int, rng: np.random.Generator) -> QuantizedUpdate:
+        return QuantizedUpdate(
+            norm=1.5,
+            signs=rng.choice(np.array([-1, 1], dtype=np.int8), size=d),
+            levels=rng.integers(0, s, size=d, endpoint=True),
+            s=s,
+            d=d,
+        )
+
+    @staticmethod
+    def raise_last_field(blob: bytes, d: int, eb: int) -> bytes:
+        """``blob`` with the last level field set to all ones."""
+        prefix = _HEADER.size + _NORM.size
+        bits = np.unpackbits(np.frombuffer(blob, np.uint8, offset=prefix), bitorder="little")
+        end = d + d * eb
+        bits[end - eb : end] = 1
+        return blob[:prefix] + np.packbits(bits, bitorder="little").tobytes()
+
+    def check(self, d: int, s: int, rng: np.random.Generator) -> None:
+        q = self.uniform_update(d, s, rng)
+        blob = encode(q)
+        assert blob == reference_encode(q), (d, s)
+        assert same_fields(decode(blob, d), reference_decode(blob, d)), (d, s)
+        assert same_fields(decode(blob, d), q), (d, s)
+        eb = s.bit_length()
+        if s < 2**eb - 1:
+            raised = self.raise_last_field(blob, d, eb)
+            expected = (DecodeError, "level exceeds s")
+            assert outcome(reference_decode, raised, d) == expected, (d, s)
+            assert outcome(decode, raised, d) == expected, (d, s)
+
+    def test_small_d(self):
+        rng = np.random.default_rng(20_251)
+        for eb in range(1, 33):
+            for s in (2 ** (eb - 1), 2**eb - 1):
+                for d in range(1, 25):
+                    self.check(d, s, rng)
+
+    def test_wide_d(self):
+        rng = np.random.default_rng(102_538)
+        for eb in range(1, 33):
+            self.check(WIDE_D, 2 ** (eb - 1), rng)
