@@ -9,25 +9,23 @@ buffer, reused across the round; it is bit for bit
 ``aggregate(w, [quantize(delta, s, rng), ...], weights)`` but builds no
 ``QuantizedUpdate``.
 
-Determinism contract: every random draw comes from a generator derived
-from ``(master_seed, role, client_id, round_index)``, so results do not
-depend on client execution order and any single client round can be
-replayed in isolation.  Reruns with the same config are bit-identical.
-A run derives the streams of all its clients, and draws their minibatches,
-for several rounds at once; each stream is the one ``derive_rng`` gives.
+Determinism contract: a run derives one generator per (role, client)
+from ``(master_seed, role, client_id)`` and reads it in round order, so
+results do not depend on client execution order, and reruns with the same
+config are bit-identical.  A client's round reads its streams where the
+rounds before it left them: it is replayed by rerunning the run up to it.
+Drawing minibatches for several rounds at once reads the same draws.
+``run_round`` stands alone, on streams keyed by the round as well.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import objectives, quantizer
 from .config import AdaquantMode, FileData, SyntheticData, TrainingConfig
@@ -58,7 +56,7 @@ __all__ = [
     "run_unquantized",
 ]
 
-# Stream roles; each (role, client, round) triple owns an independent stream.
+# Stream roles; each (role, client) pair of a run owns an independent stream.
 ROLE_INIT = 0
 ROLE_DATA = 1
 ROLE_PARTITION = 2
@@ -67,203 +65,42 @@ ROLE_QUANT = 4
 ROLE_LOSS = 5
 
 _WEIGHT_TOL = 1e-9
-# bytes of minibatch rows a client stack gathers at once
-_GATHER_BYTES = 1 << 20
 # bytes of client deltas the uplink quantizes as one plane; with its three
 # buffers of the same size, a group stays within a 2 MiB cache
 _UPLINK_BYTES = 1 << 18
-# rounds whose stream seeds, and loss-estimate minibatches, are drawn at once
+# rounds whose minibatches are drawn at once
 _STREAM_ROUNDS = 16
 
 
-# derive_rng reproduces NumPy's SeedSequence hash (numpy/random/
-# bit_generator.pyx) bit for bit.  The entropy words are the master seed's
-# little-endian 32-bit words, zero-padded to the pool size when a key
-# follows, then the words of each key part.
-_MASK32 = 0xFFFF_FFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
-
-
-def _hash_steps(h: int, mult: int):
-    """The (xor, multiplier) constants of successive hash steps from ``h``."""
-    while True:
-        nxt = (h * mult) & _MASK32
-        yield h, nxt
-        h = nxt
-
-
-def _hash(value: int, xor: int, mult: int) -> int:
-    value = ((value ^ xor) * mult) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix(x: int, y: int) -> int:
-    x = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return x ^ (x >> 16)
-
-
-def _words(n: int) -> list[int]:
-    """``n`` as SeedSequence reads an integer: little-endian 32-bit words."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-@functools.lru_cache(maxsize=64)
-def _absorb_steps(h: int) -> tuple[tuple[int, int], ...]:
-    return tuple(itertools.islice(_hash_steps(h, _MULT_A), _POOL_SIZE))
-
-
-def _absorb(pool: list[int], h: int, words: list[int]) -> int:
-    """Mix each word into every pool word, in place; returns the next ``h``."""
-    for word in words:
-        steps = _absorb_steps(h)
-        for i, (xor, mult) in enumerate(steps):
-            # pool[i] = _mix(pool[i], _hash(word, xor, mult)), inlined
-            x = ((word ^ xor) * mult) & _MASK32
-            x = (_MIX_L * pool[i] - _MIX_R * (x ^ (x >> 16))) & _MASK32
-            pool[i] = x ^ (x >> 16)
-        h = steps[-1][1]
-    return h
-
-
-# typed: a float that equals a cached int must still be rejected
-@functools.lru_cache(maxsize=1024, typed=True)
-def _seed_prefix(keyed: bool, master_seed: int, *head: int):
-    """The pool after the master seed and ``head``, the key parts before the
-    last, and the hash constant that comes next.  These are fixed for each
-    (role, client) of a run, so they are mixed once."""
-    master_seed, head = operator.index(master_seed), [operator.index(k) for k in head]
-    if master_seed < 0 or any(k < 0 for k in head):
-        raise ValueError("seed components must be non-negative")
-    words = _words(master_seed)
-    if keyed:
-        words += [0] * (_POOL_SIZE - len(words))
-    for part in head:
-        words += _words(part)
-    steps = _hash_steps(_INIT_A, _MULT_A)
-    pool = [_hash(words[i] if i < len(words) else 0, *next(steps)) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
-    h = _absorb(pool, next(steps)[0], words[_POOL_SIZE:])
-    return tuple(pool), h
-
-
-# generate_state(4, uint64) hashes the pool, cycled, into eight 32-bit words
-# and pairs them low word first: (pool index, xor, multiplier) twice per pair
-_GENERATE = list(itertools.islice(_hash_steps(_INIT_B, _MULT_B), 2 * _POOL_SIZE))
-_GENERATE_PAIRS = tuple(
-    (k % _POOL_SIZE, *_GENERATE[k], (k + 1) % _POOL_SIZE, *_GENERATE[k + 1]) for k in range(0, 8, 2)
-)
-
-
-class _StreamSeed(ISeedSequence):
-    """The four PCG64 seed words of one stream; it seeds PCG64 and cannot
-    spawn."""
-
-    def __init__(self, state: np.ndarray) -> None:
-        self._state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("this seed only generates PCG64's four uint64 words")
-        return self._state
-
-
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one (role, client, round, ...) slot.
-
-    Bit for bit ``default_rng(SeedSequence(master_seed, spawn_key=key))``,
-    except that the generator's ``seed_seq`` cannot spawn.  The part of the
-    hash fixed by ``master_seed`` and ``key[:-1]`` is cached, so a call
-    mixes in only ``key[-1]``.
-    """
-    pool, h = _seed_prefix(bool(key), master_seed, *key[:-1])
-    if key:
-        last = operator.index(key[-1])
-        if last < 0:
-            raise ValueError("seed components must be non-negative")
-        pool = list(pool)
-        _absorb(pool, h, _words(last))
-    state = []
-    for i, xor_lo, mult_lo, j, xor_hi, mult_hi in _GENERATE_PAIRS:
-        lo = ((pool[i] ^ xor_lo) * mult_lo) & _MASK32
-        hi = ((pool[j] ^ xor_hi) * mult_hi) & _MASK32
-        state.append((lo ^ (lo >> 16)) | (hi ^ (hi >> 16)) << 32)
-    return np.random.Generator(np.random.PCG64(_StreamSeed(np.array(state, dtype=np.uint64))))
-
-
-class _Streams:
-    """One role's streams for a run's clients, round by round.
-
-    ``streams(k)[i]`` is ``derive_rng(master_seed, role, client_ids[i],
-    k).bit_generator``.  Each client's hash prefix is mixed once; the
-    round, the last key word, is mixed into every client's pool for
-    ``_STREAM_ROUNDS`` rounds at a time in one pass over uint32 arrays,
-    whose products wrap as the hash's do.  A round of two words (2**32 or
-    more) goes through ``derive_rng``.
-    """
-
-    def __init__(self, master_seed: int, role: int, client_ids: Sequence[int]) -> None:
-        self.key = (master_seed, role, list(client_ids))
-        prefixes = [_seed_prefix(True, master_seed, role, c) for c in client_ids]
-        self.pools = np.array([pool for pool, _ in prefixes], dtype=np.uint32).reshape(1, -1, 4)
-        steps = np.array([_absorb_steps(h) for _, h in prefixes], dtype=np.uint32).reshape(-1, 4, 2)
-        self.xor, self.mult = steps[None, :, :, 0], steps[None, :, :, 1]
-        self.start, self.states = 0, np.empty((0, len(prefixes), 4), dtype=np.uint64)
-
-    def __call__(self, k: int) -> list[np.random.PCG64]:
-        if not self.start <= k < self.start + len(self.states):
-            if not 0 <= k <= _MASK32:
-                master_seed, role, client_ids = self.key
-                return [derive_rng(master_seed, role, c, k).bit_generator for c in client_ids]
-            self.start, self.states = k, self._mix(k, min(k + _STREAM_ROUNDS, _MASK32 + 1))
-        return [np.random.PCG64(_StreamSeed(state)) for state in self.states[k - self.start]]
-
-    def _mix(self, start: int, stop: int) -> np.ndarray:
-        """The PCG64 seed words of rounds [start, stop), indexed (round,
-        client, word); ``derive_rng``'s absorb and generate steps."""
-        x = np.arange(start, stop, dtype=np.uint32).reshape(-1, 1, 1) ^ self.xor
-        x *= self.mult
-        x ^= x >> 16
-        pool = _MIX_L * self.pools - _MIX_R * x
-        pool ^= pool >> 16
-        words = []
-        for i, xor_lo, mult_lo, j, xor_hi, mult_hi in _GENERATE_PAIRS:
-            lo = (pool[..., i] ^ xor_lo) * mult_lo
-            hi = (pool[..., j] ^ xor_hi) * mult_hi
-            lo ^= lo >> 16
-            hi ^= hi >> 16
-            words.append(lo.astype(np.uint64) | hi.astype(np.uint64) << 32)
-        return np.stack(words, axis=-1)
+    """Independent generator for one (role, client, ...) slot:
+    ``default_rng(SeedSequence(master_seed, spawn_key=key))``."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
 class _Batches:
-    """Minibatch row indices of ``shards``, each sampling ``b`` of its rows:
-    ``self(k)[i, t]`` is what the ``t``-th of ``count`` successive
-    ``choice(m, b, replace=False)`` calls draw on shard ``i``'s ``role``
-    stream of round ``k``.  No minibatch depends on the model, so those of
+    """Minibatch row indices of ``shards``, each sampling ``b`` of its rows
+    ``count`` times a round from its ``role`` stream of the run:
+    ``self(k)[i, t]`` is shard ``i``'s ``t``-th of round ``k``.  The rounds
+    are asked for in order, so each stream gives its minibatches in round
+    order; no minibatch depends on the model, so those of
     ``_STREAM_ROUNDS`` rounds, never past ``rounds``, come from one
     ``_draw_batches`` call."""
 
     def __init__(self, master_seed, role, shards, b: int, count: int, rounds: int) -> None:
-        self.streams = _Streams(master_seed, role, [sh.client_id for sh in shards])
+        self.rngs = [derive_rng(master_seed, role, sh.client_id) for sh in shards]
         self.ms, self.b, self.count, self.rounds = [sh.data.m for sh in shards], b, count, rounds
-        self.start, self.drawn = 0, np.empty((0, len(shards), count, b), dtype=np.int64)
+        self.start, self.drawn = 0, np.empty((len(shards), 0, count, b), dtype=np.int64)
 
     def __call__(self, k: int) -> np.ndarray:
-        if not self.start <= k < self.start + len(self.drawn):
-            stop = min(k + _STREAM_ROUNDS, self.rounds)
-            rngs = [bg for r in range(k, stop) for bg in self.streams(r)]
-            drawn = objectives._draw_batches(rngs, self.ms * (stop - k), self.b, self.count)
-            self.start, self.drawn = k, drawn.reshape(stop - k, len(self.ms), self.count, self.b)
-        return self.drawn[k - self.start]
+        stop = self.start + self.drawn.shape[1]
+        if not self.start <= k < stop:
+            if k != stop:
+                raise ValueError(f"round {k} asked for after round {stop - 1}")
+            n = min(_STREAM_ROUNDS, self.rounds - k)
+            drawn = objectives._draw_batches(self.rngs, self.ms, self.b, n * self.count)
+            self.start, self.drawn = k, drawn.reshape(len(self.ms), n, self.count, self.b)
+        return self.drawn[:, k - self.start]
 
 
 class TrainingDiverged(RuntimeError):
@@ -367,9 +204,9 @@ class _ClientStack:
     bring their minibatch indices for all local steps, ``drawn``, a row per
     such client in shard order; their rows and labels are gathered into
     ``x`` and ``y``, ``x[i, t % span]`` at step ``t``, for ``span`` steps
-    at a time, as many as fit in ``_GATHER_BYTES`` (at least one).  A
-    client whose minibatch is its whole shard has its rows filled in once,
-    here.
+    at a time, as many as fit in ``objectives._GATHER_BYTES`` (at least
+    one).  A client whose minibatch is its whole shard has its rows filled
+    in once, here.
     """
 
     def __init__(self, model, shards, labels, positions, w_start, b, local_steps, drawn):
@@ -379,7 +216,7 @@ class _ClientStack:
         rows = iter(() if drawn is None else drawn)
         idx = [next(rows) if d.m > b else None for d in data]
         step_bytes = len(positions) * b * model.n_features * 8
-        span = max(1, min(local_steps if drawn is not None else 1, _GATHER_BYTES // step_bytes))
+        span = max(1, min(local_steps if drawn is not None else 1, objectives._GATHER_BYTES // step_bytes))
         self.x = np.empty((len(positions), span, b, model.n_features))
         self.y = np.empty((len(positions), span, b), dtype=labels[positions[0]].dtype)
         for i, (d, p) in enumerate(zip(data, positions)):
@@ -509,12 +346,11 @@ def _local_sgd(
     local_steps: int,
     eta: float,
     batch_size: int,
-    rngs: Sequence,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """:func:`_sgd` with each client's minibatches for all ``local_steps``
     drawn from ``rngs[i]`` when the round starts, the indices it would
-    draw alone step by step; ``rngs`` are all Generators or all fresh
-    ``PCG64`` bit generators (see ``objectives._draw_batches``)."""
+    draw alone step by step."""
 
     def draw(b: int, positions: list[int]) -> np.ndarray:
         ms = [shards[p].data.m for p in positions]
@@ -634,9 +470,10 @@ class _LossEstimate:
     """A run's per-round training-loss estimate, on checked shards.
 
     With ``batch_size`` None this is the full loss on every row of every
-    shard; otherwise each shard's ``min(batch_size, m)`` rows are drawn from
-    its ``ROLE_LOSS`` stream of the round, as ``sample_batch`` would, in
-    blocks of rounds (see :class:`_Batches`) up to ``rounds``.  Shards with
+    shard; otherwise each round draws each shard's ``min(batch_size, m)``
+    rows from the shard's ``ROLE_LOSS`` stream of the run, as
+    ``sample_batch`` would, in blocks of rounds (see :class:`_Batches`) up
+    to ``rounds``; the rounds are estimated in order.  Shards with
     the same row count get their losses from one stacked kernel call.  Its
     buffers, and the rows that never change, are set up once per run.  The
     weighted sum runs in shard order.
@@ -697,12 +534,13 @@ def run_round(
     master_seed: int,
     train_loss: float | None = None,
 ) -> tuple[GlobalState, RoundRecord]:
-    """One synchronous round at level ``s``; returns new state and record."""
+    """One synchronous round at level ``s``, on streams keyed by (role,
+    client, ``state.round_index``); returns new state and record."""
     _check_shards(model, shards)
     if train_loss is None:
         train_loss = global_loss(model, shards, state.w)
     k = state.round_index
-    sgd = [derive_rng(master_seed, ROLE_SGD, sh.client_id, k).bit_generator for sh in shards]
+    sgd = [derive_rng(master_seed, ROLE_SGD, sh.client_id, k) for sh in shards]
     quant = [derive_rng(master_seed, ROLE_QUANT, sh.client_id, k) for sh in shards]
     try:
         deltas = _local_sgd(model, shards, state.w, local_steps, eta, batch_size, sgd)
@@ -726,11 +564,12 @@ def _round(
 ) -> tuple[GlobalState, RoundRecord]:
     """The rest of :func:`run_round` once the clients' ``deltas`` are in.
 
-    ``quant_rngs`` are the round's ``ROLE_QUANT`` generators, one per
-    shard; ``cost`` is ``bits_per_update(model.dim, s)``; ``uplink`` takes
-    the deltas to the next global parameters, which it builds fresh, with
-    :func:`_uplink`'s signature.  ``fields`` are the record's
-    ``train_loss``, ``eval_metric``, ``interval`` and ``feasible``.
+    ``quant_rngs`` are the ``ROLE_QUANT`` generators the round draws from,
+    one per shard; ``cost`` is ``bits_per_update(model.dim, s)``;
+    ``uplink`` takes the deltas to the next global parameters, which it
+    builds fresh, with :func:`_uplink`'s signature.  ``fields`` are the
+    record's ``train_loss``, ``eval_metric``, ``interval`` and
+    ``feasible``.
     """
     k = state.round_index
     w_next = uplink(state.w, deltas, s, quant_rngs, [sh.weight for sh in shards])
@@ -835,8 +674,9 @@ def _train(
     *,
     exact: bool = False,
 ) -> TrainingRun:
-    """The round loop of :func:`run_training`; with ``exact`` the uplink is
-    :func:`_exact_uplink`, which derives no ``ROLE_QUANT`` stream."""
+    """The round loop of :func:`run_training`, on streams derived once per
+    run; with ``exact`` the uplink is :func:`_exact_uplink`, and no
+    ``ROLE_QUANT`` stream is derived."""
     problem = build_problem(config)
     model, shards = problem.model, problem.shards
     _check_shards(model, shards)
@@ -852,8 +692,7 @@ def _train(
             blocks[b] = _Batches(config.master_seed, ROLE_SGD, members, b, config.local_steps, config.rounds)
         return blocks[b](k)
 
-    client_ids = [sh.client_id for sh in shards]
-    quant_streams = None if exact else _Streams(config.master_seed, ROLE_QUANT, client_ids)
+    quant_rngs = () if exact else [derive_rng(config.master_seed, ROLE_QUANT, sh.client_id) for sh in shards]
     uplink = _exact_uplink if exact else _uplink
     w0 = objectives.init_params(model, derive_rng(config.master_seed, ROLE_INIT))
     state = GlobalState(w=w0, round_index=0, cumulative_bits=0)
@@ -894,7 +733,6 @@ def _train(
                 eta_k, config.smoothness, model.dim, config.local_steps, s_k, config.n_clients
             )
         metric = _eval_metric(problem, state.w) if k % config.eval_every == 0 else None
-        quant_rngs = () if exact else [np.random.Generator(bg) for bg in quant_streams(k)]
         draw = functools.partial(sgd_batches, k=k)
         try:
             # no name holds the deltas, so they are freed when the round ends

@@ -14,9 +14,8 @@ unbiased estimates of the full-data gradient.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -281,243 +280,50 @@ def _labels(model: ModelSpec, labels: np.ndarray) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64 if model.kind == "mlp" else np.float64)
 
 
-# Generator.choice(m, b, replace=False) (numpy/random/_generator.pyx) takes
-# a sample with Floyd's algorithm and shuffles it, unless m > 10000 and
-# b > m // 50, where it shuffles the tail of arange(m) instead.  Every bound
-# it draws under is fixed by (m, b), so all the draws of many calls can be
-# made at once and the steps that depend on their values applied after.
-_FLOYD_MAX_ROWS = 10000
-_TAIL_CUTOFF = 50
-_U32 = 1 << 32
+# bytes of minibatch rows gathered at once, and of the sampler's index plane
+_GATHER_BYTES = 1 << 20
 
 
-class _Regime:
-    """The streams of a plan in one of ``choice``'s regimes: their
-    positions in the plan's list and the bounds one call draws under, a
-    row per distinct row count ``ms[r]``; stream ``positions[i]`` has row
-    ``rows[i]``.  The rows are broadcast over the calls, and over the
-    streams when they share one, so they do not grow with either."""
+def _draw_batches(rngs: Sequence, ms: Sequence[int], batch_size: int, count: int = 1) -> np.ndarray:
+    """Minibatch row indices, ``count`` per stream: entry ``[i, t]`` is the
+    ``t``-th minibatch of ``batch_size`` of ``ms[i]`` rows from ``rngs[i]``.
 
-    def __init__(self, positions: list[int], ms: list[int], bounds: Callable) -> None:
-        self.positions = positions
-        self.ms, self.rows = np.unique(ms, return_inverse=True)
-        self.highs = np.array([bounds(m) for m in self.ms.tolist()], dtype=np.uint64)[:, None]
-        self.thresholds = ((_U32 - self.highs) % self.highs).astype(np.uint32)
-        for value in (self.ms, self.rows, self.highs, self.thresholds):
-            value.setflags(write=False)
-
-
-@functools.lru_cache(maxsize=64)
-def _choice_plan(ms: tuple[int, ...], b: int) -> tuple[_Regime | None, _Regime | None]:
-    """The streams of ``ms`` rows in Floyd's regime of ``choice(m, b,
-    replace=False)`` and those in the tail regime, each None when no
-    stream is in it.  Built once per shape, and shared."""
-    if not all(b < m <= _U32 for m in ms):
-        raise ValueError(f"need batch_size < m <= 2**32 rows, got {b} of {ms}")
-    floyd = [i for i, m in enumerate(ms) if m <= _FLOYD_MAX_ROWS or b <= m // _TAIL_CUTOFF]
-    tail = sorted(set(range(len(ms))) - set(floyd))
-    # Floyd: one draw below j + 1 for j = m-b .. m-1, then the shuffle's
-    # swaps below i + 1 for i = b-1 .. 1; tail: swaps for i = m-1 .. m-b
-    bounds = (lambda m: np.r_[m - b + 1 : m + 1, b:1:-1], lambda m: np.r_[m : m - b : -1])
-    return tuple(
-        _Regime(positions, [ms[i] for i in positions], bound) if positions else None
-        for positions, bound in zip((floyd, tail), bounds)
-    )
-
-
-def _stream_words(streams, n: int) -> tuple[np.ndarray, Callable]:
-    """The first ``n`` 32-bit words each stream's draws read, a row per
-    stream held in 64 bits, and a function giving stream ``i``'s next word
-    after them.
-
-    A ``Generator`` is read through ``integers(0, 2**32, dtype=uint32)``,
-    word by word as its bounded draws read it, whatever its bit generator
-    and state.  A bare ``PCG64`` is read as a fresh ``Generator`` on it
-    would be: the low, then the high half of each raw 64-bit output; that
-    read costs a tenth of the ``integers`` call, which costs about what a
-    ``choice`` call does.
-    """
-    if isinstance(streams[0], np.random.Generator):
-        words = np.stack([g.integers(0, _U32, n, dtype=np.uint32) for g in streams])
-        return words.astype(np.uint64), lambda i: streams[i].integers(0, _U32, 1, dtype=np.uint32)
-    raw = np.concatenate([bg.random_raw((n + 1) // 2) for bg in streams]).reshape(len(streams), -1)
-    full = np.empty((len(streams), 2 * raw.shape[1]), dtype=np.uint64)
-    np.bitwise_and(raw, 0xFFFF_FFFF, out=full[:, 0::2])
-    np.right_shift(raw, 32, out=full[:, 1::2])
-    spares: dict[int, list[int]] = {}
-
-    def more(i: int) -> np.ndarray:
-        if i not in spares:  # an odd stream's spare half word comes first
-            spares[i] = [int(full[i, n])] if n % 2 else []
-        if not spares[i]:
-            r = int(streams[i].random_raw())
-            spares[i] = [r & 0xFFFF_FFFF, r >> 32]
-        return np.array([spares[i].pop(0)], dtype=np.uint32)
-
-    return full[:, :n], more
-
-
-def _bounded(streams, regime: _Regime, count: int) -> np.ndarray:
-    """Every draw of ``count`` calls on each of the regime's streams, as
-    ``Generator.integers`` makes it: uint32, indexed (stream, call, draw).
-
-    Below 2**32 NumPy draws with Lemire's method on 32-bit words: ``word *
-    high`` keeps its high half unless the low half falls below the
-    threshold, when the next word is tried; about one word in ``2**32 /
-    high`` is.
-    """
-    rows = slice(None) if len(regime.ms) == 1 else regime.rows  # one row broadcasts
-    highs, thresholds = regime.highs[rows], regime.thresholds[rows]
-    words, more = _stream_words(streams, count * highs.shape[-1])
-    prod = words.reshape(len(streams), count, -1)
-    prod *= highs  # in place: each word is prod // high
-    low = prod.astype(np.uint32)
-    rejected = low < thresholds
-    if rejected.any():
-        for i in np.flatnonzero(rejected.any(axis=(1, 2))):
-            h, t = (np.broadcast_to(a, prod.shape)[i].ravel() for a in (highs, thresholds))
-            w = prod[i].ravel() // h
-            while (bad := np.flatnonzero((w * h & 0xFFFF_FFFF) < t)).size:
-                w = np.concatenate([w[: bad[0]], w[bad[0] + 1 :], more(i)])
-            prod[i] = (w * h).reshape(count, -1)
-    prod >>= 32
-    low[...] = prod
-    return low
-
-
-def _link_swaps(ptr, target, step, base, first):
-    """Point each position of a swap sequence at where its value comes from.
-
-    Position ``i`` is swapped with ``target <= i`` for ``i`` from the last
-    step down to ``first``; each row holds its swaps sorted by (target,
-    step), and ``base`` is the flat index in ``ptr`` of a row's position 0.
-    A position ``p`` holds what the first swap after step ``p`` into it
-    brought (a swap of ``p`` with itself moves nothing), and that swap
-    brings what position ``i`` held just before it: chains to higher steps.
-    """
-    node = step + base
-    repeat = target[:, 1:] == target[:, :-1]
-    noop = target == step
-    lead = ~noop
-    lead[:, 1:] &= ~repeat | noop[:, :-1]
-    if first > 1:
-        lead &= target >= first - 1
-    into = target + base
-    ptr[into[lead]] = node[lead]
-    return node, repeat, into
-
-
-def _roots(ptr: np.ndarray) -> np.ndarray:
-    """Follow every pointer of a forest to its root, a node pointing to
-    itself, by pointer doubling.  A shuffle's chains seldom pass 8 links,
-    so three doublings go unchecked."""
-    for _ in range(3):
-        ptr = ptr[ptr]
-    while not ((nxt := ptr[ptr]) == ptr).all():
-        ptr = nxt
-    return ptr
-
-
-def _sources(ptr, node, repeat, into):
-    """After :func:`_roots`: step ``i`` takes what its target held, the
-    value of the next swap into the same target or the target's own.
-    Returns ``ptr`` with each step's position pointing at its source."""
-    into[:, :-1][repeat] = ptr[node[:, 1:][repeat]]
-    ptr[node] = into
-    return ptr
-
-
-def _floyd_taken(u: np.ndarray, sample: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Which of Floyd's draws, ``sample`` indexed (step, row), are not kept:
-    flat, like ``sample``.  Draw ``k`` of a row lies below ``j + 1`` for
-    ``j = lo + k`` and is not kept when the sample holds it already: when
-    an earlier draw of its row equals it, or when it is the ``j`` of an
-    earlier step whose draw was not kept, which ``j`` the sample then
-    holds."""
-    b, n = sample.shape
-    taken = np.zeros(b * n, dtype=bool)
-    # draws equal to an earlier one: each row's (draw, step) keys, sorted
-    shift = b.bit_length()
-    narrow = (int(lo.max()) + b) << shift <= _U32
-    keys = u[:, :b].astype(np.uint32 if narrow else np.uint64)
-    keys <<= shift
-    keys |= np.arange(b, dtype=keys.dtype)
-    keys.sort(axis=1)
-    keys = keys.reshape(-1)
-    repeat = (keys[1:] >> shift) == (keys[:-1] >> shift)
-    repeat[b - 1 :: b] = False  # a row's first key follows the last row's last
-    later = np.flatnonzero(repeat) + 1
-    taken[(keys[later] & ((1 << shift) - 1)).astype(np.intp) * n + later // b] = True
-    # draws equal to an earlier step's j (below lo the difference wraps);
-    # each pass carries the marks one link further along a chain
-    earlier = sample - lo
-    hit = np.flatnonzero(earlier < np.arange(b, dtype=np.uint32)[:, None])
-    source = earlier.reshape(-1)[hit].astype(np.intp) * n + hit % n
-    while (grow := taken[source] & ~taken[hit]).any():
-        taken[hit[grow]] = True
-    return taken
-
-
-def _floyd_samples(u: np.ndarray, lo: np.ndarray, b: int) -> np.ndarray:
-    """Samples from rows of Floyd-regime draws, ``b`` for Floyd's algorithm
-    and then ``b - 1`` for the shuffle's swaps, resolved in lockstep across
-    the rows; ``lo = m - b`` is given per row.  The result has a column
-    per row."""
-    n = len(u)
-    sample = u[:, :b].T.copy()
-    flat = sample.reshape(-1)
-    at = np.flatnonzero(_floyd_taken(u, sample, lo))
-    flat[at] = lo[at % n] + at // n  # the j of each draw not kept
-    # the shuffle: step i swaps position i with one at or before it
-    swaps = u[:, b:].T.astype(np.intp)
-    swaps *= n
-    swaps += np.arange(n)
-    for i, j in zip(range(b - 1, 0, -1), swaps):
-        held = flat[j]
-        flat[j] = sample[i]
-        sample[i] = held
-    return sample
-
-
-def _tail_choice(u: np.ndarray, m: int, b: int) -> np.ndarray:
-    """Samples from rows of tail-regime draws: the swaps of steps ``m-1``
-    down to ``m-b`` on ``arange(m)``, whose last ``b`` entries are taken."""
-    count, first, width = len(u), m - b, b + 1
-    shift = b.bit_length()
-    keys = u[:, ::-1] << shift | np.arange(b)
-    keys.sort(axis=1)
-    base = width * np.arange(count)[:, None] - (first - 1)
-    ptr = np.arange(count * width)
-    swaps = _link_swaps(ptr, keys >> shift, (keys & ((1 << shift) - 1)) + first, base, first)
-    ptr = _sources(_roots(ptr), *swaps)
-    return (ptr.reshape(count, width) - base)[:, 1:]
-
-
-def _draw_batches(streams, ms: Sequence[int], batch_size: int, count: int = 1) -> np.ndarray:
-    """Minibatch row indices for several streams, ``count`` each.
-
-    Entry ``[i, t]`` is bit for bit what the ``t``-th of ``count``
-    successive ``choice(ms[i], batch_size, replace=False)`` calls of a
-    ``Generator`` on stream ``i`` return.  ``streams`` are all Generators,
-    left in the state those calls leave, or all ``PCG64`` bit generators
-    that no ``Generator`` has read from, read as a fresh one would be and
-    left advanced by the 64-bit words read.  Each stream is read once, for all
-    its draws; Floyd's duplicate replacement and the shuffles then run on
-    all minibatches together.  Every ``ms[i]`` must exceed ``batch_size``.
+    A minibatch reads ``b`` doubles ``u`` from its stream and is the first
+    ``b`` entries of a partial Fisher-Yates shuffle of ``arange(m)``: step
+    ``i`` swaps positions ``i`` and ``i + floor(u[i] * (m - i))``.  It is a
+    function of its draws alone, and a stream's minibatches read
+    consecutive draws, so one call for ``count`` minibatches equals
+    ``count`` calls for one.  All the shuffles run in lockstep on an index
+    plane of a row per minibatch, ``max(ms)`` wide in the narrowest dtype
+    that holds ``max(ms)``, in chunks of rows within ``_GATHER_BYTES`` (one
+    row at least).  Every ``ms[i]`` must exceed ``batch_size``.
     """
     b = batch_size
-    floyd, tail = _choice_plan(tuple(ms), b)
-    out = np.empty((len(ms), count, b), dtype=np.int64)
-    if floyd:
-        lo = np.repeat((floyd.ms - b).astype(np.uint32)[floyd.rows], count)
-        draws = _bounded([streams[i] for i in floyd.positions], floyd, count)
-        samples = _floyd_samples(draws.reshape(-1, 2 * b - 1), lo, b)
-        out[floyd.positions] = samples.T.reshape(len(floyd.positions), count, b)
-    if tail:
-        draws = _bounded([streams[i] for i in tail.positions], tail, count)
-        for i, m, u in zip(tail.positions, tail.ms[tail.rows].tolist(), draws):
-            out[i] = _tail_choice(u.astype(np.int64), m, b)
-    return out
+    if not all(b < m for m in ms):
+        raise ValueError(f"need batch_size < m rows, got {b} of {list(ms)}")
+    width = max(ms)
+    dtype = np.min_scalar_type(width)
+    u = np.concatenate([rng.random((count, b)) for rng in rngs])
+    u *= np.repeat(np.asarray(ms, dtype=np.float64), count)[:, None] - np.arange(b)
+    # each row's swap targets, offsets from its row's start in the plane,
+    # indexed (step, row) so that a step's targets are contiguous
+    targets = u.T.astype(np.intp)
+    targets += np.arange(b)[:, None]
+    out = np.empty((len(u), b), dtype=dtype)
+    rows = max(1, _GATHER_BYTES // (width * dtype.itemsize))
+    for a in range(0, len(u), rows):
+        n = min(rows, len(u) - a)
+        plane = np.tile(np.arange(width, dtype=dtype), n)
+        at = np.arange(0, n * width, width)  # each row's position i, at step i
+        steps = targets[:, a : a + n]
+        steps += at
+        for j in steps:
+            held = plane.take(at)
+            plane.put(at, plane.take(j))
+            plane.put(j, held)
+            at += 1
+        out[a : a + n] = plane.reshape(n, width)[:, :b]
+    return out.reshape(len(ms), count, b)
 
 
 def loss(model: ModelSpec, w: np.ndarray, data: Dataset) -> float:

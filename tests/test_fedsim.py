@@ -7,8 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from test_local_sgd import reference_local_sgd
 
 from fedquant import fedsim
 from fedquant.config import AdaquantMode, FileData, FixedMode, SyntheticData, TrainingConfig
@@ -75,23 +74,6 @@ class TestDeriveRng:
             with pytest.raises(ValueError, match="non-negative"):
                 derive_rng(42, *key)
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        master=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**140)),
-        key=st.lists(
-            st.one_of(st.integers(0, 7), st.integers(0, 2**32 - 1), st.integers(2**32, 2**80)),
-            max_size=4,
-        ),
-    )
-    def test_equals_seed_sequence_stream(self, master, key):
-        # twice: the second call finds the key's prefix in the cache
-        for _ in range(2):
-            got = derive_rng(master, *key)
-            want = np.random.default_rng(np.random.SeedSequence(master, spawn_key=tuple(key)))
-            assert got.bit_generator.state == want.bit_generator.state
-            assert np.array_equal(got.random(4), want.random(4))
-            assert np.array_equal(got.integers(0, 2**63, size=3), want.integers(0, 2**63, size=3))
-
     @pytest.mark.parametrize(
         "master, key",
         [
@@ -115,68 +97,8 @@ class TestDeriveRng:
         want = np.random.default_rng(np.random.SeedSequence(int(parts[0]), spawn_key=parts[1:]))
         assert derive_rng(*parts).bit_generator.state == want.bit_generator.state
         for bad in [(1.0, 3), (1, 3.0), (1, 2.0, 3)]:
-            derive_rng(*(int(part) for part in bad))  # the int form is cached
             with pytest.raises(TypeError):
                 derive_rng(*bad)
-
-    def test_stream_seed_cannot_spawn(self):
-        rng = derive_rng(1, fedsim.ROLE_SGD, 0, 0)
-        with pytest.raises(TypeError):
-            rng.spawn(1)
-
-
-class TestStreamBlocks:
-    """A run's streams mixed many rounds at a time equal ``derive_rng``'s."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        master=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**140)),
-        role=st.sampled_from([fedsim.ROLE_SGD, fedsim.ROLE_QUANT, fedsim.ROLE_LOSS]),
-        clients=st.lists(
-            st.one_of(st.integers(0, 40), st.integers(2**32, 2**70)), min_size=1, max_size=5
-        ),
-        first=st.sampled_from([0, 7, 2**32 - 2 * fedsim._STREAM_ROUNDS - 3, 2**32 - 5, 2**32, 2**40]),
-        jumps=st.lists(st.integers(-20, 40), min_size=1, max_size=6),
-    )
-    def test_equal_derive_rng_state_for_state(self, master, role, clients, first, jumps):
-        # rounds run forward across block edges, then jump back and ahead,
-        # and reach 2**32 and beyond, where the round is two words
-        streams = fedsim._Streams(master, role, clients)
-        rounds = list(range(first, first + 2 * fedsim._STREAM_ROUNDS + 3))
-        for jump in jumps:
-            rounds.append(max(0, rounds[-1] + jump))
-        for k in rounds:
-            got = streams(k)
-            assert len(got) == len(clients)
-            for c, bg in zip(clients, got):
-                want = derive_rng(master, role, c, k).bit_generator
-                assert bg.state == want.state
-                assert np.array_equal(bg.random_raw(3), want.random_raw(3))
-
-    def test_negative_round_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            fedsim._Streams(3, fedsim.ROLE_SGD, [0, 1])(-1)
-
-    def test_unquantized_run_derives_no_quantization_stream(self, monkeypatch):
-        roles = []
-        streams, derive = fedsim._Streams, fedsim.derive_rng
-
-        def recording_streams(master_seed, role, client_ids):
-            roles.append(role)
-            return streams(master_seed, role, client_ids)
-
-        def recording_derive(master_seed, *key):
-            roles.extend(key[:1])
-            return derive(master_seed, *key)
-
-        monkeypatch.setattr(fedsim, "_Streams", recording_streams)
-        monkeypatch.setattr(fedsim, "derive_rng", recording_derive)
-        config = quad_config(loss_estimate="minibatch")
-        run_unquantized(config)
-        assert fedsim.ROLE_SGD in roles and fedsim.ROLE_LOSS in roles
-        assert fedsim.ROLE_QUANT not in roles
-        run_training(config)
-        assert fedsim.ROLE_QUANT in roles
 
 
 class TestLocalRound:
@@ -449,17 +371,40 @@ class TestRunTraining:
 
 class TestRunUnquantized:
     def test_matches_manual_aggregation(self):
+        # the run's SGD streams, one per client, read in round order
         config = quad_config(rounds=2)
         trail = run_unquantized(config)
         problem = build_problem(config)
+        rngs = [derive_rng(11, fedsim.ROLE_SGD, shard.client_id) for shard in problem.shards]
         w = np.zeros(3)
         for k in range(2):
             step = np.zeros(3)
-            for shard in problem.shards:
-                rng = derive_rng(11, fedsim.ROLE_SGD, shard.client_id, k)
-                step += shard.weight * local_round(QUAD, shard, w, 3, 0.05, 8, rng)
+            deltas = reference_local_sgd(QUAD, problem.shards, w, 3, 0.05, 8, rngs)
+            for shard, delta in zip(problem.shards, deltas):
+                step += shard.weight * delta
             w = w + step
             np.testing.assert_array_equal(trail[k], w)
+
+    def test_unquantized_run_derives_no_quantization_stream(self, monkeypatch):
+        keys = []
+        derive = fedsim.derive_rng
+
+        def recording_derive(master_seed, *key):
+            keys.append(key)
+            return derive(master_seed, *key)
+
+        monkeypatch.setattr(fedsim, "derive_rng", recording_derive)
+        config = quad_config(loss_estimate="minibatch")
+        clients = range(config.n_clients)
+        setup = [(fedsim.ROLE_DATA,), (fedsim.ROLE_PARTITION,), (fedsim.ROLE_INIT,)]
+        # once per run, one stream per (role, client), none for quantization
+        for run, roles in (
+            (run_unquantized, (fedsim.ROLE_SGD, fedsim.ROLE_LOSS)),
+            (run_training, (fedsim.ROLE_SGD, fedsim.ROLE_QUANT, fedsim.ROLE_LOSS)),
+        ):
+            keys.clear()
+            run(config)
+            assert sorted(keys) == sorted(setup + [(role, c) for role in roles for c in clients])
 
     def test_budget_and_threshold_do_not_stop_it(self):
         first = run_training(quad_config(rounds=6)).records[0]
@@ -595,8 +540,8 @@ class TestBuildProblem:
             built.append(fedsim._exact_uplink(w, deltas, s, rngs, weights))
             return built[-1]
 
-        rngs = [derive_rng(0, fedsim.ROLE_SGD, sh.client_id, 4).bit_generator for sh in shards]
-        deltas = fedsim._local_sgd(QUAD, shards, state.w, 2, 0.05, 4, rngs)
+        rngs = [derive_rng(0, fedsim.ROLE_SGD, sh.client_id) for sh in shards]
+        deltas = np.array(reference_local_sgd(QUAD, shards, state.w, 2, 0.05, 4, rngs))
         cost = bits_per_update(3, 3)
         new_state, _ = fedsim._round(
             shards, state, 3, 0.05, deltas, (), cost, uplink, train_loss=1.0

@@ -1,11 +1,14 @@
 """Golden outputs: pinned CSV digests that guard bit identity across changes.
 
 Each test runs a fixed config at seed 0, writes the standard per-round CSV
-with ``harness.emit_csv`` and compares its sha256 with a value pinned from
-the commit before local SGD stepped all clients of a round together (the
-per-client, per-step loop).  Any change to an RNG stream, a summation
-order or the CSV format moves these digests; such a change must be
-declared, not absorbed by re-pinning.
+with ``harness.emit_csv`` and compares its sha256 with a pinned value.
+The values were pinned when the run's streams became one NumPy generator
+per (role, client), read in round order, with minibatches from a partial
+Fisher-Yates shuffle of ``b`` doubles each, after the old and new streams
+were compared over 20 seeds of the five ``sweep`` legs (CHANGES.md).
+Since then every stream, summation order and CSV byte has been held.  Any
+change to an RNG stream, a summation order or the CSV format moves these
+digests; such a change must be declared, not absorbed by re-pinning.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ def tiny_mlp_config() -> TrainingConfig:
 
 def test_reference_adaquant_csv_is_pinned(tmp_path):
     digest = csv_sha256(reference_config(rounds=60), tmp_path)
-    assert digest == "18d9cdd86149c334902e93a5ebc588bd2b283bdd4f4a1dbaefc23736b258a5bc"
+    assert digest == "ee89941b90ffc0caa7f08e19f826407a256e89dd66cbe7c6804e6a43a80d2f7b"
 
 
 def test_tiny_mlp_minibatch_csv_is_pinned(tmp_path):
     digest = csv_sha256(tiny_mlp_config(), tmp_path)
-    assert digest == "b7406665f749b6306c56aaa070a0b0f03e153c6822cc41b05b30127d52b4e4a3"
+    assert digest == "caeb4a7e2a6e5eb9e6b45634a6d7437f940ca3e0b5d0af5cce69fcd2c78a4bf3"

@@ -2,9 +2,11 @@
 
 The simulator advances every client of a round in lockstep and gets their
 gradients from one stacked kernel.  These tests hold it to the loop it
-replaced, kept here as the reference: each client alone, per step the
-public ``sample_batch`` then ``gradient``, then ``w -= eta * g``.  The
-deltas, the random streams and the divergence errors must match exactly.
+replaced, kept here as the reference: each client alone, per step a
+minibatch drawn by the sampler's one-row specification
+(``test_sampler.reference_batch``) then ``gradient``, then
+``w -= eta * g``.  The deltas, the random streams and the divergence
+errors must match exactly.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_sampler import fisher_yates, reference_batch
 
-from fedquant import fedsim
+from fedquant import objectives
 from fedquant.config import FixedMode, SyntheticData, TrainingConfig
 from fedquant.controller import LrSchedule
 from fedquant.fedsim import (
@@ -51,12 +54,12 @@ MODELS = {
 
 
 def reference_local_sgd(model, shards, w_start, local_steps, eta, batch_size, rngs):
-    """The client-by-client loop, step by step through the public API."""
+    """The client-by-client loop, step by step."""
     deltas = []
     for shard, rng in zip(shards, rngs):
         w = np.array(w_start, dtype=np.float64)
         for t in range(local_steps):
-            batch = sample_batch(shard.data, batch_size, rng)
+            batch = reference_batch(shard.data, batch_size, rng)
             g = gradient(model, w, batch)
             w -= eta * g
             if not np.all(np.isfinite(w)) or float(np.max(np.abs(w))) > 1e18:
@@ -189,8 +192,9 @@ def test_deltas_are_one_plane_in_shard_order(sizes):
 def test_rows_gathered_a_few_steps_at_a_time(monkeypatch, layout, gather_bytes):
     # a stack gathers its clients' rows for as many steps as fit in
     # _GATHER_BYTES, at least one: "equal" steps 4 clients of batch 8 in
-    # 1024 bytes, so its 5 steps are gathered 1, 2 or 3 at a time
-    monkeypatch.setattr(fedsim, "_GATHER_BYTES", gather_bytes)
+    # 1024 bytes, so its 5 steps are gathered 1, 2 or 3 at a time; the
+    # sampler's index plane is cut into as many chunks
+    monkeypatch.setattr(objectives, "_GATHER_BYTES", gather_bytes)
     model = MODELS["logistic"]
     sizes, batch_size, steps = LAYOUTS[layout]
     shards = make_shards(model, sizes)
@@ -280,8 +284,9 @@ def test_divergence_names_first_client_in_shard_order():
 
 
 def test_divergence_in_a_later_round_keeps_its_context():
-    # at eta = 2.5 the client-by-client loop stopped in round 18, at client
-    # 3's first local step
+    # at eta = 2.5 this run diverges in round 18, at client 3's last local
+    # step (tests/test_training_loop.py holds such a run to the
+    # client-by-client loop)
     config = TrainingConfig(
         model=QUAD2,
         data=SyntheticData(kind="regression", samples=64, n_features=2, noise=0.1),
@@ -298,32 +303,10 @@ def test_divergence_in_a_later_round_keeps_its_context():
         with pytest.raises(TrainingDiverged) as info:
             run_training(config)
     exc = info.value
-    assert str(exc) == "client 3: parameters blew up at local step 1"
-    assert (exc.client_id, exc.step, exc.round_index) == (3, 1, 18)
+    assert str(exc) == "client 3: parameters blew up at local step 2"
+    assert (exc.client_id, exc.step, exc.round_index) == (3, 2, 18)
     complete = run_training(replace(config, rounds=18))
     assert exc.records == complete.records
-
-
-def choice_local_sgd(model, shards, w_start, local_steps, eta, batch_size, rngs):
-    """The client-by-client loop with each minibatch drawn by
-    ``Generator.choice`` at its step, as before a round's minibatches were
-    drawn up front."""
-    deltas = []
-    for shard, rng in zip(shards, rngs):
-        w = np.array(w_start, dtype=np.float64)
-        for t in range(local_steps):
-            data = shard.data
-            if batch_size < data.m:
-                data = data.subset(rng.choice(data.m, batch_size, replace=False))
-            w -= eta * gradient(QUAD2, w, data)
-            if not np.all(np.isfinite(w)) or float(np.max(np.abs(w))) > 1e18:
-                raise TrainingDiverged(
-                    f"client {shard.client_id}: parameters blew up at local step {t}",
-                    step=t,
-                    client_id=shard.client_id,
-                )
-        deltas.append(w - w_start)
-    return deltas
 
 
 def test_diverging_round_drawn_ahead_keeps_its_error():
@@ -334,7 +317,7 @@ def test_diverging_round_drawn_ahead_keeps_its_error():
     state = GlobalState(w=np.ones(2), round_index=3, cumulative_bits=0)
     sgd_streams = [derive_rng(0, ROLE_SGD, sh.client_id, 3) for sh in shards]
     with pytest.raises(TrainingDiverged) as ref:
-        choice_local_sgd(QUAD2, shards, np.ones(2), 40, 1.0, 2, sgd_streams)
+        reference_local_sgd(QUAD2, shards, np.ones(2), 40, 1.0, 2, sgd_streams)
     assert ref.value.client_id == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -350,7 +333,7 @@ def test_diverging_round_drawn_ahead_keeps_its_error():
     # the clients before the diverging one are unaffected
     first = shards[:1]
     kept = _local_sgd(QUAD2, first, np.ones(2), 40, 1.0, 2, [derive_rng(0, ROLE_SGD, 0, 3)])
-    want = choice_local_sgd(QUAD2, first, np.ones(2), 40, 1.0, 2, [derive_rng(0, ROLE_SGD, 0, 3)])
+    want = reference_local_sgd(QUAD2, first, np.ones(2), 40, 1.0, 2, [derive_rng(0, ROLE_SGD, 0, 3)])
     assert np.array_equal(kept[0], want[0])
 
 
@@ -359,18 +342,18 @@ def test_divergence_inside_a_gathered_span_keeps_its_error(monkeypatch, gather_b
     # a step of 4 clients of batch 2 on 2 features is 128 bytes: the rows
     # of 1 or 3 steps are gathered at once.  Clients 2 and 3 blow up at
     # step 1, so step 2, the first span's last, runs without them; client
-    # 1 blows up at step 27
-    monkeypatch.setattr(fedsim, "_GATHER_BYTES", gather_bytes)
+    # 1 blows up at step 29
+    monkeypatch.setattr(objectives, "_GATHER_BYTES", gather_bytes)
     shards = [scaled_shard(i, scale) for i, scale in enumerate((0.1, 3.0, 1e8, 1e8))]
     with pytest.raises(TrainingDiverged) as ref:
-        choice_local_sgd(QUAD2, shards, np.ones(2), 40, 1.0, 2, streams(4))
+        reference_local_sgd(QUAD2, shards, np.ones(2), 40, 1.0, 2, streams(4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TrainingDiverged) as got:
             _local_sgd(QUAD2, shards, np.ones(2), 40, 1.0, 2, streams(4))
     assert str(got.value) == str(ref.value)
     kept = _local_sgd(QUAD2, shards[:2], np.ones(2), 20, 1.0, 2, streams(2))
-    want = choice_local_sgd(QUAD2, shards[:2], np.ones(2), 20, 1.0, 2, streams(2))
+    want = reference_local_sgd(QUAD2, shards[:2], np.ones(2), 20, 1.0, 2, streams(2))
     assert all(np.array_equal(a, b) for a, b in zip(kept, want))
 
 
@@ -383,5 +366,5 @@ def test_local_round_stream_gives_all_draws_even_when_diverging():
             local_round(QUAD2, shard, np.ones(2), 5, 1.0, 2, rng)
     assert info.value.step < 4
     for _ in range(5):
-        ref.choice(4, 2, replace=False)
+        fisher_yates(ref, 4, 2)
     assert rng.bit_generator.state == ref.bit_generator.state

@@ -4,15 +4,17 @@ A run's loss estimate evaluates every group of shards with the same row
 count in one stacked kernel call, and the public ``loss`` is that kernel
 on one block.  These tests hold both to the code they replaced, kept here
 as the reference: the unstacked loss formulas, applied to each shard alone
-(after ``sample_batch`` on the shard's ``ROLE_LOSS`` stream for the
-minibatch estimate), weighted and summed in shard order.  The values must
-match exactly.
+(for the minibatch estimate, on a minibatch drawn by the sampler's one-row
+specification from the shard's ``ROLE_LOSS`` stream of the run, read in
+round order), weighted and summed in shard order.  The values must match
+exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from test_sampler import reference_batch
 
 from fedquant.fedsim import ROLE_LOSS, _LossEstimate, derive_rng, global_loss
 from fedquant.objectives import (
@@ -23,7 +25,6 @@ from fedquant.objectives import (
     generate_synthetic,
     init_params,
     loss,
-    sample_batch,
 )
 
 MODELS = {
@@ -76,13 +77,18 @@ def unstacked_loss(model, w, x, y) -> float:
     return float(-np.mean(log_p[np.arange(x.shape[0]), np.asarray(y, dtype=np.int64)]))
 
 
-def reference_estimate(model, shards, w, batch_size, master_seed, round_index) -> float:
+def loss_streams(shards, master_seed):
+    return [derive_rng(master_seed, ROLE_LOSS, sh.client_id) for sh in shards]
+
+
+def reference_estimate(model, shards, w, batch_size, rngs) -> float:
+    """The next round's estimate; ``rngs`` are the shards' ``ROLE_LOSS``
+    streams, None for the full loss."""
     total = 0.0
-    for sh in shards:
+    for i, sh in enumerate(shards):
         data = sh.data
         if batch_size is not None:
-            rng = derive_rng(master_seed, ROLE_LOSS, sh.client_id, round_index)
-            data = sample_batch(data, batch_size, rng)
+            data = reference_batch(data, batch_size, rngs[i])
         total += sh.weight * unstacked_loss(model, w, data.features, data.labels)
     return total
 
@@ -95,7 +101,7 @@ def test_full_estimate_equals_global_loss(kind, layout):
     estimate = _LossEstimate(model, shards, None, 0, 3)
     for k in range(3):
         w = start_point(model) * (k + 1)
-        expected = reference_estimate(model, shards, w, None, 0, k)
+        expected = reference_estimate(model, shards, w, None, None)
         assert estimate(w, k) == expected == global_loss(model, shards, w)
 
 
@@ -106,21 +112,33 @@ def test_minibatch_estimate_equals_reference_loop(kind, layout, batch_size):
     model = MODELS[kind]
     shards = make_shards(model, layout)
     estimate = _LossEstimate(model, shards, batch_size, 17, 3)
+    rngs = loss_streams(shards, 17)
     for k in range(3):
         w = start_point(model) * (k + 1)
-        assert estimate(w, k) == reference_estimate(model, shards, w, batch_size, 17, k)
+        assert estimate(w, k) == reference_estimate(model, shards, w, batch_size, rngs)
 
 
 def test_minibatches_drawn_for_blocks_of_rounds():
     # the minibatches of several rounds come from one sampler call; rounds
-    # across a block's end and back in time draw what the round's own
-    # streams give
+    # across a block's end, twice, and in a short last block draw what the
+    # streams read round by round give
     model = MODELS["logistic"]
     shards = make_shards(model, (9, 4, 4, 9, 7))
     estimate = _LossEstimate(model, shards, 5, 17, 42)
-    for k in (0, 1, 15, 16, 17, 19, 3, 40, 41):
+    rngs = loss_streams(shards, 17)
+    for k in range(42):
         w = start_point(model) * (k + 1)
-        assert estimate(w, k) == reference_estimate(model, shards, w, 5, 17, k)
+        assert estimate(w, k) == reference_estimate(model, shards, w, 5, rngs)
+        assert estimate(w, k) == estimate(w, k)  # a round asked for again
+    # the streams are read in round order: a round skipped, or one asked
+    # for again once its block is gone, is refused
+    estimate = _LossEstimate(model, shards, 5, 17, 42)
+    estimate(w, 0)
+    with pytest.raises(ValueError, match="round 17 asked for after round 15"):
+        estimate(w, 17)
+    estimate(w, 16)
+    with pytest.raises(ValueError, match="round 3 asked for after round 31"):
+        estimate(w, 3)
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))

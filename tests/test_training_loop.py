@@ -2,12 +2,14 @@
 reference.
 
 A run draws every client's SGD minibatches, and the loss estimate's, for
-blocks of rounds in one sampler call each.  The reference loop steps each
-client alone through the public API, drawing each minibatch at its step
-with ``Generator.choice`` on ``derive_rng(master_seed, ROLE_SGD, client,
-round)``, quantizes each delta on its own ``ROLE_QUANT`` stream and
-aggregates.  Records, the parameter trail and the divergence errors must
-match exactly, across block ends and at stops inside a block.
+blocks of rounds in one sampler call each.  The reference loop derives the
+run's streams, one per (role, client) from ``derive_rng(master_seed, role,
+client)``, and reads them in round order: it steps each client alone
+through the public API, drawing each minibatch at its step by the
+sampler's one-row specification (``test_sampler.fisher_yates``) on the
+client's ``ROLE_SGD`` stream, quantizes each delta on its ``ROLE_QUANT``
+stream and aggregates.  Records, the parameter trail and the divergence
+errors must match exactly, across block ends and at stops inside a block.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_sampler import reference_batch
 
 from fedquant import fedsim, objectives
 from fedquant.config import AdaquantMode, FixedMode, SyntheticData, TrainingConfig
@@ -41,7 +44,6 @@ from fedquant.objectives import (
     gradient,
     init_params,
     loss,
-    sample_batch,
 )
 from fedquant.quantizer import bits_per_update, quantize
 
@@ -51,6 +53,10 @@ def reference_training(config: TrainingConfig):
     problem = fedsim.build_problem(config)
     model, shards, seed = problem.model, problem.shards, config.master_seed
     w = init_params(model, derive_rng(seed, ROLE_INIT))
+    sgd, quant, losses = (
+        {sh.client_id: derive_rng(seed, role, sh.client_id) for sh in shards}
+        for role in (ROLE_SGD, ROLE_QUANT, ROLE_LOSS)
+    )
     bits, records, trail = 0, [], []
     schedule = None
     if isinstance(config.quantization, AdaquantMode):
@@ -61,7 +67,7 @@ def reference_training(config: TrainingConfig):
         for sh in shards:
             data = sh.data
             if config.loss_estimate == "minibatch":
-                data = sample_batch(data, config.batch_size, derive_rng(seed, ROLE_LOSS, sh.client_id, k))
+                data = reference_batch(data, config.batch_size, losses[sh.client_id])
             f_wk += sh.weight * loss(model, w, data)
         if not np.isfinite(f_wk):
             raise TrainingDiverged("non-finite training loss", round_index=k, records=tuple(records))
@@ -79,19 +85,16 @@ def reference_training(config: TrainingConfig):
             metric = accuracy(model, w, problem.eval_data)
         updates = []
         for sh in shards:
-            rng = derive_rng(seed, ROLE_SGD, sh.client_id, k)
             w_i = w.copy()
             for t in range(config.local_steps):
-                data = sh.data
-                if config.batch_size < data.m:
-                    data = data.subset(rng.choice(data.m, config.batch_size, replace=False))
+                data = reference_batch(sh.data, config.batch_size, sgd[sh.client_id])
                 w_i -= eta * gradient(model, w_i, data)
                 if not np.all(np.isfinite(w_i)) or float(np.max(np.abs(w_i))) > 1e18:
                     raise TrainingDiverged(
                         f"client {sh.client_id}: parameters blew up at local step {t}",
                         step=t, client_id=sh.client_id, round_index=k, records=tuple(records),
                     )
-            updates.append(quantize(w_i - w, s, derive_rng(seed, ROLE_QUANT, sh.client_id, k)))
+            updates.append(quantize(w_i - w, s, quant[sh.client_id]))
         w = aggregate(w, updates, [sh.weight for sh in shards])
         bits += cost.total_bits
         records.append(RoundRecord(
@@ -160,15 +163,15 @@ def test_blocks_stop_at_the_last_round(monkeypatch):
     # from one call each, none for a round the run never reaches
     calls = []
 
-    def recording(streams, ms, batch_size, count=1):
+    def recording(rngs, ms, batch_size, count=1):
         calls.append((len(ms), count))
-        return draw(streams, ms, batch_size, count)
+        return draw(rngs, ms, batch_size, count)
 
     draw = objectives._draw_batches
     monkeypatch.setattr(objectives, "_draw_batches", recording)
     config = make_config(rounds=5, loss_estimate="minibatch")
     assert len(assert_matches_reference(config)) == 5
-    assert sorted(calls[:2]) == [(4 * 5, 1), (4 * 5, 3)]
+    assert sorted(calls[:2]) == [(4, 5 * 1), (4, 5 * 3)]
 
 
 def test_loss_threshold_stops_inside_a_block():
@@ -186,10 +189,10 @@ def test_bit_budget_stops_inside_a_block():
 
 
 def test_divergence_inside_a_block_keeps_its_context():
-    # at eta = 2.5 this quadratic run diverges in round 18, in the second
-    # block, at client 2's last local step
+    # at eta = 2.5 this quadratic run diverges in round 22, in the second
+    # block, at client 1's last local step
     config = make_config("quadratic", lr=LrSchedule.constant(2.5), rounds=200, batch_size=8)
-    config = replace(config, data=replace(config.data, samples=64, eval_samples=0), master_seed=11,
+    config = replace(config, data=replace(config.data, samples=64, eval_samples=0), master_seed=13,
                      quantization=FixedMode(bits=4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
