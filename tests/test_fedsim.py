@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from test_local_sgd import reference_local_sgd
+from test_sampler import fisher_yates
 
 from fedquant import fedsim
 from fedquant.config import AdaquantMode, FileData, FixedMode, SyntheticData, TrainingConfig
@@ -99,6 +100,55 @@ class TestDeriveRng:
         for bad in [(1.0, 3), (1, 3.0), (1, 2.0, 3)]:
             with pytest.raises(TypeError):
                 derive_rng(*bad)
+
+
+class TestBatches:
+    """A run's minibatches, asked for round by round, are its per-client
+    streams read in round order through the one-row sampler."""
+
+    SHARDS = [quad_shard(seed=1, m=12, client_id=4), quad_shard(seed=2, m=300, client_id=9)]
+
+    def batches(self, rounds, b=5, count=3):
+        return fedsim._Batches(11, fedsim.ROLE_SGD, self.SHARDS, b, count, rounds)
+
+    @pytest.mark.parametrize("rounds", [1, fedsim._STREAM_ROUNDS, fedsim._STREAM_ROUNDS + 1, 40])
+    def test_rounds_are_the_streams_read_in_order(self, rounds):
+        batches = self.batches(rounds)
+        refs = [derive_rng(11, fedsim.ROLE_SGD, sh.client_id) for sh in self.SHARDS]
+        for k in range(rounds):
+            got = batches(k)
+            assert got.shape == (2, 3, 5)
+            for shard, ref, rows in zip(self.SHARDS, refs, got):
+                for t in range(3):
+                    assert np.array_equal(rows[t], fisher_yates(ref, shard.data.m, 5)), (k, t)
+        # the last block stops at the last round: nothing is drawn past it
+        for used, ref in zip(batches.rngs, refs):
+            assert used.bit_generator.state == ref.bit_generator.state
+
+    def test_any_round_of_the_current_block_can_be_asked_again(self):
+        batches, fresh = self.batches(20), self.batches(20)
+        want = [fresh(k).copy() for k in range(6)]
+        assert np.array_equal(batches(0), want[0])
+        assert np.array_equal(batches(5), want[5])
+        assert np.array_equal(batches(2), want[2])
+
+    @pytest.mark.parametrize(
+        "read, asked",
+        [
+            # the first round asked for is not round 0
+            ((), 1),
+            # a round of a block already left behind
+            (range(fedsim._STREAM_ROUNDS + 1), fedsim._STREAM_ROUNDS - 1),
+            # a round past the block that follows the current one
+            (range(fedsim._STREAM_ROUNDS + 1), 2 * fedsim._STREAM_ROUNDS + 1),
+        ],
+    )
+    def test_rounds_out_of_order_rejected(self, read, asked):
+        batches = self.batches(40)
+        for k in read:
+            batches(k)
+        with pytest.raises(ValueError, match=f"round {asked} asked for"):
+            batches(asked)
 
 
 class TestLocalRound:

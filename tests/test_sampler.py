@@ -87,6 +87,29 @@ def test_unequal_rows_in_one_call(ms, b, count):
     assert_matches_one_row_draws(ms, b, count, seed=b)
 
 
+@pytest.mark.parametrize(
+    "m, b",
+    [
+        # the fewest rows, and the last of uint8 and first of uint16 rows
+        (2, 1),
+        (255, 254),
+        (256, 1),
+        (256, 255),
+        # one row, and all rows but one, of the largest uint16 plane
+        (65_535, 1),
+        (65_535, 65_534),
+        # around a batch of 200 at 10,000 rows
+        (10_000, 200),
+        (10_000, 201),
+        (10_001, 200),
+        (10_001, 10_000),
+    ],
+)
+@pytest.mark.parametrize("count", [1, 3])
+def test_boundaries_match_one_row_draws(m, b, count):
+    assert_matches_one_row_draws([m], b, count, seed=m + b)
+
+
 def test_plane_in_several_row_chunks(monkeypatch):
     # 100,000 rows in uint32 are 400,000 bytes a plane row, so 1 MiB holds
     # two: the 5 minibatches below take three chunks
