@@ -172,9 +172,15 @@ def _check_data(model: ModelSpec, data: Dataset) -> None:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
-    # overflows; both share e = e^-|z|
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # overflows; both share e = e^-|z|, formed in one buffer that then
+    # becomes the numerator once 1 + e is taken
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = 1.0 + e
+    np.copyto(e, 1.0, where=z >= 0)
+    e /= denominator
+    return e
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

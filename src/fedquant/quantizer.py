@@ -26,8 +26,9 @@ __all__ = [
 ]
 
 NORM_BITS = 32  # the norm travels as a little-endian IEEE 754 float32
-# Levels are formed in float64 and cast to int64; both hold every integer
-# up to 2**53 exactly, so quantization rejects a larger s.
+# Levels are formed in float64, which holds every integer up to 2**53
+# exactly, so quantization rejects a larger s; they are then cast to the
+# unsigned dtype of _level_dtype(s), which holds [0, s] exactly.
 _MAX_EXACT_LEVEL = 2**53
 
 
@@ -37,8 +38,11 @@ class QuantizedUpdate:
 
     ``norm`` is stored at float32 precision because that is what crosses the
     wire; keeping the in-memory value identical to the decoded value makes
-    encode/decode an exact round trip.  ``signs`` and ``levels`` are
-    read-only; the constructor copies and checks the arrays it is given.
+    encode/decode an exact round trip.  ``signs`` (int8) and ``levels`` are
+    read-only; the constructor checks the arrays it is given and copies them.
+    ``levels`` is held in the narrowest unsigned dtype that holds ``s``
+    (uint8 up to 255, then uint16, uint32, and uint64 beyond), so cast it
+    before signed arithmetic: ``q.levels - 1`` wraps around at 0.
     """
 
     norm: float
@@ -53,16 +57,23 @@ class QuantizedUpdate:
         _check_level(self.s)
         if not np.isfinite(self.norm) or self.norm < 0.0:
             raise ValueError(f"norm must be finite and non-negative, got {self.norm}")
-        signs = np.asarray(self.signs, dtype=np.int8).copy()
-        levels = np.asarray(self.levels, dtype=np.int64).copy()
+        signs, levels = np.asarray(self.signs), np.asarray(self.levels)
         if signs.shape != (self.d,) or levels.shape != (self.d,):
             raise ValueError("signs and levels must be 1-D arrays of length d")
+        # values are checked as given, before any cast can truncate or wrap them
         if not np.all((signs == 1) | (signs == -1)):
             raise ValueError("signs must contain only +1 and -1")
+        if levels.dtype.kind == "f":
+            whole = np.all((levels == np.trunc(levels)) & (levels < 2.0**64))
+        else:
+            whole = levels.dtype.kind in "biu"
+        if not whole:
+            raise ValueError("levels must be integers of at most 64 bits")
         if np.any(levels < 0) or np.any(levels > self.s):
             raise ValueError("levels must lie in [0, s]")
         if self.norm == 0.0 and np.any(levels != 0):
             raise ValueError("zero norm requires all-zero levels")
+        signs, levels = signs.astype(np.int8), levels.astype(_level_dtype(self.s))
         signs.setflags(write=False)
         levels.setflags(write=False)
         object.__setattr__(self, "norm", float(self.norm))
@@ -77,9 +88,9 @@ class QuantizedUpdate:
     ) -> QuantizedUpdate:
         """Wrap arrays that ``quantize`` or ``wire.decode`` just built and checked.
 
-        ``signs`` (int8, +1/-1) and ``levels`` (int64 in ``[0, s]``, all zero
-        when ``norm`` is) are fresh and referenced nowhere else, so they are
-        frozen in place rather than copied and checked again.
+        ``signs`` (int8, +1/-1) and ``levels`` (``_level_dtype(s)``, in
+        ``[0, s]``, all zero when ``norm`` is) are fresh and referenced nowhere
+        else, so they are frozen in place rather than copied and checked again.
         """
         signs.setflags(write=False)
         levels.setflags(write=False)
@@ -122,6 +133,12 @@ def _check_level(s: int) -> None:
         raise ValueError(f"s must be an integer, got {s!r}")
     if s < 1:
         raise ValueError(f"quantization level s must be >= 1, got {s}")
+
+
+def _level_dtype(s: int) -> np.dtype:
+    """The narrowest of uint8, uint16, uint32 and uint64 that holds ``s``;
+    uint64 for any larger ``s``."""
+    return np.min_scalar_type(min(int(s), 2**64 - 1))
 
 
 def _check_input(plane: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,10 +233,10 @@ def quantize(w: np.ndarray, s: int, rng: np.random.Generator) -> QuantizedUpdate
     w, norm, norm32 = _check_vector(w, s)
     signs = _signs(w)
     if norm32 == 0.0:
-        levels = np.zeros(w.size, dtype=np.int64)
+        levels = np.zeros(w.size, dtype=_level_dtype(s))
     else:
         lower, frac = _lattice(w, s, norm)
-        levels = lower.astype(np.int64)
+        levels = lower.astype(_level_dtype(s))
         _carry(levels, frac, rng.random(out=lower))  # the draws reuse lower's buffer
     return QuantizedUpdate._adopt(norm32, signs, levels, s, w.size)
 

@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .quantizer import NORM_BITS, QuantizedUpdate, bits_per_update
+from .quantizer import NORM_BITS, QuantizedUpdate, _level_dtype, bits_per_update
 
 __all__ = ["MAGIC", "VERSION", "DecodeError", "encode", "decode", "encoded_size_bytes"]
 
@@ -122,7 +122,9 @@ def decode(blob: bytes, d: int) -> QuantizedUpdate:
         raise DecodeError("nonzero padding bits")
     payload = np.frombuffer(blob, dtype=np.uint8, offset=prefix)
     ns, r = (d + 7) // 8, d % 8
-    signs = 1 - 2 * np.unpackbits(payload[:ns], count=d, bitorder="little").view(np.int8)
+    signs = np.unpackbits(payload[:ns], count=d, bitorder="little").view(np.int8)
+    signs *= -2
+    signs += 1
     eb = cost.element_bits
     g, nbytes, word, count, schedule = _fields(eb)
     n = -(-d // g)
@@ -138,7 +140,7 @@ def decode(blob: bytes, d: int) -> QuantizedUpdate:
     grid = np.zeros((n, count * word.itemsize), np.uint8)
     grid[:, :nbytes] = plane[:-1].reshape(n, nbytes)
     words = grid.view(word)
-    levels = np.empty((n, g), np.int64)
+    levels = np.empty((n, g), _level_dtype(s))
     for j, (k, shift, carry) in enumerate(schedule):
         field = words[:, k] >> shift
         if carry:

@@ -178,6 +178,41 @@ class TestQuantizedUpdate:
         with pytest.raises(ValueError):
             QuantizedUpdate(norm=1.0, signs=np.array([0]), levels=np.array([1]), s=2, d=1)
 
+    @pytest.mark.parametrize("signs", [[1.5], [-1.0000001], np.array([257]), np.array([255], np.uint8)])
+    def test_signs_checked_before_the_int8_cast(self, signs):
+        # 1.5 used to truncate to 1, and 257 and 255 to wrap to 1 and -1
+        with pytest.raises(ValueError, match="only \\+1 and -1"):
+            QuantizedUpdate(norm=1.0, signs=signs, levels=[1], s=2, d=1)
+
+    @pytest.mark.parametrize("levels", [[1.5], [np.nan], np.array([2.0**64]), np.array(["1"])])
+    def test_levels_must_be_integers(self, levels):
+        # 1.5 used to truncate to 1 without a word
+        with pytest.raises(ValueError, match="levels must be integers of at most 64 bits"):
+            QuantizedUpdate(norm=1.0, signs=[1], levels=levels, s=2**70, d=1)
+
+    def test_whole_float_levels_accepted(self):
+        q = QuantizedUpdate(norm=1.0, signs=[1.0, -1.0], levels=[2.0, 0.0], s=255, d=2)
+        assert q.levels.tolist() == [2, 0] and q.levels.dtype == np.uint8
+        assert q.signs.tolist() == [1, -1] and q.signs.dtype == np.int8
+
+    @pytest.mark.parametrize(
+        "levels",
+        [[-1], [256], np.array([-1.0]), np.array([256], np.uint16), np.array([-1], np.int8)],
+    )
+    def test_levels_checked_before_narrowing(self, levels):
+        # at s = 255 the levels are uint8: -1 must not wrap to 255, nor 256 to 0
+        with pytest.raises(ValueError, match="levels must lie in \\[0, s\\]"):
+            QuantizedUpdate(norm=1.0, signs=[1], levels=levels, s=255, d=1)
+
+    def test_levels_past_int64_are_value_errors(self):
+        # 2**63 used to raise OverflowError from the int64 cast
+        with pytest.raises(ValueError, match="levels must lie in \\[0, s\\]"):
+            QuantizedUpdate(norm=1.0, signs=[1], levels=[2**63], s=4, d=1)
+        with pytest.raises(ValueError, match="levels must be integers of at most 64 bits"):
+            QuantizedUpdate(norm=1.0, signs=[1], levels=[2**64], s=2**70, d=1)
+        q = QuantizedUpdate(norm=1.0, signs=[1], levels=[2**64 - 1], s=2**70, d=1)
+        assert q.levels.tolist() == [2**64 - 1] and q.levels.dtype == np.uint64
+
 
 class TestLevelCheck:
     """Every entry that takes a level rejects a non-integer one as quantize does."""

@@ -37,17 +37,18 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 def reference_quantize(w: np.ndarray, s: int, rng: np.random.Generator):
-    """Norm, signs and levels by the unfused formulas, one temporary each."""
+    """Norm, signs and levels by the unfused formulas, one temporary each;
+    levels in the narrowest unsigned dtype that holds ``s``."""
     norm = float(np.linalg.norm(w))
     norm32 = float(np.float32(norm))
     signs = np.where(w < 0.0, -1, 1).astype(np.int8)
     if norm32 == 0.0:
-        return norm32, signs, np.zeros(w.size, dtype=np.int64)
+        return norm32, signs, np.zeros(w.size, dtype=np.min_scalar_type(s))
     scaled = np.abs(w) * s / norm
     np.minimum(scaled, float(s), out=scaled)
     lower = np.floor(scaled)
     carry = rng.random(w.size) < scaled - lower
-    return norm32, signs, (lower + carry).astype(np.int64)
+    return norm32, signs, (lower + carry).astype(np.min_scalar_type(s))
 
 
 def reference_dequantize(q: QuantizedUpdate) -> np.ndarray:
@@ -158,6 +159,64 @@ class TestAgainstReference:
         out = dequantize(q)
         assert out.tobytes() == reference_dequantize(q).tobytes()
         assert np.signbit(out[1]) and not np.signbit(out[0])
+
+
+# s at each edge of the level dtype, with the dtype that holds its levels
+WIDTH_EDGES = [
+    (1, np.uint8),
+    (255, np.uint8),
+    (256, np.uint16),
+    (65_535, np.uint16),
+    (65_536, np.uint32),
+    (2**32 - 1, np.uint32),
+    (2**32, np.uint64),
+    (2**53, np.uint64),
+]
+
+
+def as_int64(q: QuantizedUpdate) -> QuantizedUpdate:
+    """``q`` with its levels held as int64, as every update once held them."""
+    return QuantizedUpdate._adopt(q.norm, q.signs.copy(), q.levels.astype(np.int64), q.s, q.d)
+
+
+class TestLevelDtype:
+    """Levels are held in the narrowest unsigned dtype that holds ``s``,
+    whoever builds them; the bytes and values are those of int64 levels."""
+
+    @pytest.mark.parametrize("s, dtype", WIDTH_EDGES)
+    def test_quantize(self, s, dtype):
+        rng = np.random.default_rng(s)
+        for w in (rng.standard_normal(1000), np.zeros(3), np.array([0.6, -0.8, 0.0])):
+            q = quantize(w, s, rng)
+            assert q.levels.dtype == dtype
+            assert dequantize(q).tobytes() == dequantize(as_int64(q)).tobytes()
+        # the largest level, s itself, is held exactly
+        assert quantize(np.array([-3.0]), s, rng).levels.tolist() == [s]
+
+    @pytest.mark.parametrize("s, dtype", WIDTH_EDGES)
+    def test_constructor(self, s, dtype):
+        for levels in ([0, s], np.array([0, s], np.uint64), np.array([0.0, 1.0])):
+            q = QuantizedUpdate(norm=1.0, signs=[1, -1], levels=levels, s=s, d=2)
+            assert q.levels.dtype == dtype
+            assert q.levels.tolist() == [0, int(levels[1])]
+
+    @pytest.mark.parametrize("s, dtype", WIDTH_EDGES)
+    def test_wire(self, s, dtype):
+        rng = np.random.default_rng(s)
+        for d in (1, 20, 1027):
+            levels = rng.integers(0, s, size=d, endpoint=True, dtype=np.uint64)
+            levels[0] = s
+            signs = rng.choice(np.array([-1, 1], np.int8), size=d)
+            q = QuantizedUpdate(norm=1.5, signs=signs, levels=levels, s=s, d=d)
+            if s > 2**32 - 1:
+                # the wire carries s in 32 bits
+                with pytest.raises(ValueError, match="32 bits"):
+                    encode(q)
+                continue
+            blob = encode(q)
+            assert blob == encode(as_int64(q))
+            q2 = decode(blob, d)
+            assert q2 == q and q2.levels.dtype == dtype
 
 
 def client_delta(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
