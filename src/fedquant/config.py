@@ -8,6 +8,7 @@ identical runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .controller import LrSchedule
@@ -46,8 +47,8 @@ class SyntheticData:
             raise ValueError("n_features must be at least 1")
         if self.eval_samples < 0:
             raise ValueError("eval_samples must be non-negative")
-        if self.noise < 0.0:
-            raise ValueError("noise must be non-negative")
+        if not 0.0 <= self.noise < math.inf:
+            raise ValueError(f"noise must be finite and non-negative, got {self.noise}")
         if self.n_classes < 2:
             raise ValueError("n_classes must be at least 2")
 
@@ -104,6 +105,8 @@ class AdaquantMode:
             raise ValueError(f"s_max must be at most 2**53, got {self.s_max}")
         if self.interval_bits is not None and self.interval_bits < 1:
             raise ValueError("interval_bits must be at least 1")
+        if not math.isfinite(self.f_star):
+            raise ValueError(f"f_star must be finite, got {self.f_star}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +145,10 @@ class TrainingConfig:
             raise ValueError("eval_every must be at least 1")
         if self.loss_estimate not in _LOSS_ESTIMATES:
             raise ValueError(f"loss_estimate must be 'full' or 'minibatch', got {self.loss_estimate!r}")
-        if self.smoothness is not None and self.smoothness <= 0.0:
-            raise ValueError("smoothness must be positive")
+        if self.loss_threshold is not None and not math.isfinite(self.loss_threshold):
+            raise ValueError(f"loss_threshold must be finite, got {self.loss_threshold}")
+        if self.smoothness is not None and not 0.0 < self.smoothness < math.inf:
+            raise ValueError(f"smoothness must be finite and positive, got {self.smoothness}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
         self._check_model_data()

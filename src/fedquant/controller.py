@@ -173,8 +173,8 @@ class QuantSchedule:
             raise ValueError("s_max must be at least s0")
         if self.interval_bits < 1:
             raise ValueError("interval_bits must be at least 1")
-        if self.eta0 <= 0.0:
-            raise ValueError("eta0 must be positive")
+        if not 0.0 < self.eta0 < math.inf:
+            raise ValueError(f"eta0 must be finite and positive, got {self.eta0}")
         if self.current_s is None:
             object.__setattr__(self, "current_s", self.s0)
 
@@ -300,8 +300,8 @@ class LrSchedule:
     decay_every: int | None = None
 
     def __post_init__(self) -> None:
-        if self.eta0 <= 0.0:
-            raise ValueError("eta0 must be positive")
+        if not 0.0 < self.eta0 < math.inf:
+            raise ValueError(f"eta0 must be finite and positive, got {self.eta0}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ValueError("decay_factor must be in (0, 1]")
         if self.decay_every is not None and self.decay_every < 1:

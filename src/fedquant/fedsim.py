@@ -150,8 +150,7 @@ class GlobalState:
         rather than copied and checked again."""
         w.setflags(write=False)
         state = object.__new__(cls)
-        for name, value in (("w", w), ("round_index", round_index), ("cumulative_bits", cumulative_bits)):
-            object.__setattr__(state, name, value)
+        state.__dict__.update(w=w, round_index=round_index, cumulative_bits=cumulative_bits)
         return state
 
 
@@ -243,12 +242,15 @@ class _ClientStack:
         passed 1e18.
 
         Magnitudes past 1e18 are unambiguous divergence, and catching them
-        keeps the update norm within float32 range downstream.  ``max`` and
-        ``min`` carry a NaN through, and it fails both comparisons.
+        keeps the update norm within float32 range downstream.  A plane
+        whose sum of squares is at most 1e35 has no ``|w_i|`` past 3.2e17;
+        NaN, inf and overflowed squares fail that test, and then each row's
+        ``max`` and ``min`` decide (a NaN fails both comparisons).
         """
         w = self.w
-        if w.max() <= 1e18 and w.min() >= -1e18:
-            return []
+        with np.errstate(over="ignore"):
+            if np.vecdot(w.ravel(), w.ravel()) <= 1e35:
+                return []
         bad = ~((w.max(axis=1) <= 1e18) & (w.min(axis=1) >= -1e18))
         return [p for p, b in zip(self.positions, bad) if b]
 

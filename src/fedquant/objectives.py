@@ -174,8 +174,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
     # overflows; both share e = e^-|z|, formed in one buffer that then
     # becomes the numerator once 1 + e is taken
-    e = np.abs(z)
-    np.negative(e, out=e)
+    e = np.copysign(z, -1.0)
     np.exp(e, out=e)
     denominator = 1.0 + e
     np.copyto(e, 1.0, where=z >= 0)
@@ -185,7 +184,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _softplus(z: np.ndarray) -> np.ndarray:
     # log(1 + e^z) without overflow for large |z|
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    return np.maximum(z, 0.0) + np.log1p(np.exp(np.copysign(z, -1.0)))
 
 
 def _unpack_mlp(model: ModelSpec, w: np.ndarray):
@@ -264,8 +263,8 @@ def _gradients(
         z = np.matmul(x, w[:, :-1, None])[:, :, 0] + w[:, -1:]
         resid = _sigmoid(z) - y
         np.matmul(xt, resid[:, :, None], out=out[:, :-1, None])
-        out[:, :-1] /= b
-        out[:, -1] = np.add.reduce(resid, axis=1) / b  # resid.mean(axis=1), as in _losses
+        np.add.reduce(resid, axis=1, out=out[:, -1])  # resid.mean(axis=1) once divided, as in _losses
+        out /= b
         return out
     pre, hidden, logits = _mlp_forward(model, w, x)
     probs = np.exp(_log_softmax(logits))
@@ -296,13 +295,16 @@ def _draw_batches(rngs: Sequence, ms: Sequence[int], batch_size: int, count: int
 
     A minibatch reads ``b`` doubles ``u`` from its stream and is the first
     ``b`` entries of a partial Fisher-Yates shuffle of ``arange(m)``: step
-    ``i`` swaps positions ``i`` and ``i + floor(u[i] * (m - i))``.  It is a
-    function of its draws alone, and a stream's minibatches read
+    ``i`` swaps positions ``i`` and ``j = i + floor(u[i] * (m - i))``.  It is
+    a function of its draws alone, and a stream's minibatches read
     consecutive draws, so one call for ``count`` minibatches equals
     ``count`` calls for one.  All the shuffles run in lockstep on an index
     plane of a row per minibatch, ``max(ms)`` wide in the narrowest dtype
     that holds ``max(ms)``, in chunks of rows within ``_GATHER_BYTES`` (one
-    row at least).  Every ``ms[i]`` must exceed ``batch_size``.
+    row at least).  No later step reads position ``i``, so step ``i`` writes
+    the entry at ``j`` straight to the result, as the minibatch's entry
+    ``i``, and moves the entry at ``i`` to ``j``: two NumPy calls a step.
+    Every ``ms[i]`` must exceed ``batch_size``.
     """
     b = batch_size
     if not all(b < m for m in ms):
@@ -312,24 +314,21 @@ def _draw_batches(rngs: Sequence, ms: Sequence[int], batch_size: int, count: int
     u = np.concatenate([rng.random((count, b)) for rng in rngs])
     u *= np.repeat(np.asarray(ms, dtype=np.float64), count)[:, None] - np.arange(b)
     # each row's swap targets, offsets from its row's start in the plane,
-    # indexed (step, row) so that a step's targets are contiguous
+    # indexed (step, row) so that a step's targets, and results, are contiguous
     targets = u.T.astype(np.intp)
     targets += np.arange(b)[:, None]
-    out = np.empty((len(u), b), dtype=dtype)
+    out = np.empty((b, len(u)), dtype=dtype)
     rows = max(1, _GATHER_BYTES // (width * dtype.itemsize))
     for a in range(0, len(u), rows):
         n = min(rows, len(u) - a)
         plane = np.tile(np.arange(width, dtype=dtype), n)
-        at = np.arange(0, n * width, width)  # each row's position i, at step i
+        grid = plane.reshape(n, width)
         steps = targets[:, a : a + n]
-        steps += at
-        for j in steps:
-            held = plane.take(at)
-            plane.put(at, plane.take(j))
-            plane.put(j, held)
-            at += 1
-        out[a : a + n] = plane.reshape(n, width)[:, :b]
-    return out.reshape(len(ms), count, b)
+        steps += np.arange(0, n * width, width)
+        for i, (j, entries) in enumerate(zip(steps, out[:, a : a + n])):
+            plane.take(j, out=entries, mode="clip")  # j is in range: "clip" skips a buffered out
+            plane[j] = grid[:, i]
+    return np.ascontiguousarray(out.T).reshape(len(ms), count, b)
 
 
 def loss(model: ModelSpec, w: np.ndarray, data: Dataset) -> float:

@@ -95,14 +95,7 @@ class QuantizedUpdate:
         signs.setflags(write=False)
         levels.setflags(write=False)
         q = object.__new__(cls)
-        for name, value in (
-            ("norm", float(norm)),
-            ("signs", signs),
-            ("levels", levels),
-            ("s", int(s)),
-            ("d", int(d)),
-        ):
-            object.__setattr__(q, name, value)
+        q.__dict__.update(norm=float(norm), signs=signs, levels=levels, s=int(s), d=int(d))
         return q
 
     def __eq__(self, other: object) -> bool:

@@ -63,6 +63,13 @@ class TestRun:
         path.write_text(SMALL.replace("eta0 = 0.05", "eta0 = 1e9"))
         assert main(["run", "-c", str(path)]) == 2
 
+    @pytest.mark.parametrize("eta0", ["nan", "inf"])
+    def test_non_finite_step_size_is_a_config_error(self, tmp_path, eta0):
+        # not a divergence (exit 2): the config is refused before any round
+        path = tmp_path / "nan.ini"
+        path.write_text(SMALL.replace("eta0 = 0.05", f"eta0 = {eta0}"))
+        assert main(["run", "-c", str(path)]) == 1
+
     def test_seed_override_changes_run(self, config_path, tmp_path):
         outs = []
         for name, seed in (("a.csv", "7"), ("b.csv", "8"), ("c.csv", "8")):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import os
+
 import pytest
 
 from fedquant.config import (
@@ -12,6 +15,7 @@ from fedquant.config import (
     TrainingConfig,
 )
 from fedquant.controller import LrSchedule
+from fedquant.harness import ConfigError, load_config
 from fedquant.objectives import ModelSpec
 
 
@@ -59,6 +63,56 @@ class TestModes:
         assert AdaquantMode(s_max=2**53).s_max == 2**53
         with pytest.raises(ValueError):
             AdaquantMode(interval_bits=0)
+
+    @pytest.mark.parametrize("f_star", [math.nan, -math.inf, math.inf])
+    def test_adaquant_rejects_non_finite_f_star(self, f_star):
+        # before, nan and -inf ran and died mid-run converting the level
+        with pytest.raises(ValueError, match="f_star must be finite"):
+            AdaquantMode(f_star=f_star)
+        assert AdaquantMode(f_star=-1e300).f_star == -1e300
+
+
+class TestNonFiniteFloats:
+    """Every float field of a config must be finite when it is built, not
+    fail late or mean something else at run time."""
+
+    @pytest.mark.parametrize("eta0", [math.nan, math.inf, -math.inf, 0.0])
+    def test_lr_eta0(self, eta0):
+        # nan and inf used to run and be reported as TrainingDiverged
+        with pytest.raises(ValueError, match="eta0 must be finite and positive"):
+            LrSchedule(eta0=eta0)
+        assert LrSchedule(eta0=1e300).eta0 == 1e300
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_loss_threshold(self, threshold):
+        # nan used to be a threshold that no loss ever reaches
+        with pytest.raises(ValueError, match="loss_threshold must be finite"):
+            make_config(loss_threshold=threshold)
+        assert make_config(loss_threshold=-1.0).loss_threshold == -1.0
+
+    @pytest.mark.parametrize("smoothness", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_smoothness(self, smoothness):
+        # nan and inf used to pass the "<= 0.0" check
+        with pytest.raises(ValueError, match="smoothness must be finite and positive"):
+            make_config(smoothness=smoothness)
+        assert make_config(smoothness=5e-324).smoothness == 5e-324
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, -0.5])
+    def test_synthetic_noise(self, noise):
+        # nan used to be refused only when the data were generated
+        with pytest.raises(ValueError, match="noise must be finite and non-negative"):
+            SyntheticData(kind="regression", samples=10, n_features=2, noise=noise)
+        assert SyntheticData(kind="regression", samples=10, n_features=2, noise=0.0).noise == 0.0
+
+    def test_ini_f_star_nan_is_a_config_error(self, tmp_path):
+        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(here, "configs", "reference.ini"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert "f_star = 0.40" in text
+        path = tmp_path / "nan.ini"
+        path.write_text(text.replace("f_star = 0.40", "f_star = nan"))
+        with pytest.raises(ConfigError, match="f_star must be finite, got nan"):
+            load_config(str(path))
 
 
 class TestTrainingConfig:

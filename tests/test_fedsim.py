@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from test_local_sgd import reference_local_sgd
 from test_sampler import fisher_yates
 
@@ -149,6 +153,99 @@ class TestBatches:
             batches(k)
         with pytest.raises(ValueError, match=f"round {asked} asked for"):
             batches(asked)
+
+
+LOGI20 = ModelSpec.logistic(19)
+
+
+def stack_holding(w: np.ndarray, positions: list[int]) -> fedsim._ClientStack:
+    """A client stack whose parameter plane is set by hand to ``w``, a row
+    per shard position in ``positions``."""
+    rng = np.random.default_rng(0)
+    shards = [
+        ClientShard(
+            client_id=i,
+            data=Dataset(features=rng.standard_normal((4, 19)), labels=np.arange(4) % 2),
+            weight=1.0,
+        )
+        for i in range(max(positions) + 1)
+    ]
+    labels = [sh.data.labels.astype(np.float64) for sh in shards]
+    stack = fedsim._ClientStack(LOGI20, shards, labels, positions, np.zeros(20), 4, 1, None)
+    stack.w = np.array(w, dtype=np.float64)
+    return stack
+
+
+def blown_up_reference(w: np.ndarray, positions: list[int]) -> list[int]:
+    """The positions of the rows with an entry past 1e18 in magnitude, or
+    not finite."""
+    return [p for p, row in zip(positions, w) if not np.all(np.abs(row) <= 1e18)]
+
+
+class TestDivergenceCertificate:
+    """``_ClientStack.blown_up`` clears a plane whose sum of squares is at
+    most 1e35 at once; any other plane is decided row by row."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_sum_of_squares_with_no_entry_past_the_limit(self):
+        # twenty entries of 1e17: the sum of squares, 2e35, fails the
+        # certificate, and the rows decide
+        assert np.vecdot(np.full(20, 1e17), np.full(20, 1e17)) > 1e35
+        assert stack_holding(np.full((1, 20), 1e17), [0]).blown_up() == []
+        w = np.full((3, 20), -1e18)
+        w[1] = 1e18
+        assert stack_holding(w, [0, 2, 5]).blown_up() == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_just_under_the_certificate(self):
+        w = np.zeros((2, 20))
+        w[1, 7] = 3.16e17  # a square of 9.99e34
+        assert stack_holding(w, [0, 1]).blown_up() == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "value",
+        [np.nextafter(1e18, np.inf), -np.nextafter(1e18, np.inf), np.nan, np.inf, -np.inf, 1e160, -1e300],
+        ids=["past_limit", "past_negative_limit", "nan", "inf", "-inf", "square_overflows", "-1e300"],
+    )
+    def test_one_entry_reported(self, value):
+        for row in range(3):
+            w = np.full((3, 20), 1e-3)
+            w[row, 19 - row] = value
+            assert stack_holding(w, [1, 4, 6]).blown_up() == [[1, 4, 6][row]]
+        w = np.full((3, 20), 1e17)
+        w[0, 0] = w[2, 5] = value
+        assert stack_holding(w, [1, 4, 6]).blown_up() == [1, 6]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 25)),
+            elements=st.one_of(
+                st.floats(width=64),
+                st.floats(-2e18, 2e18),
+                st.sampled_from([1e18, -1e18, float(np.nextafter(1e18, np.inf)), 3.16e17, 1e17]),
+            ),
+        )
+    )
+    def test_equals_the_row_by_row_rule(self, w):
+        positions = list(range(0, 3 * len(w), 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = stack_holding(w, positions).blown_up()
+        assert got == blown_up_reference(w, positions)
+
+    def test_huge_step_size_diverges_at_step_zero_without_warnings(self):
+        # the first step's parameters are near 1e200, whose squares overflow
+        config = quad_config(lr=LrSchedule.constant(1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as info:
+                run_training(config)
+        exc = info.value
+        assert str(exc) == "client 0: parameters blew up at local step 0"
+        assert (exc.client_id, exc.step, exc.round_index, exc.records) == (0, 0, 0, ())
 
 
 class TestLocalRound:

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedquant import objectives
 from fedquant.objectives import (
     ClientShard,
     Dataset,
@@ -161,6 +164,72 @@ class TestGradient:
             gradient(LOGI, w, data.subset(np.array([i]))) for i in range(data.m)
         ]
         np.testing.assert_allclose(np.mean(singles, axis=0), gradient(LOGI, w, data), atol=1e-12)
+
+
+def sigmoid_reference(z: np.ndarray) -> np.ndarray:
+    """The logistic kernel's sigmoid with ``-|z|`` formed in two calls,
+    ``abs`` then ``negative``."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = 1.0 + e
+    np.copyto(e, 1.0, where=z >= 0)
+    e /= denominator
+    return e
+
+
+def softplus_reference(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def logistic_gradients_reference(w, x, y):
+    """The stacked logistic gradient with the weights' part divided by the
+    row count on its own, then the bias's mean taken apart."""
+    n, b, _ = x.shape
+    out = np.empty((n, w.shape[1]))
+    z = np.matmul(x, w[:, :-1, None])[:, :, 0] + w[:, -1:]
+    resid = sigmoid_reference(z) - y
+    np.matmul(x.swapaxes(1, 2), resid[:, :, None], out=out[:, :-1, None])
+    out[:, :-1] /= b
+    out[:, -1] = np.add.reduce(resid, axis=1) / b
+    return out
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal bit for bit: signed zeros and NaN payloads count."""
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 745.0, -745.0, 1e-310, -1e-310, 36.0, -36.0, 1.0]
+
+
+class TestLogisticKernels:
+    """The logistic kernels bit for bit against their reference forms."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_edges(self):
+        z = np.array(EDGES)
+        assert same_bits(objectives._sigmoid(z.copy()), sigmoid_reference(z.copy()))
+        assert same_bits(objectives._softplus(z.copy()), softplus_reference(z.copy()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        z = np.array(values, dtype=np.float64)
+        assert same_bits(objectives._sigmoid(z), sigmoid_reference(z))
+        assert same_bits(objectives._softplus(z), softplus_reference(z))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 40), st.integers(1, 25), st.integers(0, 2**32), st.floats(0.01, 50.0))
+    def test_stacked_gradients(self, n, b, f, seed, scale):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((n, f + 1)) * scale
+        x = rng.standard_normal((n, b, f))
+        y = (rng.random((n, b)) < 0.5).astype(np.float64)
+        out = np.full((n, f + 1), np.nan)
+        got = objectives._gradients(ModelSpec.logistic(f), w, x, y, out)
+        assert got is out
+        assert same_bits(got, logistic_gradients_reference(w, x, y))
 
 
 class TestStochasticGradient:

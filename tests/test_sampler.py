@@ -139,6 +139,49 @@ def test_largest_draw_stays_inside_the_rows():
     assert np.array_equal(got[0, 0], fisher_yates(Highest(), 10, 4))
 
 
+class Repeating:
+    """A stub stream whose every minibatch reads the same ``b`` doubles:
+    ``values`` cycled over the minibatch's steps."""
+
+    def __init__(self, *values: float) -> None:
+        self.values = values
+
+    def random(self, shape):
+        b = shape if isinstance(shape, int) else shape[-1]
+        return np.broadcast_to(np.resize(np.array(self.values), b), shape).copy()
+
+
+HIGHEST = float(np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        # j == i at every step: no step moves anything
+        Repeating(0.0),
+        # j == m - 1 at every step: each step takes what the one before left there
+        Repeating(HIGHEST),
+        # the two in turn, and the draw that lands in the middle
+        Repeating(0.0, HIGHEST),
+        Repeating(HIGHEST, 0.5, 0.0),
+    ],
+    ids=["lowest", "highest", "alternating", "mixed"],
+)
+@pytest.mark.parametrize(
+    "ms, b", [([10], 4), ([2, 3, 2], 1), ([255, 256, 9], 8), ([300, 299, 300], 298)]
+)
+@pytest.mark.parametrize("rows_per_chunk", ["all", "one"])
+def test_extreme_draws_match_one_row_draws(monkeypatch, stream, ms, b, rows_per_chunk):
+    if rows_per_chunk == "one":
+        monkeypatch.setattr(objectives, "_GATHER_BYTES", 0)
+    got = _draw_batches([stream] * len(ms), ms, b, 3)
+    for i, m in enumerate(ms):
+        want = fisher_yates(stream, m, b)
+        assert all(np.array_equal(row, want) for row in got[i]), (i, got[i], want)
+    if stream.values == (0.0,):
+        assert all(np.array_equal(row, np.arange(b)) for row in got.reshape(-1, b))
+
+
 def test_rejects_batches_that_cover_the_rows():
     with pytest.raises(ValueError, match="batch_size < m"):
         _draw_batches(generators(0, 2), [10, 5], 5)
