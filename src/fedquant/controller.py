@@ -144,6 +144,13 @@ def optimal_s_closed_form(constants: BoundConstants) -> float:
     )
 
 
+def _check_finite(name: str, value: float, positive: bool = False) -> None:
+    """Refuse a ``value`` that is not finite, or, with ``positive``, not
+    above zero, in a ``ValueError`` that names it."""
+    if not (0.0 < value < math.inf if positive else math.isfinite(value)):
+        raise ValueError(f"{name} must be finite{' and positive' if positive else ''}, got {value}")
+
+
 @dataclass(frozen=True)
 class QuantSchedule:
     """State of the adaptive level schedule.
@@ -173,8 +180,10 @@ class QuantSchedule:
             raise ValueError("s_max must be at least s0")
         if self.interval_bits < 1:
             raise ValueError("interval_bits must be at least 1")
-        if not 0.0 < self.eta0 < math.inf:
-            raise ValueError(f"eta0 must be finite and positive, got {self.eta0}")
+        _check_finite("eta0", self.eta0, positive=True)
+        _check_finite("f_star", self.f_star)
+        if self.f_w0 is not None:
+            _check_finite("f_w0", self.f_w0)
         if self.current_s is None:
             object.__setattr__(self, "current_s", self.s0)
 
@@ -193,8 +202,8 @@ def adaquant_level(f_wk: float, eta_k: float, schedule: QuantSchedule) -> int:
 def _level(f_wk: float, eta_k: float, schedule: QuantSchedule, warn: bool) -> tuple[int, bool]:
     """:func:`adaquant_level`, and whether the loss saturated it; the
     saturation warning is logged only when ``warn`` is set."""
-    if eta_k <= 0.0:
-        raise ValueError("eta_k must be positive")
+    _check_finite("f_wk", f_wk)
+    _check_finite("eta_k", eta_k, positive=True)
     if schedule.f_w0 is None:
         raise ValueError("schedule has no recorded initial loss")
     base = schedule.f_w0 - schedule.f_star
@@ -300,8 +309,7 @@ class LrSchedule:
     decay_every: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eta0 < math.inf:
-            raise ValueError(f"eta0 must be finite and positive, got {self.eta0}")
+        _check_finite("eta0", self.eta0, positive=True)
         if not 0.0 < self.decay_factor <= 1.0:
             raise ValueError("decay_factor must be in (0, 1]")
         if self.decay_every is not None and self.decay_every < 1:

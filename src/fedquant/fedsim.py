@@ -7,7 +7,9 @@ result.  Only uplink traffic is metered.  The uplink quantizes the
 clients' deltas as planes of as many clients as fit in a cache-sized
 buffer, reused across the round; it is bit for bit
 ``aggregate(w, [quantize(delta, s, rng), ...], weights)`` but builds no
-``QuantizedUpdate``.
+``QuantizedUpdate``.  Local SGD and the loss estimate read the clients'
+rows from one row source per role (:class:`_Rows`), built once per run;
+only the parameter plane is built per round.
 
 Determinism contract: a run derives one generator per (role, client)
 from ``(master_seed, role, client_id)`` and reads it in round order, so
@@ -20,7 +22,7 @@ Drawing minibatches for several rounds at once reads the same draws.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -79,18 +81,17 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 
 class _Batches:
-    """Minibatch row indices of ``shards``, each sampling ``b`` of its rows
-    ``count`` times a round from its ``role`` stream of the run:
+    """Minibatch row indices of shards of ``ms`` rows, each sampling ``b``
+    of its rows ``count`` times a round from its generator in ``rngs``:
     ``self(k)[i, t]`` is shard ``i``'s ``t``-th of round ``k``.  The rounds
     are asked for in order, so each stream gives its minibatches in round
     order; no minibatch depends on the model, so those of
     ``_STREAM_ROUNDS`` rounds, never past ``rounds``, come from one
     ``_draw_batches`` call."""
 
-    def __init__(self, master_seed, role, shards, b: int, count: int, rounds: int) -> None:
-        self.rngs = [derive_rng(master_seed, role, sh.client_id) for sh in shards]
-        self.ms, self.b, self.count, self.rounds = [sh.data.m for sh in shards], b, count, rounds
-        self.start, self.drawn = 0, np.empty((len(shards), 0, count, b), dtype=np.int64)
+    def __init__(self, rngs, ms, b: int, count: int, rounds: int) -> None:
+        self.rngs, self.ms, self.b, self.count, self.rounds = rngs, ms, b, count, rounds
+        self.start, self.drawn = 0, np.empty((len(ms), 0, count, b), dtype=np.int64)
 
     def __call__(self, k: int) -> np.ndarray:
         stop = self.start + self.drawn.shape[1]
@@ -101,6 +102,77 @@ class _Batches:
             drawn = objectives._draw_batches(self.rngs, self.ms, self.b, n * self.count)
             self.start, self.drawn = k, drawn.reshape(len(self.ms), n, self.count, self.b)
         return self.drawn[:, k - self.start]
+
+
+class _Rows:
+    """The rows one role of a run reads from its checked shards, a round at
+    a time: ``count`` row sets a round, ``local_steps`` minibatches for
+    local SGD or one for the loss estimate.
+
+    The shards are grouped by their effective row count ``b``, ``min(
+    batch_size, m)``, or ``m`` with ``batch_size`` None: group ``g`` holds
+    the shards at ``positions[g]``, in shard order, and gets its rows and
+    labels (in the kernels' dtype) stacked by client.  A shard whose ``b``
+    rows are its whole shard has them filled in once, here.  Those that
+    sample (``m > b``) draw their indices from ``rngs(position)`` in blocks
+    of rounds up to ``rounds`` (see :class:`_Batches`), and have them
+    gathered ``span`` row sets at a time, as many as fit in
+    ``objectives._GATHER_BYTES`` (at least one).  Everything here is built
+    once and lives as long as the rows are read.
+    """
+
+    def __init__(
+        self,
+        model: ModelSpec,
+        shards: Sequence[ClientShard],
+        batch_size: int | None,
+        count: int,
+        rngs: Callable[[int], np.random.Generator],
+        rounds: int = 1,
+    ) -> None:
+        if count < 1:
+            raise ValueError("local_steps must be at least 1")
+        if batch_size is not None and batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        groups: dict[int, list[int]] = {}
+        for p, shard in enumerate(shards):
+            m = shard.data.m
+            groups.setdefault(m if batch_size is None else min(batch_size, m), []).append(p)
+        self.model, self.shards, self.count = model, shards, count
+        self.positions, self.groups = list(groups.values()), []
+        for b, positions in groups.items():
+            data = [shards[p].data for p in positions]
+            labels = [objectives._labels(model, d.labels) for d in data]
+            sampled = [j for j, d in enumerate(data) if d.m > b]
+            step_bytes = len(data) * b * model.n_features * 8
+            span = max(1, min(count if sampled else 1, objectives._GATHER_BYTES // step_bytes))
+            x = np.empty((len(data), span, b, model.n_features))
+            y = np.empty((len(data), span, b), dtype=labels[0].dtype)
+            for j, d in enumerate(data):
+                if d.m == b:
+                    x[j], y[j] = d.features, labels[j]
+            sources = [(data[j].features, labels[j], x[j], y[j]) for j in sampled]
+            batches = None
+            if sampled:
+                streams = [rngs(positions[j]) for j in sampled]
+                batches = _Batches(streams, [data[j].m for j in sampled], b, count, rounds)
+            self.groups.append((x, y, span, sources, batches))
+
+    def __call__(self, k: int):
+        """Round ``k``'s row sets, the rounds asked for in order: for each of
+        the ``count`` steps, each group's rows and labels, ``(clients, b,
+        f)`` and ``(clients, b)``.  The round's indices are all drawn before
+        its first set is given."""
+        drawn = [None if batches is None else batches(k) for *_, batches in self.groups]
+        for t in range(self.count):
+            for (x, y, span, sources, _), idx in zip(self.groups, drawn):
+                if sources and t % span == 0:
+                    for (features, labels, xj, yj), steps in zip(sources, idx[:, t : t + span]):
+                        # the indices lie in [0, m), so "clip" never clips; it
+                        # lets take write straight into the buffer
+                        features.take(steps, axis=0, out=xj[: len(steps)], mode="clip")
+                        labels.take(steps, out=yj[: len(steps)], mode="clip")
+            yield [(x[:, t % span], y[:, t % span]) for x, y, span, _, _ in self.groups]
 
 
 class TrainingDiverged(RuntimeError):
@@ -195,149 +267,78 @@ class TrainingRun:
     parameter_trail: tuple[np.ndarray, ...] | None = None
 
 
-class _ClientStack:
-    """The clients of a round that share one effective minibatch size ``b``.
+def _blown_up(w: np.ndarray, positions: Sequence[int]) -> list[int]:
+    """The ``positions`` of the rows of the parameter plane ``w`` that left
+    the finite floats or passed 1e18.
 
-    Row ``i`` of ``w`` belongs to the client at shard position
-    ``positions[i]``: its parameters.  The clients that sample (``m > b``)
-    bring their minibatch indices for all local steps, ``drawn``, a row per
-    such client in shard order; their rows and labels are gathered into
-    ``x`` and ``y``, ``x[i, t % span]`` at step ``t``, for ``span`` steps
-    at a time, as many as fit in ``objectives._GATHER_BYTES`` (at least
-    one).  A client whose minibatch is its whole shard has its rows filled
-    in once, here.
+    Magnitudes past 1e18 are unambiguous divergence, and catching them
+    keeps the update norm within float32 range downstream.  A plane whose
+    sum of squares is at most 1e35 has no ``|w_i|`` past 3.2e17; NaN, inf
+    and overflowed squares fail that test, and then each row's ``max`` and
+    ``min`` decide (a NaN fails both comparisons).
     """
-
-    def __init__(self, model, shards, labels, positions, w_start, b, local_steps, drawn):
-        self.positions = positions
-        self.w = np.repeat(w_start[None, :], len(positions), axis=0)
-        data = [shards[p].data for p in positions]
-        rows = iter(() if drawn is None else drawn)
-        idx = [next(rows) if d.m > b else None for d in data]
-        step_bytes = len(positions) * b * model.n_features * 8
-        span = max(1, min(local_steps if drawn is not None else 1, objectives._GATHER_BYTES // step_bytes))
-        self.x = np.empty((len(positions), span, b, model.n_features))
-        self.y = np.empty((len(positions), span, b), dtype=labels[positions[0]].dtype)
-        for i, (d, p) in enumerate(zip(data, positions)):
-            if idx[i] is None:
-                self.x[i], self.y[i] = d.features, labels[p]
-        self.sources = list(zip(data, [labels[p] for p in positions], idx))
-
-    def minibatch(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every client's rows and labels at local step ``t``, the steps
-        taken in order."""
-        span = self.x.shape[1]
-        if t % span == 0:
-            for i, (data, labels, idx) in enumerate(self.sources):
-                if idx is not None:
-                    steps = idx[t : t + span]
-                    # the indices lie in [0, m), so "clip" never clips; it
-                    # lets take write straight into the buffer
-                    data.features.take(steps, axis=0, out=self.x[i, : len(steps)], mode="clip")
-                    labels.take(steps, out=self.y[i, : len(steps)], mode="clip")
-        return self.x[:, t % span], self.y[:, t % span]
-
-    def blown_up(self) -> list[int]:
-        """Shard positions whose parameters left the finite floats or
-        passed 1e18.
-
-        Magnitudes past 1e18 are unambiguous divergence, and catching them
-        keeps the update norm within float32 range downstream.  A plane
-        whose sum of squares is at most 1e35 has no ``|w_i|`` past 3.2e17;
-        NaN, inf and overflowed squares fail that test, and then each row's
-        ``max`` and ``min`` decide (a NaN fails both comparisons).
-        """
-        w = self.w
-        with np.errstate(over="ignore"):
-            if np.vecdot(w.ravel(), w.ravel()) <= 1e35:
-                return []
-        bad = ~((w.max(axis=1) <= 1e18) & (w.min(axis=1) >= -1e18))
-        return [p for p, b in zip(self.positions, bad) if b]
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Drop the clients whose entry in the boolean ``rows`` is false."""
-        self.positions = [p for p, k in zip(self.positions, rows) if k]
-        self.sources = [c for c, k in zip(self.sources, rows) if k]
-        self.w, self.x, self.y = self.w[rows], self.x[rows], self.y[rows]
+    with np.errstate(over="ignore"):
+        if np.vecdot(w.ravel(), w.ravel()) <= 1e35:
+            return []
+    bad = ~((w.max(axis=1) <= 1e18) & (w.min(axis=1) >= -1e18))
+    return [p for p, b in zip(positions, bad) if b]
 
 
-def _sgd(
-    model: ModelSpec,
-    shards: Sequence[ClientShard],
-    labels: Sequence[np.ndarray],
-    w_start: np.ndarray,
-    local_steps: int,
-    eta: float,
-    batch_size: int,
-    draw: Callable[[int, list[int]], np.ndarray],
-) -> np.ndarray:
-    """Local SGD of all clients of a round, stepped together.
+def _sgd(rows: _Rows, w_start: np.ndarray, k: int, eta: float) -> np.ndarray:
+    """Local SGD of all clients of round ``k``, stepped together on the
+    minibatches of ``rows`` (a :class:`_Rows` of ``local_steps`` row sets a
+    round).
 
-    Client ``i`` takes ``local_steps`` steps from ``w_start`` on
-    ``shards[i]``, whose labels in the kernels' dtype are ``labels[i]``;
-    the result is the ``(len(shards), dim)`` plane of parameter deltas, a
-    row per shard in shard order.  The parameters are checked here; the
-    shards, which never change, by the caller.  Then ``draw(b, positions)``
-    gives the minibatch indices, (client, step, row), of the clients of
-    effective batch size ``b = min(batch_size, m)`` that sample (``m >
-    b``).  The clients that share an effective batch size get their
-    gradients from one stacked kernel call, so the deltas are
+    Client ``i`` takes its steps from ``w_start`` on shard ``i``; the
+    result is the ``(clients, dim)`` plane of parameter deltas, a row per
+    shard in shard order.  The parameters and ``eta``, which may decay to
+    0.0, are checked here; the shards, ``local_steps`` and the batch size,
+    which never change, where ``rows`` is built.  Each group of ``rows``
+    steps its clients as one parameter plane, allocated per round, and gets
+    their gradients from one stacked kernel call, so the deltas are
     bit-identical to stepping the clients one at a time.
 
     A client that diverges stops stepping, and so do the clients after it
-    in shard order; their minibatches were all drawn before.  The error
-    raised names the first client in shard order that diverges at all, at
-    its first diverging step: the one a client-by-client loop would have
-    stopped at.
+    in shard order, which leaves each group a prefix of its plane; their
+    minibatches were all drawn before.  The error raised names the first
+    client in shard order that diverges at all, at its first diverging
+    step: the one a client-by-client loop would have stopped at.
     """
-    if local_steps < 1:
-        raise ValueError("local_steps must be at least 1")
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    w_start = objectives._check_params(model, w_start)
-    groups: dict[int, list[int]] = {}
-    for i, shard in enumerate(shards):
-        groups.setdefault(min(batch_size, shard.data.m), []).append(i)
-    stacks = []
-    for b, positions in groups.items():
-        sampled = [p for p in positions if shards[p].data.m > b]
-        drawn = draw(b, sampled) if sampled else None
-        stacks.append(_ClientStack(model, shards, labels, positions, w_start, b, local_steps, drawn))
-    grad = np.empty((max(len(stack.positions) for stack in stacks), model.dim))
+    w_start = objectives._check_params(rows.model, w_start)
+    planes = [np.repeat(w_start[None, :], len(positions), axis=0) for positions in rows.positions]
+    grad = np.empty((max(map(len, planes)), rows.model.dim))
     first_blowup: tuple[int, int] | None = None  # (shard position, step)
-    for t in range(local_steps):
-        for stack in stacks:
-            x, y = stack.minibatch(t)
-            g = objectives._gradients(model, stack.w, x, y, grad[: len(stack.w)])
-            g *= eta
-            stack.w -= g
-        for stack in stacks:
-            for pos in stack.blown_up():
+    for t, sets in enumerate(rows(k)):
+        for w, (x, y) in zip(planes, sets):
+            if n := len(w):
+                g = objectives._gradients(rows.model, w, x[:n], y[:n], grad[:n])
+                g *= eta
+                w -= g
+        for positions, w in zip(rows.positions, planes):
+            for pos in _blown_up(w, positions):
                 if first_blowup is None or pos < first_blowup[0]:
                     first_blowup = (pos, t)
         if first_blowup is not None:
-            for stack in stacks:
-                stack.keep(np.asarray(stack.positions) < first_blowup[0])
-            stacks = [stack for stack in stacks if stack.positions]
-            if not stacks:
+            planes = [w[: bisect.bisect_left(ps, first_blowup[0])] for ps, w in zip(rows.positions, planes)]
+            if not any(map(len, planes)):
                 break
     if first_blowup is not None:
         pos, t = first_blowup
-        client_id = shards[pos].client_id
+        client_id = rows.shards[pos].client_id
         raise TrainingDiverged(
             f"client {client_id}: parameters blew up at local step {t}",
             step=t,
             client_id=client_id,
         )
-    for stack in stacks:
-        stack.w -= w_start
-    if len(stacks) == 1:  # its positions are every shard's, in order
-        return stacks[0].w
-    deltas = np.empty((len(shards), model.dim))
-    for stack in stacks:
-        deltas[stack.positions] = stack.w
+    for w in planes:
+        w -= w_start
+    if len(planes) == 1:  # its positions are every shard's, in order
+        return planes[0]
+    deltas = np.empty((len(rows.shards), rows.model.dim))
+    for positions, w in zip(rows.positions, planes):
+        deltas[positions] = w
     return deltas
 
 
@@ -350,16 +351,10 @@ def _local_sgd(
     batch_size: int,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """:func:`_sgd` with each client's minibatches for all ``local_steps``
-    drawn from ``rngs[i]`` when the round starts, the indices it would
-    draw alone step by step."""
-
-    def draw(b: int, positions: list[int]) -> np.ndarray:
-        ms = [shards[p].data.m for p in positions]
-        return objectives._draw_batches([rngs[p] for p in positions], ms, b, local_steps)
-
-    labels = [objectives._labels(model, shard.data.labels) for shard in shards]
-    return _sgd(model, shards, labels, w_start, local_steps, eta, batch_size, draw)
+    """:func:`_sgd` of one round, with each client's minibatches for all
+    ``local_steps`` drawn from ``rngs[i]`` when the round starts, the
+    indices it would draw alone step by step."""
+    return _sgd(_Rows(model, shards, batch_size, local_steps, rngs.__getitem__), w_start, 0, eta)
 
 
 def local_round(
@@ -468,60 +463,19 @@ def _check_shards(model: ModelSpec, shards: Sequence[ClientShard]) -> None:
     _check_weights([shard.weight for shard in shards])
 
 
-class _LossEstimate:
-    """A run's per-round training-loss estimate, on checked shards.
-
-    With ``batch_size`` None this is the full loss on every row of every
-    shard; otherwise each round draws each shard's ``min(batch_size, m)``
-    rows from the shard's ``ROLE_LOSS`` stream of the run, as
-    ``sample_batch`` would, in blocks of rounds (see :class:`_Batches`) up
-    to ``rounds``; the rounds are estimated in order.  Shards with
-    the same row count get their losses from one stacked kernel call.  Its
-    buffers, and the rows that never change, are set up once per run.  The
-    weighted sum runs in shard order.
-    """
-
-    def __init__(
-        self,
-        model: ModelSpec,
-        shards: Sequence[ClientShard],
-        batch_size: int | None,
-        master_seed: int,
-        rounds: int,
-    ) -> None:
-        self.model = model
-        labels = [objectives._labels(model, sh.data.labels) for sh in shards]
-        self.weights = [sh.weight for sh in shards]
-        groups: dict[int, list[int]] = {}
-        for i, sh in enumerate(shards):
-            rows = sh.data.m if batch_size is None else min(batch_size, sh.data.m)
-            groups.setdefault(rows, []).append(i)
-        self.groups = []
-        for rows, positions in groups.items():
-            x = np.empty((len(positions), rows, model.n_features))
-            y = np.empty((len(positions), rows), dtype=labels[positions[0]].dtype)
-            sampled = [(j, p) for j, p in enumerate(positions) if shards[p].data.m > rows]
-            for j, p in enumerate(positions):
-                if shards[p].data.m == rows:
-                    x[j], y[j] = shards[p].data.features, labels[p]
-            draws = [(j, shards[p].data, labels[p]) for j, p in sampled]
-            members = [shards[p] for _, p in sampled]
-            batches = _Batches(master_seed, ROLE_LOSS, members, rows, 1, rounds) if sampled else None
-            self.groups.append((positions, x, y, draws, batches))
-
-    def __call__(self, w: np.ndarray, round_index: int) -> float:
-        losses = [0.0] * len(self.weights)
-        for positions, x, y, draws, batches in self.groups:
-            if draws:
-                for (j, data, labels), rows in zip(draws, batches(round_index)[:, 0]):
-                    data.features.take(rows, axis=0, out=x[j], mode="clip")  # as in _ClientStack
-                    labels.take(rows, out=y[j], mode="clip")
-            for p, value in zip(positions, objectives._losses(self.model, w, x, y)):
-                losses[p] = value
-        total = 0.0
-        for weight, value in zip(self.weights, losses):
-            total += weight * value
-        return float(total)
+def _loss_estimate(rows: _Rows, w: np.ndarray, k: int) -> float:
+    """Round ``k``'s training-loss estimate at ``w``, on a :class:`_Rows` of
+    one row set a round: the full loss with whole shards, else each
+    shard's minibatch loss.  A group's losses come from one stacked kernel
+    call; the weighted sum runs in shard order."""
+    losses = [0.0] * len(rows.shards)
+    for positions, (x, y) in zip(rows.positions, next(rows(k))):
+        for p, value in zip(positions, objectives._losses(rows.model, w, x, y)):
+            losses[p] = value
+    total = 0.0
+    for shard, value in zip(rows.shards, losses):
+        total += shard.weight * value
+    return float(total)
 
 
 def run_round(
@@ -682,18 +636,15 @@ def _train(
     problem = build_problem(config)
     model, shards = problem.model, problem.shards
     _check_shards(model, shards)
-    labels = [objectives._labels(model, sh.data.labels) for sh in shards]
-    batch = None if config.loss_estimate == "full" else config.batch_size
-    loss_estimate = _LossEstimate(model, shards, batch, config.master_seed, config.rounds)
-    blocks: dict[int, _Batches] = {}  # by effective batch size
-
-    def sgd_batches(b: int, positions: list[int], k: int) -> np.ndarray:
-        """The ``draw`` of :func:`_sgd` in round ``k``."""
-        if b not in blocks:
-            members = [shards[p] for p in positions]
-            blocks[b] = _Batches(config.master_seed, ROLE_SGD, members, b, config.local_steps, config.rounds)
-        return blocks[b](k)
-
+    seed, rounds = config.master_seed, config.rounds
+    sgd_rows = _Rows(
+        model, shards, config.batch_size, config.local_steps,
+        lambda p: derive_rng(seed, ROLE_SGD, shards[p].client_id), rounds,
+    )
+    loss_rows = _Rows(
+        model, shards, None if config.loss_estimate == "full" else config.batch_size, 1,
+        lambda p: derive_rng(seed, ROLE_LOSS, shards[p].client_id), rounds,
+    )
     quant_rngs = () if exact else [derive_rng(config.master_seed, ROLE_QUANT, sh.client_id) for sh in shards]
     uplink = _exact_uplink if exact else _uplink
     w0 = objectives.init_params(model, derive_rng(config.master_seed, ROLE_INIT))
@@ -711,7 +662,7 @@ def _train(
     records: list[RoundRecord] = []
     trail: list[np.ndarray] = []
     for k in range(config.rounds):
-        f_wk = loss_estimate(state.w, k)
+        f_wk = _loss_estimate(loss_rows, state.w, k)
         if not np.isfinite(f_wk):
             raise TrainingDiverged(
                 f"non-finite training loss at round {k}",
@@ -735,12 +686,11 @@ def _train(
                 eta_k, config.smoothness, model.dim, config.local_steps, s_k, config.n_clients
             )
         metric = _eval_metric(problem, state.w) if k % config.eval_every == 0 else None
-        draw = functools.partial(sgd_batches, k=k)
         try:
             # no name holds the deltas, so they are freed when the round ends
             state, record = _round(
                 shards, state, s_k, eta_k,
-                _sgd(model, shards, labels, state.w, config.local_steps, eta_k, config.batch_size, draw),
+                _sgd(sgd_rows, state.w, k, eta_k),
                 quant_rngs, cost, uplink,
                 train_loss=f_wk, eval_metric=metric, interval=interval, feasible=feasible,
             )

@@ -188,6 +188,53 @@ class TestAdaquantLevel:
             adaquant_level(0.5, 0.0, schedule())
 
 
+class TestNonFiniteInputs:
+    """The schedule and the level rule refuse non-finite inputs by name,
+    before any recomputation could turn them into a level."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_schedule_refuses_non_finite_f_star_and_f_w0(self, value):
+        with pytest.raises(ValueError, match=f"f_star must be finite, got {value}"):
+            schedule(f_star=value)
+        with pytest.raises(ValueError, match=f"f_w0 must be finite, got {value}"):
+            schedule(f_w0=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
+    def test_schedule_refuses_eta0(self, value):
+        with pytest.raises(ValueError, match=f"eta0 must be finite and positive, got {value}"):
+            schedule(eta0=value)
+        with pytest.raises(ValueError, match=f"eta0 must be finite and positive, got {value}"):
+            LrSchedule(eta0=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_level_refuses_non_finite_loss(self, value):
+        # nan raised "cannot convert float NaN to integer" once the raw
+        # level was rounded; inf gave level 1, and -inf saturated at s_max
+        with pytest.raises(ValueError, match=f"f_wk must be finite, got {value}"):
+            adaquant_level(value, 0.1, schedule())
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_level_refuses_step_size(self, value):
+        # inf raised an OverflowError once the raw level was rounded, and
+        # nan "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=f"eta_k must be finite and positive, got {value}"):
+            adaquant_level(0.5, value, schedule())
+
+    def test_recomputation_cannot_meet_a_nan_f_star(self):
+        # the schedule used to tick once at s0, then fail at its first
+        # recomputation; now it is never built, and a finite one still ticks
+        with pytest.raises(ValueError, match="f_star"):
+            QuantSchedule(s0=2, interval_bits=10, s_max=64, eta0=0.1, f_star=math.nan)
+        sched = QuantSchedule(s0=2, interval_bits=10, s_max=64, eta0=0.1, f_star=-1e300)
+        s1, sched = interval_tick(sched, 0, 1.0, 0.1)
+        s2, sched = interval_tick(sched, 10, 0.25, 0.1)
+        assert (s1, s2) == (2, 2)
+
+    def test_infinite_first_loss_refused_at_the_first_tick(self):
+        with pytest.raises(ValueError, match="f_w0 must be finite, got inf"):
+            interval_tick(schedule(f_w0=None), 0, math.inf, 0.1)
+
+
 class TestIntervalTick:
     def test_same_interval_same_level(self):
         sched = schedule(f_w0=None)

@@ -113,7 +113,8 @@ class TestBatches:
     SHARDS = [quad_shard(seed=1, m=12, client_id=4), quad_shard(seed=2, m=300, client_id=9)]
 
     def batches(self, rounds, b=5, count=3):
-        return fedsim._Batches(11, fedsim.ROLE_SGD, self.SHARDS, b, count, rounds)
+        rngs = [derive_rng(11, fedsim.ROLE_SGD, sh.client_id) for sh in self.SHARDS]
+        return fedsim._Batches(rngs, [sh.data.m for sh in self.SHARDS], b, count, rounds)
 
     @pytest.mark.parametrize("rounds", [1, fedsim._STREAM_ROUNDS, fedsim._STREAM_ROUNDS + 1, 40])
     def test_rounds_are_the_streams_read_in_order(self, rounds):
@@ -155,27 +156,6 @@ class TestBatches:
             batches(asked)
 
 
-LOGI20 = ModelSpec.logistic(19)
-
-
-def stack_holding(w: np.ndarray, positions: list[int]) -> fedsim._ClientStack:
-    """A client stack whose parameter plane is set by hand to ``w``, a row
-    per shard position in ``positions``."""
-    rng = np.random.default_rng(0)
-    shards = [
-        ClientShard(
-            client_id=i,
-            data=Dataset(features=rng.standard_normal((4, 19)), labels=np.arange(4) % 2),
-            weight=1.0,
-        )
-        for i in range(max(positions) + 1)
-    ]
-    labels = [sh.data.labels.astype(np.float64) for sh in shards]
-    stack = fedsim._ClientStack(LOGI20, shards, labels, positions, np.zeros(20), 4, 1, None)
-    stack.w = np.array(w, dtype=np.float64)
-    return stack
-
-
 def blown_up_reference(w: np.ndarray, positions: list[int]) -> list[int]:
     """The positions of the rows with an entry past 1e18 in magnitude, or
     not finite."""
@@ -183,7 +163,7 @@ def blown_up_reference(w: np.ndarray, positions: list[int]) -> list[int]:
 
 
 class TestDivergenceCertificate:
-    """``_ClientStack.blown_up`` clears a plane whose sum of squares is at
+    """``fedsim._blown_up`` clears a plane whose sum of squares is at
     most 1e35 at once; any other plane is decided row by row."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -191,16 +171,16 @@ class TestDivergenceCertificate:
         # twenty entries of 1e17: the sum of squares, 2e35, fails the
         # certificate, and the rows decide
         assert np.vecdot(np.full(20, 1e17), np.full(20, 1e17)) > 1e35
-        assert stack_holding(np.full((1, 20), 1e17), [0]).blown_up() == []
+        assert fedsim._blown_up(np.full((1, 20), 1e17), [0]) == []
         w = np.full((3, 20), -1e18)
         w[1] = 1e18
-        assert stack_holding(w, [0, 2, 5]).blown_up() == []
+        assert fedsim._blown_up(w, [0, 2, 5]) == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_just_under_the_certificate(self):
         w = np.zeros((2, 20))
         w[1, 7] = 3.16e17  # a square of 9.99e34
-        assert stack_holding(w, [0, 1]).blown_up() == []
+        assert fedsim._blown_up(w, [0, 1]) == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -212,10 +192,10 @@ class TestDivergenceCertificate:
         for row in range(3):
             w = np.full((3, 20), 1e-3)
             w[row, 19 - row] = value
-            assert stack_holding(w, [1, 4, 6]).blown_up() == [[1, 4, 6][row]]
+            assert fedsim._blown_up(w, [1, 4, 6]) == [[1, 4, 6][row]]
         w = np.full((3, 20), 1e17)
         w[0, 0] = w[2, 5] = value
-        assert stack_holding(w, [1, 4, 6]).blown_up() == [1, 6]
+        assert fedsim._blown_up(w, [1, 4, 6]) == [1, 6]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -233,7 +213,7 @@ class TestDivergenceCertificate:
         positions = list(range(0, 3 * len(w), 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = stack_holding(w, positions).blown_up()
+            got = fedsim._blown_up(w, positions)
         assert got == blown_up_reference(w, positions)
 
     def test_huge_step_size_diverges_at_step_zero_without_warnings(self):

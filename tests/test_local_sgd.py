@@ -17,13 +17,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from test_sampler import fisher_yates, reference_batch
+from test_training_loop import reference_training
 
-from fedquant import objectives
+from fedquant import fedsim, objectives
 from fedquant.config import FixedMode, SyntheticData, TrainingConfig
 from fedquant.controller import LrSchedule
 from fedquant.fedsim import (
     ROLE_SGD,
     GlobalState,
+    Problem,
     TrainingDiverged,
     _local_sgd,
     derive_rng,
@@ -355,6 +357,86 @@ def test_divergence_inside_a_gathered_span_keeps_its_error(monkeypatch, gather_b
     kept = _local_sgd(QUAD2, shards[:2], np.ones(2), 20, 1.0, 2, streams(2))
     want = reference_local_sgd(QUAD2, shards[:2], np.ones(2), 20, 1.0, 2, streams(2))
     assert all(np.array_equal(a, b) for a, b in zip(kept, want))
+
+
+def sized_shard(client_id: int, rows: int, scale: float, total: int) -> ClientShard:
+    rng = np.random.default_rng(client_id)
+    x = rng.standard_normal((rows, 2)) * scale
+    data = Dataset(features=x, labels=rng.standard_normal(rows))
+    return ClientShard(client_id=client_id, data=data, weight=rows / total)
+
+
+# at batch 3 the shards of 4 rows sample 3 of them, as one group, and those
+# of 2 rows, clients 1 and 2, step on their whole shard in a group of their
+# own.  Clients 0, 1 and 5 stay put; 3 and 4, in the larger group, diverge,
+# and so does client 2, the first in shard order, in the smaller group
+TWO_GROUPS = [
+    sized_shard(i, rows, scale, 20)
+    for i, (rows, scale) in enumerate(zip([4, 2, 2, 4, 4, 4], [0.3, 0.3, 6.0, 8.0, 10.0, 0.3]))
+]
+
+
+def test_divergence_across_two_interleaved_batch_groups():
+    shards = TWO_GROUPS
+    state = GlobalState(w=np.ones(2), round_index=5, cumulative_bits=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged) as ref:
+            reference_local_sgd(QUAD2, shards, np.ones(2), 40, 0.05, 3, streams(6))
+        with pytest.raises(TrainingDiverged) as got:
+            _local_sgd(QUAD2, shards, np.ones(2), 40, 0.05, 3, streams(6))
+        round_streams = [derive_rng(0, ROLE_SGD, sh.client_id, 5) for sh in shards]
+        with pytest.raises(TrainingDiverged) as ref_round:
+            reference_local_sgd(QUAD2, shards, np.ones(2), 40, 0.05, 3, round_streams)
+        with pytest.raises(TrainingDiverged) as got_round:
+            run_round(
+                QUAD2, shards, state, 3, 0.05, local_steps=40, batch_size=3, master_seed=0,
+                train_loss=1.0,
+            )
+        # the clients before client 2, one in each group, keep their deltas
+        kept = _local_sgd(QUAD2, shards[:2], np.ones(2), 40, 0.05, 3, streams(2))
+        want = reference_local_sgd(QUAD2, shards[:2], np.ones(2), 40, 0.05, 3, streams(2))
+    assert (ref.value.client_id, ref.value.step) == (2, 26)
+    assert str(got.value) == str(ref.value)
+    assert (got.value.client_id, got.value.step) == (2, 26)
+    assert str(got_round.value) == str(ref_round.value)
+    assert (got_round.value.client_id, got_round.value.step, got_round.value.round_index) == (
+        ref_round.value.client_id, ref_round.value.step, 5,
+    )
+    assert all(np.array_equal(a, b) for a, b in zip(kept, want))
+
+
+def test_run_diverging_across_two_interleaved_batch_groups(monkeypatch):
+    # in round 9 client 4 blows up at step 0, client 3 at step 1 and client
+    # 2 at step 2; the error names client 2, as the client-by-client loop does
+    data = Dataset(
+        features=np.concatenate([sh.data.features for sh in TWO_GROUPS]),
+        labels=np.concatenate([sh.data.labels for sh in TWO_GROUPS]),
+    )
+    problem = Problem(model=QUAD2, shards=tuple(TWO_GROUPS), train_data=data, eval_data=None)
+    monkeypatch.setattr(fedsim, "build_problem", lambda config: problem)
+    config = TrainingConfig(
+        model=QUAD2,
+        data=SyntheticData(kind="regression", samples=20, n_features=2, noise=0.1),
+        n_clients=6,
+        local_steps=3,
+        batch_size=3,
+        lr=LrSchedule.constant(0.05),
+        quantization=FixedMode(bits=4),
+        rounds=60,
+        master_seed=3,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged) as got:
+            run_training(config)
+        with pytest.raises(TrainingDiverged) as want:
+            reference_training(config)
+    assert str(got.value) == str(want.value) == "client 2: parameters blew up at local step 2"
+    assert (got.value.round_index, got.value.client_id, got.value.step) == (9, 2, 2)
+    assert (want.value.round_index, want.value.client_id, want.value.step) == (9, 2, 2)
+    assert got.value.records == want.value.records
+    assert len(got.value.records) == 9
 
 
 def test_local_round_stream_gives_all_draws_even_when_diverging():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from test_sampler import reference_batch
 
-from fedquant.fedsim import ROLE_LOSS, _LossEstimate, derive_rng, global_loss
+from fedquant.fedsim import ROLE_LOSS, _loss_estimate, _Rows, derive_rng, global_loss
 from fedquant.objectives import (
     ClientShard,
     ModelSpec,
@@ -59,6 +59,13 @@ def start_point(model: ModelSpec) -> np.ndarray:
     return init_params(model, rng) + 0.3 * rng.standard_normal(model.dim)
 
 
+def estimator(model, shards, batch_size, master_seed, rounds):
+    """A run's loss estimate, read as ``estimate(w, k)`` in round order:
+    ``batch_size`` None is the full loss."""
+    rows = _Rows(model, shards, batch_size, 1, loss_streams(shards, master_seed).__getitem__, rounds)
+    return lambda w, k: _loss_estimate(rows, w, k)
+
+
 def unstacked_loss(model, w, x, y) -> float:
     """The loss formulas for one block of rows on 2-D arrays, written out."""
     if model.kind == "quadratic":
@@ -98,7 +105,7 @@ def reference_estimate(model, shards, w, batch_size, rngs) -> float:
 def test_full_estimate_equals_global_loss(kind, layout):
     model = MODELS[kind]
     shards = make_shards(model, layout)
-    estimate = _LossEstimate(model, shards, None, 0, 3)
+    estimate = estimator(model, shards, None, 0, 3)
     for k in range(3):
         w = start_point(model) * (k + 1)
         expected = reference_estimate(model, shards, w, None, None)
@@ -111,7 +118,7 @@ def test_full_estimate_equals_global_loss(kind, layout):
 def test_minibatch_estimate_equals_reference_loop(kind, layout, batch_size):
     model = MODELS[kind]
     shards = make_shards(model, layout)
-    estimate = _LossEstimate(model, shards, batch_size, 17, 3)
+    estimate = estimator(model, shards, batch_size, 17, 3)
     rngs = loss_streams(shards, 17)
     for k in range(3):
         w = start_point(model) * (k + 1)
@@ -124,7 +131,7 @@ def test_minibatches_drawn_for_blocks_of_rounds():
     # streams read round by round give
     model = MODELS["logistic"]
     shards = make_shards(model, (9, 4, 4, 9, 7))
-    estimate = _LossEstimate(model, shards, 5, 17, 42)
+    estimate = estimator(model, shards, 5, 17, 42)
     rngs = loss_streams(shards, 17)
     for k in range(42):
         w = start_point(model) * (k + 1)
@@ -132,7 +139,7 @@ def test_minibatches_drawn_for_blocks_of_rounds():
         assert estimate(w, k) == estimate(w, k)  # a round asked for again
     # the streams are read in round order: a round skipped, or one asked
     # for again once its block is gone, is refused
-    estimate = _LossEstimate(model, shards, 5, 17, 42)
+    estimate = estimator(model, shards, 5, 17, 42)
     estimate(w, 0)
     with pytest.raises(ValueError, match="round 17 asked for after round 15"):
         estimate(w, 17)

@@ -174,6 +174,22 @@ def test_blocks_stop_at_the_last_round(monkeypatch):
     assert sorted(calls[:2]) == [(4, 5 * 1), (4, 5 * 3)]
 
 
+def test_labels_converted_once_per_shard_and_role(monkeypatch):
+    # the SGD and loss-estimate row sources each convert every shard's
+    # labels once per run, not once per round
+    calls = []
+
+    def counting(model, labels):
+        calls.append(len(labels))
+        return convert(model, labels)
+
+    convert = objectives._labels
+    monkeypatch.setattr(objectives, "_labels", counting)
+    config = make_config(rounds=20, loss_estimate="minibatch")
+    assert len(run_training(config).records) == 20
+    assert len(calls) == 2 * config.n_clients
+
+
 def test_loss_threshold_stops_inside_a_block():
     losses = [r.train_loss for r in run_training(make_config()).records]
     # the first round after the first block whose loss is a new low
