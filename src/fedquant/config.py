@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .controller import LrSchedule
+from .controller import LrSchedule, _check_finite
 from .objectives import _DATA_KINDS, _PARTITION_MODES, ModelSpec
 from .quantizer import _MAX_EXACT_LEVEL
 
@@ -105,8 +105,7 @@ class AdaquantMode:
             raise ValueError(f"s_max must be at most 2**53, got {self.s_max}")
         if self.interval_bits is not None and self.interval_bits < 1:
             raise ValueError("interval_bits must be at least 1")
-        if not math.isfinite(self.f_star):
-            raise ValueError(f"f_star must be finite, got {self.f_star}")
+        _check_finite("f_star", self.f_star)
 
 
 @dataclass(frozen=True)
@@ -145,10 +144,10 @@ class TrainingConfig:
             raise ValueError("eval_every must be at least 1")
         if self.loss_estimate not in _LOSS_ESTIMATES:
             raise ValueError(f"loss_estimate must be 'full' or 'minibatch', got {self.loss_estimate!r}")
-        if self.loss_threshold is not None and not math.isfinite(self.loss_threshold):
-            raise ValueError(f"loss_threshold must be finite, got {self.loss_threshold}")
-        if self.smoothness is not None and not 0.0 < self.smoothness < math.inf:
-            raise ValueError(f"smoothness must be finite and positive, got {self.smoothness}")
+        if self.loss_threshold is not None:
+            _check_finite("loss_threshold", self.loss_threshold)
+        if self.smoothness is not None:
+            _check_finite("smoothness", self.smoothness, positive=True)
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
         self._check_model_data()

@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .quantizer import NORM_BITS
+
 __all__ = [
     "BoundConstants",
     "QuantSchedule",
@@ -101,7 +103,7 @@ class BoundConstants:
             self.n_clients,
         )
         sgd = eta * eta * var * (tau - 1) * l * l * (n + 1) / n + eta * l * var / n
-        header = self.log2_coefficient * (self.dim + 32) / self.dim
+        header = self.log2_coefficient * (self.dim + NORM_BITS) / self.dim
         return sgd + header
 
 
@@ -196,14 +198,15 @@ def adaquant_level(f_wk: float, eta_k: float, schedule: QuantSchedule) -> int:
     ``f_star`` would send the level to infinity, so it saturates at
     ``s_max`` with a warning.
     """
+    _check_finite("f_wk", f_wk)
+    _check_finite("eta_k", eta_k, positive=True)
     return _level(f_wk, eta_k, schedule, warn=True)[0]
 
 
 def _level(f_wk: float, eta_k: float, schedule: QuantSchedule, warn: bool) -> tuple[int, bool]:
     """:func:`adaquant_level`, and whether the loss saturated it; the
-    saturation warning is logged only when ``warn`` is set."""
-    _check_finite("f_wk", f_wk)
-    _check_finite("eta_k", eta_k, positive=True)
+    saturation warning is logged only when ``warn`` is set.  The inputs
+    are checked by its callers."""
     if schedule.f_w0 is None:
         raise ValueError("schedule has no recorded initial loss")
     base = schedule.f_w0 - schedule.f_star
@@ -231,9 +234,12 @@ def interval_tick(
     new ``interval_bits``-sized window since the last recomputation.  A
     loss at or below ``f_star`` is warned about once, when the schedule
     enters saturation, not at every recomputation that stays there.
+    ``f_wk`` and ``eta_k`` are checked at every tick, recomputing or not.
     """
     if cumulative_bits < 0:
         raise ValueError("cumulative_bits must be non-negative")
+    _check_finite("f_wk", f_wk)
+    _check_finite("eta_k", eta_k, positive=True)
     if schedule.f_w0 is None:
         schedule = replace(schedule, f_w0=f_wk)
     index = cumulative_bits // schedule.interval_bits

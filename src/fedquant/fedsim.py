@@ -9,7 +9,8 @@ buffer, reused across the round; it is bit for bit
 ``aggregate(w, [quantize(delta, s, rng), ...], weights)`` but builds no
 ``QuantizedUpdate``.  Local SGD and the loss estimate read the clients'
 rows from one row source per role (:class:`_Rows`), built once per run;
-only the parameter plane is built per round.
+each holds one minibatch block, for the shards with more than
+``batch_size`` rows.  Only the parameter plane is built per round.
 
 Determinism contract: a run derives one generator per (role, client)
 from ``(master_seed, role, client_id)`` and reads it in round order, so
@@ -80,30 +81,6 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-class _Batches:
-    """Minibatch row indices of shards of ``ms`` rows, each sampling ``b``
-    of its rows ``count`` times a round from its generator in ``rngs``:
-    ``self(k)[i, t]`` is shard ``i``'s ``t``-th of round ``k``.  The rounds
-    are asked for in order, so each stream gives its minibatches in round
-    order; no minibatch depends on the model, so those of
-    ``_STREAM_ROUNDS`` rounds, never past ``rounds``, come from one
-    ``_draw_batches`` call."""
-
-    def __init__(self, rngs, ms, b: int, count: int, rounds: int) -> None:
-        self.rngs, self.ms, self.b, self.count, self.rounds = rngs, ms, b, count, rounds
-        self.start, self.drawn = 0, np.empty((len(ms), 0, count, b), dtype=np.int64)
-
-    def __call__(self, k: int) -> np.ndarray:
-        stop = self.start + self.drawn.shape[1]
-        if not self.start <= k < stop:
-            if k != stop:
-                raise ValueError(f"round {k} asked for after round {stop - 1}")
-            n = min(_STREAM_ROUNDS, self.rounds - k)
-            drawn = objectives._draw_batches(self.rngs, self.ms, self.b, n * self.count)
-            self.start, self.drawn = k, drawn.reshape(len(self.ms), n, self.count, self.b)
-        return self.drawn[:, k - self.start]
-
-
 class _Rows:
     """The rows one role of a run reads from its checked shards, a round at
     a time: ``count`` row sets a round, ``local_steps`` minibatches for
@@ -113,9 +90,10 @@ class _Rows:
     batch_size, m)``, or ``m`` with ``batch_size`` None: group ``g`` holds
     the shards at ``positions[g]``, in shard order, and gets its rows and
     labels (in the kernels' dtype) stacked by client.  A shard whose ``b``
-    rows are its whole shard has them filled in once, here.  Those that
-    sample (``m > b``) draw their indices from ``rngs(position)`` in blocks
-    of rounds up to ``rounds`` (see :class:`_Batches`), and have them
+    rows are its whole shard has them filled in once, here.  The shards
+    with more than ``batch_size`` rows sample; they all sit in the group of
+    ``batch_size`` rows and share one minibatch block (see
+    :meth:`batches`), their indices drawn from ``rngs(position)`` and
     gathered ``span`` row sets at a time, as many as fit in
     ``objectives._GATHER_BYTES`` (at least one).  Everything here is built
     once and lives as long as the rows are read.
@@ -139,7 +117,9 @@ class _Rows:
             m = shard.data.m
             groups.setdefault(m if batch_size is None else min(batch_size, m), []).append(p)
         self.model, self.shards, self.count = model, shards, count
+        self.batch_size, self.rounds = batch_size, rounds
         self.positions, self.groups = list(groups.values()), []
+        self.sources, self.streams, self.ms, self.span = [], [], [], 1
         for b, positions in groups.items():
             data = [shards[p].data for p in positions]
             labels = [objectives._labels(model, d.labels) for d in data]
@@ -151,28 +131,43 @@ class _Rows:
             for j, d in enumerate(data):
                 if d.m == b:
                     x[j], y[j] = d.features, labels[j]
-            sources = [(data[j].features, labels[j], x[j], y[j]) for j in sampled]
-            batches = None
-            if sampled:
-                streams = [rngs(positions[j]) for j in sampled]
-                batches = _Batches(streams, [data[j].m for j in sampled], b, count, rounds)
-            self.groups.append((x, y, span, sources, batches))
+            if sampled:  # the group of batch_size rows
+                self.sources = [(data[j].features, labels[j], x[j], y[j]) for j in sampled]
+                self.streams = [rngs(positions[j]) for j in sampled]
+                self.ms, self.span = [data[j].m for j in sampled], span
+            self.groups.append((x, y, span))
+        self.start, self.drawn = 0, np.empty((0, 0), dtype=np.int64)  # no block yet
+
+    def batches(self, k: int) -> np.ndarray:
+        """Round ``k``'s minibatch indices of the sampling shards:
+        ``self.batches(k)[i, t]`` is the ``i``-th one's ``t``-th of round
+        ``k``.  The rounds are asked for in order, so each stream gives its
+        minibatches in round order; no minibatch depends on the model, so
+        those of ``_STREAM_ROUNDS`` rounds, never past ``rounds``, come from
+        one ``_draw_batches`` call."""
+        stop = self.start + self.drawn.shape[1]
+        if not self.start <= k < stop:
+            if k != stop:
+                raise ValueError(f"round {k} asked for after round {stop - 1}")
+            n, b = min(_STREAM_ROUNDS, self.rounds - k), self.batch_size
+            drawn = objectives._draw_batches(self.streams, self.ms, b, n * self.count)
+            self.start, self.drawn = k, drawn.reshape(len(self.ms), n, self.count, b)
+        return self.drawn[:, k - self.start]
 
     def __call__(self, k: int):
         """Round ``k``'s row sets, the rounds asked for in order: for each of
         the ``count`` steps, each group's rows and labels, ``(clients, b,
         f)`` and ``(clients, b)``.  The round's indices are all drawn before
         its first set is given."""
-        drawn = [None if batches is None else batches(k) for *_, batches in self.groups]
+        idx = self.batches(k) if self.sources else None
         for t in range(self.count):
-            for (x, y, span, sources, _), idx in zip(self.groups, drawn):
-                if sources and t % span == 0:
-                    for (features, labels, xj, yj), steps in zip(sources, idx[:, t : t + span]):
-                        # the indices lie in [0, m), so "clip" never clips; it
-                        # lets take write straight into the buffer
-                        features.take(steps, axis=0, out=xj[: len(steps)], mode="clip")
-                        labels.take(steps, out=yj[: len(steps)], mode="clip")
-            yield [(x[:, t % span], y[:, t % span]) for x, y, span, _, _ in self.groups]
+            if self.sources and t % self.span == 0:
+                for (features, labels, xj, yj), steps in zip(self.sources, idx[:, t : t + self.span]):
+                    # the indices lie in [0, m), so "clip" never clips; it
+                    # lets take write straight into the buffer
+                    features.take(steps, axis=0, out=xj[: len(steps)], mode="clip")
+                    labels.take(steps, out=yj[: len(steps)], mode="clip")
+            yield [(x[:, t % span], y[:, t % span]) for x, y, span in self.groups]
 
 
 class TrainingDiverged(RuntimeError):
@@ -342,21 +337,6 @@ def _sgd(rows: _Rows, w_start: np.ndarray, k: int, eta: float) -> np.ndarray:
     return deltas
 
 
-def _local_sgd(
-    model: ModelSpec,
-    shards: Sequence[ClientShard],
-    w_start: np.ndarray,
-    local_steps: int,
-    eta: float,
-    batch_size: int,
-    rngs: Sequence[np.random.Generator],
-) -> np.ndarray:
-    """:func:`_sgd` of one round, with each client's minibatches for all
-    ``local_steps`` drawn from ``rngs[i]`` when the round starts, the
-    indices it would draw alone step by step."""
-    return _sgd(_Rows(model, shards, batch_size, local_steps, rngs.__getitem__), w_start, 0, eta)
-
-
 def local_round(
     model: ModelSpec,
     shard: ClientShard,
@@ -373,7 +353,7 @@ def local_round(
     :class:`TrainingDiverged`.
     """
     objectives._check_data(model, shard.data)
-    return _local_sgd(model, [shard], w_start, local_steps, eta, batch_size, [rng])[0]
+    return _sgd(_Rows(model, [shard], batch_size, local_steps, [rng].__getitem__), w_start, 0, eta)[0]
 
 
 def _check_weights(weights: Sequence[float]) -> None:
@@ -499,47 +479,18 @@ def run_round(
     sgd = [derive_rng(master_seed, ROLE_SGD, sh.client_id, k) for sh in shards]
     quant = [derive_rng(master_seed, ROLE_QUANT, sh.client_id, k) for sh in shards]
     try:
-        deltas = _local_sgd(model, shards, state.w, local_steps, eta, batch_size, sgd)
+        deltas = _sgd(_Rows(model, shards, batch_size, local_steps, sgd.__getitem__), state.w, 0, eta)
     except TrainingDiverged as exc:
         exc.round_index = k
         raise
     cost = bits_per_update(model.dim, s)
-    return _round(shards, state, s, eta, deltas, quant, cost, _uplink, train_loss=float(train_loss))
-
-
-def _round(
-    shards: Sequence[ClientShard],
-    state: GlobalState,
-    s: int,
-    eta: float,
-    deltas: np.ndarray,
-    quant_rngs: Sequence[np.random.Generator],
-    cost: quantizer.BitCost,
-    uplink: Callable[..., np.ndarray],
-    **fields,
-) -> tuple[GlobalState, RoundRecord]:
-    """The rest of :func:`run_round` once the clients' ``deltas`` are in.
-
-    ``quant_rngs`` are the ``ROLE_QUANT`` generators the round draws from,
-    one per shard; ``cost`` is ``bits_per_update(model.dim, s)``;
-    ``uplink`` takes the deltas to the next global parameters, which it
-    builds fresh, with :func:`_uplink`'s signature.  ``fields`` are the
-    record's ``train_loss``, ``eval_metric``, ``interval`` and
-    ``feasible``.
-    """
-    k = state.round_index
-    w_next = uplink(state.w, deltas, s, quant_rngs, [sh.weight for sh in shards])
-    new_state = GlobalState._adopt(w_next, k + 1, state.cumulative_bits + cost.total_bits)
+    spent = state.cumulative_bits + cost.total_bits
+    w_next = _uplink(state.w, deltas, s, quant, [sh.weight for sh in shards])
     record = RoundRecord(
-        round_index=k,
-        s=s,
-        element_bits=cost.element_bits,
-        eta=eta,
-        bits_this_round=cost.total_bits,
-        cumulative_bits=new_state.cumulative_bits,
-        **fields,
+        round_index=k, s=s, element_bits=cost.element_bits, eta=eta,
+        bits_this_round=cost.total_bits, cumulative_bits=spent, train_loss=float(train_loss),
     )
-    return new_state, record
+    return GlobalState._adopt(w_next, k + 1, spent), record
 
 
 def build_problem(config: TrainingConfig) -> Problem:
@@ -645,6 +596,7 @@ def _train(
         model, shards, None if config.loss_estimate == "full" else config.batch_size, 1,
         lambda p: derive_rng(seed, ROLE_LOSS, shards[p].client_id), rounds,
     )
+    weights = [sh.weight for sh in shards]
     quant_rngs = () if exact else [derive_rng(config.master_seed, ROLE_QUANT, sh.client_id) for sh in shards]
     uplink = _exact_uplink if exact else _uplink
     w0 = objectives.init_params(model, derive_rng(config.master_seed, ROLE_INIT))
@@ -665,9 +617,7 @@ def _train(
         f_wk = _loss_estimate(loss_rows, state.w, k)
         if not np.isfinite(f_wk):
             raise TrainingDiverged(
-                f"non-finite training loss at round {k}",
-                round_index=k,
-                records=tuple(records),
+                f"non-finite training loss at round {k}", round_index=k, records=tuple(records)
             )
         eta_k = config.lr.eta_for_round(k)
         if schedule is not None:
@@ -688,15 +638,16 @@ def _train(
         metric = _eval_metric(problem, state.w) if k % config.eval_every == 0 else None
         try:
             # no name holds the deltas, so they are freed when the round ends
-            state, record = _round(
-                shards, state, s_k, eta_k,
-                _sgd(sgd_rows, state.w, k, eta_k),
-                quant_rngs, cost, uplink,
-                train_loss=f_wk, eval_metric=metric, interval=interval, feasible=feasible,
-            )
+            w_next = uplink(state.w, _sgd(sgd_rows, state.w, k, eta_k), s_k, quant_rngs, weights)
         except TrainingDiverged as exc:
             exc.round_index, exc.records = k, tuple(records)
             raise
+        state = GlobalState._adopt(w_next, k + 1, spent)
+        record = RoundRecord(
+            round_index=k, s=s_k, element_bits=cost.element_bits, eta=eta_k,
+            bits_this_round=cost.total_bits, cumulative_bits=spent,
+            train_loss=f_wk, eval_metric=metric, interval=interval, feasible=feasible,
+        )
         records.append(record)
         if keep_parameters:
             trail.append(state.w)

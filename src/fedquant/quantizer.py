@@ -135,22 +135,19 @@ def _level_dtype(s: int) -> np.dtype:
 
 
 def _check_input(plane: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``plane``, a stack of vectors ``w`` one per row, as float64, with
-    each row's norm and the norm's float32 wire value.
+    """``plane``, a stack of vectors ``w`` one per row, as C-contiguous
+    float64, with each row's norm and the norm's float32 wire value.
 
     Every ``w`` must be finite and its norm within the float32 range.  A
     finite norm means every entry of its row is finite, so the entries are
     scanned only when some norm is not.  :func:`_check_vector` checks one
     vector as the one row of a plane.
     """
-    plane = np.asarray(plane, dtype=np.float64)
+    plane = np.ascontiguousarray(plane, dtype=np.float64)
     if plane.ndim != 2 or plane.shape[1] < 1:
         raise ValueError("w must be a non-empty 1-D vector")
     with np.errstate(over="ignore"):
-        if plane.flags.c_contiguous:  # np.linalg.norm's BLAS dot, row by row
-            norms = np.sqrt(np.vecdot(plane, plane))
-        else:
-            norms = np.array([np.linalg.norm(w) for w in plane])
+        norms = np.sqrt(np.vecdot(plane, plane))  # np.linalg.norm's BLAS dot, row by row
         norms32 = norms.astype(np.float32).astype(np.float64)
     in_range = all(map(math.isfinite, norms32.tolist()))
     if not in_range and not np.isfinite(plane).all():

@@ -63,7 +63,8 @@ def _fields(eb: int) -> tuple:
 def encode(q: QuantizedUpdate) -> bytes:
     if q.s > _U32_MAX or q.d > _U32_MAX:
         raise ValueError("s and d must fit in 32 bits")
-    g, nbytes, word, count, schedule = _fields(q.s.bit_length())
+    cost = bits_per_update(q.d, q.s)
+    g, nbytes, word, count, schedule = _fields(cost.element_bits)
     n = -(-q.d // g)
     fields = np.zeros((n, g), word)
     fields.reshape(-1)[: q.d] = q.levels
@@ -83,7 +84,7 @@ def encode(q: QuantizedUpdate) -> bytes:
         high = plane[:-1] >> (8 - r)
         plane <<= r
         plane[1:] |= high
-    payload = np.zeros(encoded_size_bytes(q.d, q.s) - _HEADER.size - _NORM.size, np.uint8)
+    payload = np.zeros((cost.total_bits - NORM_BITS + 7) // 8, np.uint8)
     signs = np.packbits(q.signs < 0, bitorder="little")
     payload[: len(signs)] = signs
     tail = payload[len(signs) - (r > 0) :]

@@ -231,8 +231,32 @@ class TestNonFiniteInputs:
         assert (s1, s2) == (2, 2)
 
     def test_infinite_first_loss_refused_at_the_first_tick(self):
-        with pytest.raises(ValueError, match="f_w0 must be finite, got inf"):
+        # the loss is checked before it is captured as f_w0
+        with pytest.raises(ValueError, match="f_wk must be finite, got inf"):
             interval_tick(schedule(f_w0=None), 0, math.inf, 0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_first_tick_names_the_loss_not_f_w0(self, value):
+        # the loss was copied into f_w0 first, so the error named f_w0
+        with pytest.raises(ValueError, match=f"f_wk must be finite, got {value}"):
+            interval_tick(schedule(f_w0=None), 0, value, 0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_tick_inside_an_interval_refuses_non_finite_loss(self, value):
+        # a tick that did not recompute returned the current level
+        sched = QuantSchedule(s0=2, interval_bits=10, s_max=64, eta0=0.1, f_w0=1.0)
+        with pytest.raises(ValueError, match=f"f_wk must be finite, got {value}"):
+            interval_tick(sched, 5, value, 0.1)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("bits", [0, 5])
+    def test_every_tick_refuses_step_size(self, value, bits):
+        sched = QuantSchedule(s0=2, interval_bits=10, s_max=64, eta0=0.1)
+        with pytest.raises(ValueError, match=f"eta_k must be finite and positive, got {value}"):
+            interval_tick(sched, bits, 1.0, value)
+        _, sched = interval_tick(sched, 0, 1.0, 0.1)
+        with pytest.raises(ValueError, match=f"eta_k must be finite and positive, got {value}"):
+            interval_tick(sched, bits, 1.0, value)
 
 
 class TestIntervalTick:

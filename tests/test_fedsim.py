@@ -107,35 +107,38 @@ class TestDeriveRng:
 
 
 class TestBatches:
-    """A run's minibatches, asked for round by round, are its per-client
-    streams read in round order through the one-row sampler."""
+    """A run's minibatches, asked for round by round from a row source's
+    block, are its per-client streams read in round order through the
+    one-row sampler."""
 
     SHARDS = [quad_shard(seed=1, m=12, client_id=4), quad_shard(seed=2, m=300, client_id=9)]
 
-    def batches(self, rounds, b=5, count=3):
-        rngs = [derive_rng(11, fedsim.ROLE_SGD, sh.client_id) for sh in self.SHARDS]
-        return fedsim._Batches(rngs, [sh.data.m for sh in self.SHARDS], b, count, rounds)
+    def rows(self, rounds, b=5, count=3):
+        def rngs(p):
+            return derive_rng(11, fedsim.ROLE_SGD, self.SHARDS[p].client_id)
+
+        return fedsim._Rows(QUAD, self.SHARDS, b, count, rngs, rounds)
 
     @pytest.mark.parametrize("rounds", [1, fedsim._STREAM_ROUNDS, fedsim._STREAM_ROUNDS + 1, 40])
     def test_rounds_are_the_streams_read_in_order(self, rounds):
-        batches = self.batches(rounds)
+        rows = self.rows(rounds)
         refs = [derive_rng(11, fedsim.ROLE_SGD, sh.client_id) for sh in self.SHARDS]
         for k in range(rounds):
-            got = batches(k)
+            got = rows.batches(k)
             assert got.shape == (2, 3, 5)
-            for shard, ref, rows in zip(self.SHARDS, refs, got):
+            for shard, ref, drawn in zip(self.SHARDS, refs, got):
                 for t in range(3):
-                    assert np.array_equal(rows[t], fisher_yates(ref, shard.data.m, 5)), (k, t)
+                    assert np.array_equal(drawn[t], fisher_yates(ref, shard.data.m, 5)), (k, t)
         # the last block stops at the last round: nothing is drawn past it
-        for used, ref in zip(batches.rngs, refs):
+        for used, ref in zip(rows.streams, refs):
             assert used.bit_generator.state == ref.bit_generator.state
 
     def test_any_round_of_the_current_block_can_be_asked_again(self):
-        batches, fresh = self.batches(20), self.batches(20)
-        want = [fresh(k).copy() for k in range(6)]
-        assert np.array_equal(batches(0), want[0])
-        assert np.array_equal(batches(5), want[5])
-        assert np.array_equal(batches(2), want[2])
+        rows, fresh = self.rows(20), self.rows(20)
+        want = [fresh.batches(k).copy() for k in range(6)]
+        assert np.array_equal(rows.batches(0), want[0])
+        assert np.array_equal(rows.batches(5), want[5])
+        assert np.array_equal(rows.batches(2), want[2])
 
     @pytest.mark.parametrize(
         "read, asked",
@@ -149,11 +152,11 @@ class TestBatches:
         ],
     )
     def test_rounds_out_of_order_rejected(self, read, asked):
-        batches = self.batches(40)
+        rows = self.rows(40)
         for k in read:
-            batches(k)
+            rows.batches(k)
         with pytest.raises(ValueError, match=f"round {asked} asked for"):
-            batches(asked)
+            rows.batches(asked)
 
 
 def blown_up_reference(w: np.ndarray, positions: list[int]) -> list[int]:
@@ -476,6 +479,16 @@ class TestRunTraining:
         assert all(r.interval is not None for r in run.records)
         assert run.records[0].s == 2
 
+    def test_step_size_decayed_to_zero_stops_the_run(self):
+        # 0.05 * 1e-200 ** 2 underflows to 0.0 in round 2: an adaptive run
+        # stops at its level tick, a fixed-level one at local SGD
+        lr = LrSchedule(eta0=0.05, decay_factor=1e-200, decay_every=1)
+        assert lr.eta_for_round(1) > 0.0 == lr.eta_for_round(2)
+        with pytest.raises(ValueError, match="eta_k must be finite and positive, got 0.0"):
+            run_training(quad_config(lr=lr, quantization=AdaquantMode()))
+        with pytest.raises(ValueError, match="eta must be positive"):
+            run_training(quad_config(lr=lr))
+
     def test_feasibility_reported_when_smoothness_given(self):
         run = run_training(quad_config(rounds=3, smoothness=1.0))
         assert all(isinstance(r.feasible, bool) for r in run.records)
@@ -658,7 +671,7 @@ class TestBuildProblem:
         w[0] = 5.0
         assert state.w[0] == 1.0 and w.flags.writeable
 
-    def test_round_loop_adopts_the_uplink_result(self):
+    def test_round_loop_adopts_the_uplink_result(self, monkeypatch):
         shards = [quad_shard(seed=i, client_id=i, weight=0.5) for i in range(2)]
         state = GlobalState(w=np.zeros(3), round_index=4, cumulative_bits=10)
         built = []
@@ -667,12 +680,14 @@ class TestBuildProblem:
             built.append(fedsim._exact_uplink(w, deltas, s, rngs, weights))
             return built[-1]
 
-        rngs = [derive_rng(0, fedsim.ROLE_SGD, sh.client_id) for sh in shards]
-        deltas = np.array(reference_local_sgd(QUAD, shards, state.w, 2, 0.05, 4, rngs))
-        cost = bits_per_update(3, 3)
-        new_state, _ = fedsim._round(
-            shards, state, 3, 0.05, deltas, (), cost, uplink, train_loss=1.0
+        monkeypatch.setattr(fedsim, "_uplink", uplink)
+        new_state, _ = run_round(
+            QUAD, shards, state, 3, 0.05, local_steps=2, batch_size=4, master_seed=0, train_loss=1.0
         )
+        rngs = [derive_rng(0, fedsim.ROLE_SGD, sh.client_id, 4) for sh in shards]
+        deltas = reference_local_sgd(QUAD, shards, state.w, 2, 0.05, 4, rngs)
+        assert built[0].tobytes() == fedsim._exact_uplink(state.w, deltas, 3, (), [0.5, 0.5]).tobytes()
+        cost = bits_per_update(3, 3)
         assert new_state.w is built[0] and not built[0].flags.writeable
         assert (new_state.round_index, new_state.cumulative_bits) == (5, 10 + cost.total_bits)
 

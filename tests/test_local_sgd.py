@@ -27,7 +27,6 @@ from fedquant.fedsim import (
     GlobalState,
     Problem,
     TrainingDiverged,
-    _local_sgd,
     derive_rng,
     local_round,
     run_round,
@@ -72,6 +71,13 @@ def reference_local_sgd(model, shards, w_start, local_steps, eta, batch_size, rn
                 )
         deltas.append(w - w_start)
     return deltas
+
+
+def stacked_local_sgd(model, shards, w_start, local_steps, eta, batch_size, rngs):
+    """One round of the simulator's local SGD, with shard ``i``'s
+    minibatches drawn from ``rngs[i]``, all clients stepped together."""
+    rows = fedsim._Rows(model, shards, batch_size, local_steps, rngs.__getitem__)
+    return fedsim._sgd(rows, w_start, 0, eta)
 
 
 def masked_sigmoid(z):
@@ -166,7 +172,7 @@ def test_stacked_deltas_equal_reference_loop(kind, layout):
     w0 = start_point(model)
     ref_rngs, new_rngs = streams(len(sizes)), streams(len(sizes))
     expected = reference_local_sgd(model, shards, w0, steps, 0.3, batch_size, ref_rngs)
-    got = _local_sgd(model, shards, w0, steps, 0.3, batch_size, new_rngs)
+    got = stacked_local_sgd(model, shards, w0, steps, 0.3, batch_size, new_rngs)
     assert len(got) == len(sizes)
     for want, have in zip(expected, got):
         assert np.array_equal(want, have)
@@ -183,7 +189,7 @@ def test_deltas_are_one_plane_in_shard_order(sizes):
     shards = make_shards(model, sizes)
     w0 = start_point(model)
     expected = reference_local_sgd(model, shards, w0, 3, 0.3, 4, streams(len(sizes)))
-    got = _local_sgd(model, shards, w0, 3, 0.3, 4, streams(len(sizes)))
+    got = stacked_local_sgd(model, shards, w0, 3, 0.3, 4, streams(len(sizes)))
     assert isinstance(got, np.ndarray) and got.flags.c_contiguous
     assert got.shape == (len(sizes), model.dim)
     assert got.tobytes() == np.array(expected).tobytes()
@@ -202,7 +208,7 @@ def test_rows_gathered_a_few_steps_at_a_time(monkeypatch, layout, gather_bytes):
     shards = make_shards(model, sizes)
     w0 = start_point(model)
     expected = reference_local_sgd(model, shards, w0, steps, 0.3, batch_size, streams(len(sizes)))
-    got = _local_sgd(model, shards, w0, steps, 0.3, batch_size, streams(len(sizes)))
+    got = stacked_local_sgd(model, shards, w0, steps, 0.3, batch_size, streams(len(sizes)))
     for want, have in zip(expected, got):
         assert np.array_equal(want, have)
 
@@ -211,7 +217,7 @@ def test_full_batch_clients_draw_nothing():
     model = MODELS["logistic"]
     shards = make_shards(model, [4, 3, 3])
     rngs = streams(3)
-    _local_sgd(model, shards, start_point(model), 4, 0.3, 3, rngs)
+    stacked_local_sgd(model, shards, start_point(model), 4, 0.3, 3, rngs)
     fresh = streams(3)
     assert rngs[0].bit_generator.state != fresh[0].bit_generator.state
     for used, unused in zip(rngs[1:], fresh[1:]):
@@ -247,9 +253,9 @@ def test_inputs_are_checked_before_stepping():
             model, [*shards, bad], state, 2, 0.1, local_steps=2, batch_size=2, master_seed=0
         )
     with pytest.raises(ValueError, match="length"):
-        _local_sgd(model, shards, np.zeros(3), 2, 0.1, 2, streams(3))
+        stacked_local_sgd(model, shards, np.zeros(3), 2, 0.1, 2, streams(3))
     with pytest.raises(ValueError, match="batch_size"):
-        _local_sgd(model, shards, start_point(model), 2, 0.1, 0, streams(3))
+        stacked_local_sgd(model, shards, start_point(model), 2, 0.1, 0, streams(3))
 
 
 QUAD2 = ModelSpec.quadratic(2)
@@ -334,7 +340,7 @@ def test_diverging_round_drawn_ahead_keeps_its_error():
     )
     # the clients before the diverging one are unaffected
     first = shards[:1]
-    kept = _local_sgd(QUAD2, first, np.ones(2), 40, 1.0, 2, [derive_rng(0, ROLE_SGD, 0, 3)])
+    kept = stacked_local_sgd(QUAD2, first, np.ones(2), 40, 1.0, 2, [derive_rng(0, ROLE_SGD, 0, 3)])
     want = reference_local_sgd(QUAD2, first, np.ones(2), 40, 1.0, 2, [derive_rng(0, ROLE_SGD, 0, 3)])
     assert np.array_equal(kept[0], want[0])
 
@@ -352,9 +358,9 @@ def test_divergence_inside_a_gathered_span_keeps_its_error(monkeypatch, gather_b
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TrainingDiverged) as got:
-            _local_sgd(QUAD2, shards, np.ones(2), 40, 1.0, 2, streams(4))
+            stacked_local_sgd(QUAD2, shards, np.ones(2), 40, 1.0, 2, streams(4))
     assert str(got.value) == str(ref.value)
-    kept = _local_sgd(QUAD2, shards[:2], np.ones(2), 20, 1.0, 2, streams(2))
+    kept = stacked_local_sgd(QUAD2, shards[:2], np.ones(2), 20, 1.0, 2, streams(2))
     want = reference_local_sgd(QUAD2, shards[:2], np.ones(2), 20, 1.0, 2, streams(2))
     assert all(np.array_equal(a, b) for a, b in zip(kept, want))
 
@@ -384,7 +390,7 @@ def test_divergence_across_two_interleaved_batch_groups():
         with pytest.raises(TrainingDiverged) as ref:
             reference_local_sgd(QUAD2, shards, np.ones(2), 40, 0.05, 3, streams(6))
         with pytest.raises(TrainingDiverged) as got:
-            _local_sgd(QUAD2, shards, np.ones(2), 40, 0.05, 3, streams(6))
+            stacked_local_sgd(QUAD2, shards, np.ones(2), 40, 0.05, 3, streams(6))
         round_streams = [derive_rng(0, ROLE_SGD, sh.client_id, 5) for sh in shards]
         with pytest.raises(TrainingDiverged) as ref_round:
             reference_local_sgd(QUAD2, shards, np.ones(2), 40, 0.05, 3, round_streams)
@@ -394,7 +400,7 @@ def test_divergence_across_two_interleaved_batch_groups():
                 train_loss=1.0,
             )
         # the clients before client 2, one in each group, keep their deltas
-        kept = _local_sgd(QUAD2, shards[:2], np.ones(2), 40, 0.05, 3, streams(2))
+        kept = stacked_local_sgd(QUAD2, shards[:2], np.ones(2), 40, 0.05, 3, streams(2))
         want = reference_local_sgd(QUAD2, shards[:2], np.ones(2), 40, 0.05, 3, streams(2))
     assert (ref.value.client_id, ref.value.step) == (2, 26)
     assert str(got.value) == str(ref.value)

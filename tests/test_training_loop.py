@@ -228,7 +228,16 @@ def test_divergence_inside_a_block_keeps_its_context():
 def test_unequal_shards_in_two_batch_groups(monkeypatch):
     # batch 8: the shards of 12 and 10 rows sample and the one of 8 rows
     # steps on all of them, in one group; the one of 5 rows is a group of
-    # its own, between them in shard order
+    # its own, between them in shard order.  Each row source draws its
+    # blocks for the two sampling shards alone, one call a block
+    calls = []
+
+    def recording(rngs, ms, batch_size, count=1):
+        calls.append((list(ms), batch_size, count))
+        return draw(rngs, ms, batch_size, count)
+
+    draw = objectives._draw_batches
+    monkeypatch.setattr(objectives, "_draw_batches", recording)
     model = MODELS["logistic"][0]
     data = generate_synthetic("classification", 35, model.n_features, noise=0.1, seed=4)
     bounds = np.cumsum([0, 12, 5, 10, 8])
@@ -240,3 +249,6 @@ def test_unequal_shards_in_two_batch_groups(monkeypatch):
     monkeypatch.setattr(fedsim, "build_problem", lambda config: problem)
     records = assert_matches_reference(make_config(rounds=34, loss_estimate="minibatch"))
     assert len(records) == 34
+    # rounds 0-15, 16-31 and 32-33, the loss estimate's block (one row set
+    # a round) before local SGD's (three)
+    assert calls == [([12, 10], 8, n * count) for n in (16, 16, 2) for count in (1, 3)]

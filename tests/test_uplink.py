@@ -291,6 +291,19 @@ class TestRoundUplink:
             assert norm.tobytes() == np.float64(want).tobytes()
             assert norm32 == float(np.float32(want))
 
+    @given(w=vectors, s=levels, seed=seeds, layout=st.sampled_from(["strided", "reversed"]))
+    @settings(max_examples=200, deadline=None)
+    def test_quantize_of_a_view_is_quantize_of_its_copy(self, w, s, seed, layout):
+        view = np.repeat(w, 2)[::2] if layout == "strided" else w[::-1]
+        assert not view.flags.c_contiguous or view.size == 1
+        rng_view, rng_copy = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = quantize(view, s, rng_view), quantize(view.copy(), s, rng_copy)
+        assert np.float64(got.norm).tobytes() == np.float64(want.norm).tobytes()
+        assert got.signs.tobytes() == want.signs.tobytes()
+        assert got.levels.dtype == want.levels.dtype
+        assert got.levels.tobytes() == want.levels.tobytes()
+        assert rng_view.bit_generator.state == rng_copy.bit_generator.state
+
     def test_inputs_are_left_alone(self):
         w = np.array([0.5, -0.0, 2.0])
         w.setflags(write=False)
