@@ -3,7 +3,9 @@
 Three subcommands: ``run`` executes one configured experiment, ``sweep``
 compares the fixed 2/4/8/16-bit baselines against the adaptive schedule,
 and ``grid-s0`` searches over starting levels.  Exit code 0 on success,
-1 on a config problem, 2 when training diverges.
+1 on a config problem, 2 when training diverges.  A run with infeasible
+step sizes or saturated level recomputations still exits 0, with one
+warning line on standard error.
 """
 
 from __future__ import annotations
@@ -68,6 +70,20 @@ def _parse_candidates(raw: str) -> list[int]:
     return values
 
 
+def _report(summaries: dict[str, harness.ExperimentSummary]) -> None:
+    """Print the summary table, and one warning line on standard error
+    naming the runs with infeasible rounds or saturated recomputations."""
+    print(harness.format_summary_table(summaries))
+    flagged = [
+        f"{name} has {s.infeasible_rounds} infeasible rounds and "
+        f"{s.saturated_recomputations} saturated recomputations"
+        for name, s in summaries.items()
+        if s.infeasible_rounds or s.saturated_recomputations
+    ]
+    if flagged:
+        print(f"warning: {'; '.join(flagged)}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -76,16 +92,14 @@ def main(argv: list[str] | None = None) -> int:
             if args.output is not None:
                 config = replace(config, output=args.output)
             summary, _ = harness.run_experiment(config)
-            print(harness.format_summary_table({"run": summary}))
+            _report({"run": summary})
         elif args.command == "sweep":
-            results = harness.sweep(config, args.out_dir)
-            print(harness.format_summary_table(results))
+            _report(harness.sweep(config, args.out_dir))
         else:
             best, summaries = harness.grid_search_s0(
                 config, _parse_candidates(args.candidates)
             )
-            named = {f"s0={s0}": summary for s0, summary in summaries.items()}
-            print(harness.format_summary_table(named))
+            _report({f"s0={s0}": summary for s0, summary in summaries.items()})
             print(f"best starting level: {best}")
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -160,7 +160,8 @@ class QuantSchedule:
     The schedule re-solves for the level every ``interval_bits`` of uplink
     traffic, scaling the starting level ``s0`` by how far the loss has
     fallen (and the step size with it) since training began.  ``f_w0`` is
-    captured from the first observed loss when not set up front.
+    captured from the first observed loss when not set up front; it must
+    lie above ``f_star``, or the rule has no loss gap to scale by.
     ``saturated`` says whether the last recomputation saw a loss at or
     below ``f_star``.
     """
@@ -186,6 +187,8 @@ class QuantSchedule:
         _check_finite("f_star", self.f_star)
         if self.f_w0 is not None:
             _check_finite("f_w0", self.f_w0)
+            if self.f_w0 <= self.f_star:
+                raise ValueError(f"initial loss {self.f_w0} is at or below f_star {self.f_star}")
         if self.current_s is None:
             object.__setattr__(self, "current_s", self.s0)
 
@@ -211,9 +214,6 @@ def _level(f_wk: float, eta_k: float, schedule: QuantSchedule, warn: bool) -> tu
         raise ValueError("schedule has no recorded initial loss")
     base = schedule.f_w0 - schedule.f_star
     excess = f_wk - schedule.f_star
-    if base <= 0.0:
-        logger.warning("initial loss %.6g at or below f_star; holding coarsest level", schedule.f_w0)
-        return 1, False
     if excess <= 0.0:
         if warn:
             logger.warning(
@@ -234,7 +234,9 @@ def interval_tick(
     new ``interval_bits``-sized window since the last recomputation.  A
     loss at or below ``f_star`` is warned about once, when the schedule
     enters saturation, not at every recomputation that stays there.
-    ``f_wk`` and ``eta_k`` are checked at every tick, recomputing or not.
+    ``f_wk`` and ``eta_k`` are checked at every tick, recomputing or not;
+    the first tick captures ``f_wk`` as ``f_w0``, so a first loss at or
+    below ``f_star`` is refused there.
     """
     if cumulative_bits < 0:
         raise ValueError("cumulative_bits must be non-negative")

@@ -10,7 +10,9 @@ buffer, reused across the round; it is bit for bit
 ``QuantizedUpdate``.  Local SGD and the loss estimate read the clients'
 rows from one row source per role (:class:`_Rows`), built once per run;
 each holds one minibatch block, for the shards with more than
-``batch_size`` rows.  Only the parameter plane is built per round.
+``batch_size`` rows, drawn into sampler buffers it allocates once, so a
+block's indices hold only until the next block is drawn.  Only the
+parameter plane is built per round.
 
 Determinism contract: a run derives one generator per (role, client)
 from ``(master_seed, role, client_id)`` and reads it in round order, so
@@ -96,7 +98,9 @@ class _Rows:
     :meth:`batches`), their indices drawn from ``rngs(position)`` and
     gathered ``span`` row sets at a time, as many as fit in
     ``objectives._GATHER_BYTES`` (at least one).  Everything here is built
-    once and lives as long as the rows are read.
+    once and lives as long as the rows are read, the sampler's workspace
+    too: it is sized to the largest block, ``min(_STREAM_ROUNDS, rounds)``
+    rounds, and every block is drawn into it.
     """
 
     def __init__(
@@ -119,7 +123,7 @@ class _Rows:
         self.model, self.shards, self.count = model, shards, count
         self.batch_size, self.rounds = batch_size, rounds
         self.positions, self.groups = list(groups.values()), []
-        self.sources, self.streams, self.ms, self.span = [], [], [], 1
+        self.sources, self.streams, self.span, self.sampler = [], [], 1, None
         for b, positions in groups.items():
             data = [shards[p].data for p in positions]
             labels = [objectives._labels(model, d.labels) for d in data]
@@ -134,7 +138,10 @@ class _Rows:
             if sampled:  # the group of batch_size rows
                 self.sources = [(data[j].features, labels[j], x[j], y[j]) for j in sampled]
                 self.streams = [rngs(positions[j]) for j in sampled]
-                self.ms, self.span = [data[j].m for j in sampled], span
+                self.span = span
+                self.sampler = objectives._BatchWorkspace(
+                    [data[j].m for j in sampled], b, min(_STREAM_ROUNDS, rounds) * count
+                )
             self.groups.append((x, y, span))
         self.start, self.drawn = 0, np.empty((0, 0), dtype=np.int64)  # no block yet
 
@@ -144,14 +151,15 @@ class _Rows:
         ``k``.  The rounds are asked for in order, so each stream gives its
         minibatches in round order; no minibatch depends on the model, so
         those of ``_STREAM_ROUNDS`` rounds, never past ``rounds``, come from
-        one ``_draw_batches`` call."""
+        one ``_draw_batches`` call.  The view returned lies in the sampler's
+        workspace, so it holds only until the next block is drawn."""
         stop = self.start + self.drawn.shape[1]
         if not self.start <= k < stop:
             if k != stop:
                 raise ValueError(f"round {k} asked for after round {stop - 1}")
-            n, b = min(_STREAM_ROUNDS, self.rounds - k), self.batch_size
-            drawn = objectives._draw_batches(self.streams, self.ms, b, n * self.count)
-            self.start, self.drawn = k, drawn.reshape(len(self.ms), n, self.count, b)
+            n = min(_STREAM_ROUNDS, self.rounds - k)
+            drawn = objectives._draw_batches(self.sampler, self.streams, n * self.count)
+            self.start, self.drawn = k, drawn.reshape(len(self.streams), n, self.count, self.batch_size)
         return self.drawn[:, k - self.start]
 
     def __call__(self, k: int):
@@ -254,12 +262,15 @@ class Problem:
 
 @dataclass(frozen=True)
 class TrainingRun:
-    """Everything a finished run produced."""
+    """Everything a finished run produced.  ``saturated_recomputations``
+    counts the recorded rounds whose adaptive level was recomputed at a
+    loss at or below ``f_star``, and so set to ``s_max``."""
 
     records: tuple[RoundRecord, ...]
     final_state: GlobalState
     problem: Problem
     parameter_trail: tuple[np.ndarray, ...] | None = None
+    saturated_recomputations: int = 0
 
 
 def _blown_up(w: np.ndarray, positions: Sequence[int]) -> list[int]:
@@ -613,6 +624,7 @@ def _train(
         )
     records: list[RoundRecord] = []
     trail: list[np.ndarray] = []
+    saturated = 0
     for k in range(config.rounds):
         f_wk = _loss_estimate(loss_rows, state.w, k)
         if not np.isfinite(f_wk):
@@ -620,9 +632,12 @@ def _train(
                 f"non-finite training loss at round {k}", round_index=k, records=tuple(records)
             )
         eta_k = config.lr.eta_for_round(k)
+        saturating = False
         if schedule is not None:
+            ticked = schedule.interval_index
             s_k, schedule = interval_tick(schedule, state.cumulative_bits, f_wk, eta_k)
             interval = schedule.interval_index
+            saturating = schedule.saturated and interval != ticked
         else:
             s_k = quant.s
             interval = None
@@ -630,6 +645,7 @@ def _train(
         spent = state.cumulative_bits + cost.total_bits
         if config.bit_budget is not None and spent > config.bit_budget:
             break
+        saturated += saturating
         feasible = None
         if config.smoothness is not None:
             feasible = lr_condition_fixed(
@@ -660,4 +676,5 @@ def _train(
         final_state=state,
         problem=problem,
         parameter_trail=tuple(trail) if keep_parameters else None,
+        saturated_recomputations=saturated,
     )

@@ -72,6 +72,10 @@ class ExperimentSummary:
 
     ``bits_to_threshold`` is None when the run never reached the
     configured loss threshold (or no threshold was set).
+    ``infeasible_rounds`` counts the rounds whose step size failed the
+    feasibility check (``smoothness`` set), and
+    ``saturated_recomputations`` the adaptive level's recomputations that
+    met a loss at or below ``f_star``.
     """
 
     rounds: int
@@ -80,6 +84,8 @@ class ExperimentSummary:
     cumulative_bits: int
     bits_to_threshold: int | None
     s_trajectory: tuple[int, ...]
+    infeasible_rounds: int = 0
+    saturated_recomputations: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +350,8 @@ def _summarize(config: TrainingConfig, run: TrainingRun) -> ExperimentSummary:
         cumulative_bits=run.final_state.cumulative_bits,
         bits_to_threshold=crossed,
         s_trajectory=tuple(r.s for r in run.records),
+        infeasible_rounds=sum(r.feasible is False for r in run.records),
+        saturated_recomputations=run.saturated_recomputations,
     )
 
 
@@ -460,13 +468,17 @@ def reference_config(**overrides) -> TrainingConfig:
 
 def format_summary_table(summaries: dict[str, ExperimentSummary]) -> str:
     """Fixed-width comparison table for terminal output."""
-    header = f"{'run':<12} {'rounds':>6} {'final_loss':>12} {'eval':>8} {'bits':>12} {'bits_to_thr':>12}"
+    header = (
+        f"{'run':<12} {'rounds':>6} {'final_loss':>12} {'eval':>8} {'bits':>12} {'bits_to_thr':>12}"
+        f" {'infeasible':>10} {'saturated':>9}"
+    )
     lines = [header, "-" * len(header)]
     for name, s in summaries.items():
         metric = f"{s.final_eval_metric:.4f}" if s.final_eval_metric is not None else "-"
         crossed = str(s.bits_to_threshold) if s.bits_to_threshold is not None else "-"
         lines.append(
             f"{name:<12} {s.rounds:>6} {s.final_loss:>12.6f} {metric:>8} "
-            f"{s.cumulative_bits:>12} {crossed:>12}"
+            f"{s.cumulative_bits:>12} {crossed:>12} {s.infeasible_rounds:>10} "
+            f"{s.saturated_recomputations:>9}"
         )
     return "\n".join(lines)

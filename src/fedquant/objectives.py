@@ -289,9 +289,43 @@ def _labels(model: ModelSpec, labels: np.ndarray) -> np.ndarray:
 _GATHER_BYTES = 1 << 20
 
 
-def _draw_batches(rngs: Sequence, ms: Sequence[int], batch_size: int, count: int = 1) -> np.ndarray:
+class _BatchWorkspace:
+    """Every block-sized array :func:`_draw_batches` fills, and the
+    constants it reads, for minibatches of ``batch_size`` of ``ms[i]`` rows
+    from stream ``i``, at most ``count`` per stream a call.  Built once,
+    so a draw makes no array of its size; a draw of fewer minibatches uses
+    a prefix of each buffer.  The index plane's chunks of rows are sized
+    here, from ``_GATHER_BYTES``.  Every ``ms[i]`` must exceed
+    ``batch_size``.
+    """
+
+    def __init__(self, ms: Sequence[int], batch_size: int, count: int) -> None:
+        b = batch_size
+        if not all(b < m for m in ms):
+            raise ValueError(f"need batch_size < m rows, got {b} of {list(ms)}")
+        self.ms, self.batch_size = list(ms), b
+        width = max(ms)
+        dtype = np.min_scalar_type(width)
+        size = len(ms) * count * b
+        self.u = np.empty(size)
+        self.targets = np.empty(size, dtype=np.intp)
+        self.entries = np.empty(size, dtype=dtype)
+        self.result = np.empty(size, dtype=dtype)
+        # step i of a stream's shuffle scales its draw by m - i, then offsets
+        # the target by i; a plane row starts at a multiple of the width
+        self.scale = np.asarray(ms, dtype=np.float64)[:, None, None] - np.arange(b)
+        self.step = np.arange(b)[:, None]
+        self.chunk_rows = max(1, min(len(ms) * count, _GATHER_BYTES // (width * dtype.itemsize)))
+        self.offsets = np.arange(0, self.chunk_rows * width, width)
+        self.template = np.arange(width, dtype=dtype)
+        self.plane = np.empty(self.chunk_rows * width, dtype=dtype)
+
+
+def _draw_batches(workspace: _BatchWorkspace, rngs: Sequence, count: int) -> np.ndarray:
     """Minibatch row indices, ``count`` per stream: entry ``[i, t]`` is the
-    ``t``-th minibatch of ``batch_size`` of ``ms[i]`` rows from ``rngs[i]``.
+    ``t``-th minibatch of ``batch_size`` of ``ms[i]`` rows from ``rngs[i]``,
+    the sizes those of ``workspace``.  The result is a view into
+    ``workspace``, which the next draw through it overwrites.
 
     A minibatch reads ``b`` doubles ``u`` from its stream and is the first
     ``b`` entries of a partial Fisher-Yates shuffle of ``arange(m)``: step
@@ -304,31 +338,32 @@ def _draw_batches(rngs: Sequence, ms: Sequence[int], batch_size: int, count: int
     row at least).  No later step reads position ``i``, so step ``i`` writes
     the entry at ``j`` straight to the result, as the minibatch's entry
     ``i``, and moves the entry at ``i`` to ``j``: two NumPy calls a step.
-    Every ``ms[i]`` must exceed ``batch_size``.
     """
-    b = batch_size
-    if not all(b < m for m in ms):
-        raise ValueError(f"need batch_size < m rows, got {b} of {list(ms)}")
-    width = max(ms)
-    dtype = np.min_scalar_type(width)
-    u = np.concatenate([rng.random((count, b)) for rng in rngs])
-    u *= np.repeat(np.asarray(ms, dtype=np.float64), count)[:, None] - np.arange(b)
+    ws, b = workspace, workspace.batch_size
+    n_rows, size, width = len(ws.ms) * count, len(ws.ms) * count * b, len(ws.template)
+    u = ws.u[:size].reshape(len(ws.ms), count, b)
+    for rng, draws in zip(rngs, u):
+        rng.random(out=draws)
+    u *= ws.scale
     # each row's swap targets, offsets from its row's start in the plane,
     # indexed (step, row) so that a step's targets, and results, are contiguous
-    targets = u.T.astype(np.intp)
-    targets += np.arange(b)[:, None]
-    out = np.empty((b, len(u)), dtype=dtype)
-    rows = max(1, _GATHER_BYTES // (width * dtype.itemsize))
-    for a in range(0, len(u), rows):
-        n = min(rows, len(u) - a)
-        plane = np.tile(np.arange(width, dtype=dtype), n)
+    targets = ws.targets[:size].reshape(b, n_rows)
+    np.copyto(targets, u.reshape(n_rows, b).T, casting="unsafe")
+    targets += ws.step
+    out = ws.entries[:size].reshape(b, n_rows)
+    for a in range(0, n_rows, ws.chunk_rows):
+        n = min(ws.chunk_rows, n_rows - a)
+        plane = ws.plane[: n * width]
         grid = plane.reshape(n, width)
+        grid[...] = ws.template
         steps = targets[:, a : a + n]
-        steps += np.arange(0, n * width, width)
+        steps += ws.offsets[:n]
         for i, (j, entries) in enumerate(zip(steps, out[:, a : a + n])):
             plane.take(j, out=entries, mode="clip")  # j is in range: "clip" skips a buffered out
             plane[j] = grid[:, i]
-    return np.ascontiguousarray(out.T).reshape(len(ms), count, b)
+    result = ws.result[:size].reshape(n_rows, b)
+    np.copyto(result, out.T)
+    return result.reshape(len(ws.ms), count, b)
 
 
 def loss(model: ModelSpec, w: np.ndarray, data: Dataset) -> float:
@@ -360,7 +395,7 @@ def sample_batch(
         raise ValueError("batch_size must be at least 1")
     if batch_size >= data.m:
         return data
-    return data.subset(_draw_batches([rng], [data.m], batch_size)[0, 0])
+    return data.subset(_draw_batches(_BatchWorkspace([data.m], batch_size, 1), [rng], 1)[0, 0])
 
 
 def accuracy(model: ModelSpec, w: np.ndarray, data: Dataset) -> float:

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+from pathlib import Path
 
 import pytest
 
 from fedquant.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL = """
 [model]
@@ -78,6 +82,47 @@ class TestRun:
             outs.append(out.read_bytes())
         assert outs[0] != outs[1]
         assert outs[1] == outs[2]
+
+
+class TestLoudMistakes:
+    """``configs/reference.ini`` cut to 40 rounds, with one mistake each."""
+
+    @staticmethod
+    def reference(tmp_path, *edits):
+        text = (ROOT / "configs" / "reference.ini").read_text()
+        for old, new in (("rounds = 1600", "rounds = 40"), *edits):
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "mistake.ini"
+        path.write_text(text)
+        return str(path)
+
+    def test_f_star_above_the_first_loss_is_refused(self, tmp_path, capsys):
+        # the run used to hold s = 1 for all 40 rounds and exit 0
+        path = self.reference(tmp_path, ("f_star = 0.40", "f_star = 1e26"))
+        assert main(["run", "-c", path, "-o", str(tmp_path / "run.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial loss 0.693147")
+        assert "at or below f_star 1e+26" in err
+
+    def test_infeasible_step_size_warns_and_keeps_the_csv(self, tmp_path, capsys):
+        # every round fails the feasibility check; the run still exits 0,
+        # with one warning line, and its CSV bytes are what they were
+        # before the warning existed
+        path = self.reference(tmp_path, ("eval_every = 10", "eval_every = 10\nsmoothness = 1000"))
+        out = tmp_path / "run.csv"
+        assert main(["run", "-c", path, "-o", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: run has 40 infeasible rounds and 0 saturated recomputations\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d0e25e9e738d7b08d40ac052b7175bc91d7916a0a0252af22c27458d1bede25f"
+        )
+        assert captured.out.splitlines()[0].split()[-2:] == ["infeasible", "saturated"]
+        assert captured.out.splitlines()[2].split()[-2:] == ["40", "0"]
+
+    def test_no_mistake_no_warning(self, tmp_path, capsys):
+        assert main(["run", "-c", self.reference(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSweep:

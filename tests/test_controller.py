@@ -293,6 +293,18 @@ class TestIntervalTick:
         with pytest.raises(ValueError):
             interval_tick(schedule(), -1, 1.0, 0.1)
 
+    @pytest.mark.parametrize("first", [0.5, 0.25, -3.0])
+    def test_first_loss_at_or_below_f_star_refused(self, first):
+        # the schedule used to hold the coarsest level, s = 1, at every
+        # recomputation; now the first tick, which captures f_w0, refuses it
+        message = f"initial loss {first} is at or below f_star 0.5"
+        with pytest.raises(ValueError, match=message):
+            interval_tick(schedule(f_w0=None, f_star=0.5), 0, first, 0.1)
+        with pytest.raises(ValueError, match=message):
+            schedule(f_w0=first, f_star=0.5)
+        _, sched = interval_tick(schedule(f_w0=None, f_star=0.5), 0, 0.5000001, 0.1)
+        assert sched.f_w0 == 0.5000001
+
     def test_saturation_warned_once_on_entering(self, caplog):
         sched = schedule(f_w0=None, s_max=99, f_star=0.5)
         levels = []
@@ -316,6 +328,13 @@ class TestIntervalTick:
         saturated = [r for r in run.records if r.s == config.quantization.s_max]
         assert len(saturated) > 100
         assert sum("saturating" in m for m in caplog.messages) == 1
+        # the run counts every recorded round that recomputed its level at
+        # a loss at or below f_star
+        recomputed = [
+            r for r, before in zip(run.records[1:], run.records)
+            if r.interval != before.interval and r.train_loss <= 0.45
+        ]
+        assert run.saturated_recomputations == len(recomputed) > 100
 
 
 class TestLrConditions:

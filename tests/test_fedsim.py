@@ -140,6 +140,14 @@ class TestBatches:
         assert np.array_equal(rows.batches(5), want[5])
         assert np.array_equal(rows.batches(2), want[2])
 
+    def test_later_blocks_reuse_the_first_blocks_buffers(self):
+        # 40 rounds: two full blocks and a short one of 8 rounds, all drawn
+        # into the buffers the row source allocated for the first
+        rows = self.rows(40)
+        first = rows.batches(0)
+        for k in (fedsim._STREAM_ROUNDS, 2 * fedsim._STREAM_ROUNDS):
+            assert np.shares_memory(first, rows.batches(k)), k
+
     @pytest.mark.parametrize(
         "read, asked",
         [

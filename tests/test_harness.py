@@ -16,6 +16,7 @@ from fedquant.harness import (
     ConfigError,
     bits_to_threshold,
     emit_csv,
+    format_summary_table,
     grid_search_s0,
     load_config,
     parse_config,
@@ -224,6 +225,26 @@ class TestRunExperiment:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(CSV_COLUMNS)
+
+    def test_summary_counts_infeasible_rounds_and_saturations(self):
+        # at smoothness 1.2 the coarse levels fail the step-size condition
+        # and the fine ones pass; f_star = 0.45 saturates the level
+        config = reference_config(
+            rounds=300, smoothness=1.2, quantization=AdaquantMode(s0=2, s_max=64, f_star=0.45)
+        )
+        summary, records = run_experiment(config)
+        infeasible = sum(r.feasible is False for r in records)
+        assert summary.infeasible_rounds == infeasible
+        assert 0 < infeasible < len(records)
+        assert summary.saturated_recomputations == sum(
+            r.interval != before.interval and r.train_loss <= 0.45
+            for r, before in zip(records[1:], records)
+        ) > 0
+        table = format_summary_table({"run": summary}).splitlines()
+        assert table[0].split()[-2:] == ["infeasible", "saturated"]
+        assert table[2].split()[-2:] == [str(infeasible), str(summary.saturated_recomputations)]
+        plain = run_experiment(reference_config(rounds=30))[0]
+        assert (plain.infeasible_rounds, plain.saturated_recomputations) == (0, 0)
 
     def test_final_loss_is_fresh_evaluation(self):
         summary, records = run_experiment(small_quad(rounds=8))

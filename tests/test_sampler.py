@@ -7,19 +7,21 @@ of ``arange(m)`` after step ``i`` swaps positions ``i`` and
 that specification, one minibatch at a time; the sampler runs it in
 lockstep over many minibatches, in row chunks of a bounded index plane,
 and must return exactly its rows and leave each stream where successive
-one-row draws leave it.  The other tests' reference loops draw their
-minibatches through ``fisher_yates`` and ``reference_batch``.
+one-row draws leave it, also when one workspace
+(``objectives._BatchWorkspace``) serves block after block.  The other
+tests' reference loops draw their minibatches through ``fisher_yates`` and
+``reference_batch``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedquant import objectives
-from fedquant.objectives import Dataset, _draw_batches, sample_batch
+from fedquant.objectives import Dataset, _BatchWorkspace, _draw_batches, sample_batch
 
 
 def fisher_yates(rng: np.random.Generator, m: int, b: int) -> np.ndarray:
@@ -44,16 +46,22 @@ def generators(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng([seed, i]) for i in range(n)]
 
 
+def draw(rngs, ms, b, count=1) -> np.ndarray:
+    """One block of ``count`` minibatches per stream, through a workspace
+    of its own."""
+    return _draw_batches(_BatchWorkspace(ms, b, count), rngs, count)
+
+
 def assert_matches_one_row_draws(ms, b, count, seed):
     got_rngs, row_rngs, ref_rngs = (generators(seed, len(ms)) for _ in range(3))
-    got = _draw_batches(got_rngs, ms, b, count)
+    got = draw(got_rngs, ms, b, count)
     assert got.shape == (len(ms), count, b)
     assert got.dtype == np.min_scalar_type(max(ms))
     for i, m in enumerate(ms):
         for t in range(count):
             want = fisher_yates(ref_rngs[i], m, b)
             assert np.array_equal(got[i, t], want), (i, t)
-            assert np.array_equal(_draw_batches([row_rngs[i]], [m], b)[0, 0], want), (i, t)
+            assert np.array_equal(draw([row_rngs[i]], [m], b)[0, 0], want), (i, t)
     for used, row, ref in zip(got_rngs, row_rngs, ref_rngs):
         assert used.bit_generator.state == row.bit_generator.state == ref.bit_generator.state
 
@@ -70,6 +78,39 @@ def shapes(draw):
 def test_block_equals_successive_one_row_draws(shape, count, seed):
     ms, b = shape
     assert_matches_one_row_draws(ms, b, count, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shapes(),
+    st.integers(1, 6),
+    st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    st.sampled_from([None, 0, 3000]),
+    st.integers(0, 2**32),
+)
+# two full blocks and a short last one, of unequal shards with a uint16
+# plane, one plane row a chunk
+@example(([300, 12, 256], 11), 4, [4, 4, 1], 0, 5)
+def test_successive_blocks_through_one_workspace(shape, capacity, blocks, gather_bytes, seed):
+    # blocks of at most capacity minibatches per stream, each a prefix of
+    # the workspace's buffers, with the plane chunked by whatever
+    # _GATHER_BYTES held when the workspace was built
+    ms, b = shape
+    with pytest.MonkeyPatch.context() as patch:
+        if gather_bytes is not None:
+            patch.setattr(objectives, "_GATHER_BYTES", gather_bytes)
+        workspace = _BatchWorkspace(ms, b, capacity)
+    got_rngs, ref_rngs = generators(seed, len(ms)), generators(seed, len(ms))
+    for block, count in enumerate(min(count, capacity) for count in blocks):
+        got = _draw_batches(workspace, got_rngs, count)
+        assert got.shape == (len(ms), count, b)
+        assert got.dtype == np.min_scalar_type(max(ms))
+        assert np.shares_memory(got, workspace.result)
+        for i, m in enumerate(ms):
+            for t in range(count):
+                assert np.array_equal(got[i, t], fisher_yates(ref_rngs[i], m, b)), (block, i, t)
+        for used, ref in zip(got_rngs, ref_rngs):
+            assert used.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -122,19 +163,22 @@ def test_plane_in_several_row_chunks(monkeypatch):
 
 @pytest.mark.parametrize("m, dtype", [(255, np.uint8), (256, np.uint16), (65_536, np.uint32)])
 def test_narrowest_dtype_that_holds_the_rows(m, dtype):
-    assert _draw_batches(generators(0, 2), [m, 2], 1, 3).dtype == dtype
+    assert draw(generators(0, 2), [m, 2], 1, 3).dtype == dtype
 
 
 def test_largest_draw_stays_inside_the_rows():
     class Highest:
         """Every double just below 1, the largest ``random`` returns."""
 
-        def random(self, shape):
-            return np.full(shape, np.nextafter(1.0, 0.0))
+        def random(self, shape=None, out=None):
+            if out is None:
+                return np.full(shape, np.nextafter(1.0, 0.0))
+            out.fill(np.nextafter(1.0, 0.0))
+            return out
 
     # every step swaps its position with the last, m - 1, which then
     # holds what the step before it moved there
-    got = _draw_batches([Highest()], [10], 4, 2)
+    got = draw([Highest()], [10], 4, 2)
     assert got.tolist() == [[[9, 0, 1, 2]] * 2]
     assert np.array_equal(got[0, 0], fisher_yates(Highest(), 10, 4))
 
@@ -146,7 +190,10 @@ class Repeating:
     def __init__(self, *values: float) -> None:
         self.values = values
 
-    def random(self, shape):
+    def random(self, shape=None, out=None):
+        if out is not None:
+            out[...] = self.random(out.shape)
+            return out
         b = shape if isinstance(shape, int) else shape[-1]
         return np.broadcast_to(np.resize(np.array(self.values), b), shape).copy()
 
@@ -174,7 +221,7 @@ HIGHEST = float(np.nextafter(1.0, 0.0))
 def test_extreme_draws_match_one_row_draws(monkeypatch, stream, ms, b, rows_per_chunk):
     if rows_per_chunk == "one":
         monkeypatch.setattr(objectives, "_GATHER_BYTES", 0)
-    got = _draw_batches([stream] * len(ms), ms, b, 3)
+    got = draw([stream] * len(ms), ms, b, 3)
     for i, m in enumerate(ms):
         want = fisher_yates(stream, m, b)
         assert all(np.array_equal(row, want) for row in got[i]), (i, got[i], want)
@@ -184,16 +231,16 @@ def test_extreme_draws_match_one_row_draws(monkeypatch, stream, ms, b, rows_per_
 
 def test_rejects_batches_that_cover_the_rows():
     with pytest.raises(ValueError, match="batch_size < m"):
-        _draw_batches(generators(0, 2), [10, 5], 5)
+        _BatchWorkspace([10, 5], 5, 1)
     with pytest.raises(ValueError, match="batch_size < m"):
-        _draw_batches(generators(0, 1), [3], 4)
+        _BatchWorkspace([3], 4, 1)
 
 
 def test_ordered_pairs_are_uniform():
     # every ordered pair of 2 of 5 rows, 20 in all, is equally likely; at
     # 20,000 draws from one seed the chi-square statistic, 19 degrees of
     # freedom, stays below 43.82, its 0.999 quantile
-    draws = _draw_batches([np.random.default_rng(2026)], [5], 2, 20_000)[0].astype(np.intp)
+    draws = draw([np.random.default_rng(2026)], [5], 2, 20_000)[0].astype(np.intp)
     counts = np.bincount(draws[:, 0] * 5 + draws[:, 1], minlength=25).reshape(5, 5)
     assert np.all(np.diag(counts) == 0)
     observed = counts[~np.eye(5, dtype=bool)]

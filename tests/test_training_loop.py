@@ -163,9 +163,9 @@ def test_blocks_stop_at_the_last_round(monkeypatch):
     # from one call each, none for a round the run never reaches
     calls = []
 
-    def recording(rngs, ms, batch_size, count=1):
-        calls.append((len(ms), count))
-        return draw(rngs, ms, batch_size, count)
+    def recording(workspace, rngs, count):
+        calls.append((len(workspace.ms), count))
+        return draw(workspace, rngs, count)
 
     draw = objectives._draw_batches
     monkeypatch.setattr(objectives, "_draw_batches", recording)
@@ -232,9 +232,9 @@ def test_unequal_shards_in_two_batch_groups(monkeypatch):
     # blocks for the two sampling shards alone, one call a block
     calls = []
 
-    def recording(rngs, ms, batch_size, count=1):
-        calls.append((list(ms), batch_size, count))
-        return draw(rngs, ms, batch_size, count)
+    def recording(workspace, rngs, count):
+        calls.append((list(workspace.ms), workspace.batch_size, count))
+        return draw(workspace, rngs, count)
 
     draw = objectives._draw_batches
     monkeypatch.setattr(objectives, "_draw_batches", recording)
