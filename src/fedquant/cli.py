@@ -3,9 +3,9 @@
 Three subcommands: ``run`` executes one configured experiment, ``sweep``
 compares the fixed 2/4/8/16-bit baselines against the adaptive schedule,
 and ``grid-s0`` searches over starting levels.  Exit code 0 on success,
-1 on a config problem, 2 when training diverges.  A run with infeasible
-step sizes or saturated level recomputations still exits 0, with one
-warning line on standard error.
+1 on a config problem (a size too large to allocate among them), 2 when
+training diverges.  A run with infeasible step sizes or saturated level
+recomputations still exits 0, with one warning line on standard error.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             _report({f"s0={s0}": summary for s0, summary in summaries.items()})
             print(f"best starting level: {best}")
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TrainingDiverged as exc:

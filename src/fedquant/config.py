@@ -8,10 +8,10 @@ identical runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .controller import LrSchedule, _check_finite
+from . import _checks
+from .controller import LrSchedule
 from .objectives import _DATA_KINDS, _PARTITION_MODES, ModelSpec
 from .quantizer import _MAX_EXACT_LEVEL
 
@@ -41,16 +41,11 @@ class SyntheticData:
     def __post_init__(self) -> None:
         if self.kind not in _DATA_KINDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
-        if self.n_features < 1:
-            raise ValueError("n_features must be at least 1")
-        if self.eval_samples < 0:
-            raise ValueError("eval_samples must be non-negative")
-        if not 0.0 <= self.noise < math.inf:
-            raise ValueError(f"noise must be finite and non-negative, got {self.noise}")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be at least 2")
+        _checks.at_least("samples", self.samples, 1)
+        _checks.at_least("n_features", self.n_features, 1)
+        _checks.non_negative("eval_samples", self.eval_samples)
+        _checks.finite("noise", self.noise, "non-negative")
+        _checks.at_least("n_classes", self.n_classes, 2)
 
 
 @dataclass(frozen=True)
@@ -64,8 +59,7 @@ class FileData:
     def __post_init__(self) -> None:
         if self.kind not in _DATA_KINDS:
             raise ValueError(f"unknown data kind {self.kind!r}")
-        if self.eval_samples < 0:
-            raise ValueError("eval_samples must be non-negative")
+        _checks.non_negative("eval_samples", self.eval_samples)
 
 
 @dataclass(frozen=True)
@@ -75,8 +69,7 @@ class FixedMode:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.bits <= 31:
-            raise ValueError(f"bits must lie in [1, 31], got {self.bits}")
+        _checks.in_range("bits", self.bits, 1, 31)
 
     @property
     def s(self) -> int:
@@ -97,15 +90,12 @@ class AdaquantMode:
     f_star: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.s0 < 1:
-            raise ValueError("s0 must be at least 1")
-        if self.s_max < self.s0:
-            raise ValueError("s_max must be at least s0")
-        if self.s_max > _MAX_EXACT_LEVEL:
-            raise ValueError(f"s_max must be at most 2**53, got {self.s_max}")
-        if self.interval_bits is not None and self.interval_bits < 1:
-            raise ValueError("interval_bits must be at least 1")
-        _check_finite("f_star", self.f_star)
+        _checks.at_least("s0", self.s0, 1)
+        _checks.at_least("s_max", self.s_max, self.s0)
+        _checks.in_range("s_max", self.s_max, 1, _MAX_EXACT_LEVEL)
+        if self.interval_bits is not None:
+            _checks.at_least("interval_bits", self.interval_bits, 1)
+        _checks.finite("f_star", self.f_star)
 
 
 @dataclass(frozen=True)
@@ -128,28 +118,20 @@ class TrainingConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be at least 1")
-        if self.local_steps < 1:
-            raise ValueError("local_steps must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.rounds < 0:
-            raise ValueError("rounds must be non-negative")
+        for name in ("n_clients", "local_steps", "batch_size", "eval_every"):
+            _checks.at_least(name, getattr(self, name), 1)
+        _checks.non_negative("rounds", self.rounds)
         if self.partition_mode not in _PARTITION_MODES:
             raise ValueError(f"unknown partition mode {self.partition_mode!r}")
-        if self.bit_budget is not None and self.bit_budget < 1:
-            raise ValueError("bit_budget must be at least 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be at least 1")
+        if self.bit_budget is not None:
+            _checks.at_least("bit_budget", self.bit_budget, 1)
         if self.loss_estimate not in _LOSS_ESTIMATES:
             raise ValueError(f"loss_estimate must be 'full' or 'minibatch', got {self.loss_estimate!r}")
         if self.loss_threshold is not None:
-            _check_finite("loss_threshold", self.loss_threshold)
+            _checks.finite("loss_threshold", self.loss_threshold)
         if self.smoothness is not None:
-            _check_finite("smoothness", self.smoothness, positive=True)
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
+            _checks.finite("smoothness", self.smoothness, "positive")
+        _checks.non_negative("master_seed", self.master_seed)
         self._check_model_data()
 
     def _check_model_data(self) -> None:

@@ -13,12 +13,12 @@ rounds and refining later ones.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _checks
 from .quantizer import NORM_BITS
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "lr_condition_fixed",
     "adaptive_bound_terms",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -57,13 +55,10 @@ class BoundConstants:
 
     def __post_init__(self) -> None:
         for name in ("eta", "smoothness", "bit_budget"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            _checks.positive(name, getattr(self, name))
         for name in ("local_steps", "n_clients", "dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.grad_variance < 0.0:
-            raise ValueError("grad_variance must be non-negative")
+            _checks.at_least(name, getattr(self, name), 1)
+        _checks.non_negative("grad_variance", self.grad_variance)
         if not self.initial_loss > self.optimal_loss:
             raise ValueError("initial_loss must exceed optimal_loss")
 
@@ -114,8 +109,7 @@ def bound_value(s, constants: BoundConstants):
     or searched on a continuous grid).
     """
     s_arr = np.asarray(s, dtype=np.float64)
-    if np.any(s_arr <= 0.0):
-        raise ValueError("s must be positive")
+    _checks.positive("s", s_arr)
     value = (
         constants.log2_coefficient * np.log2(4.0 * s_arr)
         + constants.inv_square_coefficient / (s_arr * s_arr)
@@ -146,13 +140,6 @@ def optimal_s_closed_form(constants: BoundConstants) -> float:
     )
 
 
-def _check_finite(name: str, value: float, positive: bool = False) -> None:
-    """Refuse a ``value`` that is not finite, or, with ``positive``, not
-    above zero, in a ``ValueError`` that names it."""
-    if not (0.0 < value < math.inf if positive else math.isfinite(value)):
-        raise ValueError(f"{name} must be finite{' and positive' if positive else ''}, got {value}")
-
-
 @dataclass(frozen=True)
 class QuantSchedule:
     """State of the adaptive level schedule.
@@ -177,16 +164,13 @@ class QuantSchedule:
     saturated: bool = False
 
     def __post_init__(self) -> None:
-        if self.s0 < 1:
-            raise ValueError("s0 must be at least 1")
-        if self.s_max < self.s0:
-            raise ValueError("s_max must be at least s0")
-        if self.interval_bits < 1:
-            raise ValueError("interval_bits must be at least 1")
-        _check_finite("eta0", self.eta0, positive=True)
-        _check_finite("f_star", self.f_star)
+        _checks.at_least("s0", self.s0, 1)
+        _checks.at_least("s_max", self.s_max, self.s0)
+        _checks.at_least("interval_bits", self.interval_bits, 1)
+        _checks.finite("eta0", self.eta0, "positive")
+        _checks.finite("f_star", self.f_star)
         if self.f_w0 is not None:
-            _check_finite("f_w0", self.f_w0)
+            _checks.finite("f_w0", self.f_w0)
             if self.f_w0 <= self.f_star:
                 raise ValueError(f"initial loss {self.f_w0} is at or below f_star {self.f_star}")
         if self.current_s is None:
@@ -199,26 +183,20 @@ def adaquant_level(f_wk: float, eta_k: float, schedule: QuantSchedule) -> int:
     The raw value ``sqrt(eta_k^2 (f(w0) - f*) / (eta0^2 (f(wk) - f*))) * s0``
     is rounded half-up and clamped to ``[1, s_max]``.  A loss at or below
     ``f_star`` would send the level to infinity, so it saturates at
-    ``s_max`` with a warning.
+    ``s_max``.
     """
-    _check_finite("f_wk", f_wk)
-    _check_finite("eta_k", eta_k, positive=True)
-    return _level(f_wk, eta_k, schedule, warn=True)[0]
+    _checks.finite("f_wk", f_wk)
+    _checks.finite("eta_k", eta_k, "positive")
+    return _level(f_wk, eta_k, schedule)[0]
 
 
-def _level(f_wk: float, eta_k: float, schedule: QuantSchedule, warn: bool) -> tuple[int, bool]:
-    """:func:`adaquant_level`, and whether the loss saturated it; the
-    saturation warning is logged only when ``warn`` is set.  The inputs
-    are checked by its callers."""
+def _level(f_wk: float, eta_k: float, schedule: QuantSchedule) -> tuple[int, bool]:
+    """:func:`adaquant_level` and whether the loss saturated it; the callers check the inputs."""
     if schedule.f_w0 is None:
         raise ValueError("schedule has no recorded initial loss")
     base = schedule.f_w0 - schedule.f_star
     excess = f_wk - schedule.f_star
     if excess <= 0.0:
-        if warn:
-            logger.warning(
-                "loss %.6g at or below f_star; saturating at s_max=%d", f_wk, schedule.s_max
-            )
         return schedule.s_max, True
     raw = math.sqrt((eta_k / schedule.eta0) ** 2 * base / excess) * schedule.s0
     return int(min(max(math.floor(raw + 0.5), 1), schedule.s_max)), False
@@ -231,25 +209,26 @@ def interval_tick(
 
     Returns the level to use this round and the updated schedule.  The
     level is recomputed only when ``cumulative_bits`` has crossed into a
-    new ``interval_bits``-sized window since the last recomputation.  A
-    loss at or below ``f_star`` is warned about once, when the schedule
-    enters saturation, not at every recomputation that stays there.
-    ``f_wk`` and ``eta_k`` are checked at every tick, recomputing or not;
-    the first tick captures ``f_wk`` as ``f_w0``, so a first loss at or
-    below ``f_star`` is refused there.
+    new ``interval_bits``-sized window since the last recomputation; one
+    at a loss at or below ``f_star`` sets ``s_max`` and marks the schedule
+    ``saturated``.  ``f_wk`` and ``eta_k`` are checked at every tick,
+    recomputing or not; the first tick captures ``f_wk`` as ``f_w0``, so a
+    first loss at or below ``f_star`` is refused there.
     """
-    if cumulative_bits < 0:
-        raise ValueError("cumulative_bits must be non-negative")
-    _check_finite("f_wk", f_wk)
-    _check_finite("eta_k", eta_k, positive=True)
+    if cumulative_bits < 0:  # on the round path: each checker here only raises
+        _checks.non_negative("cumulative_bits", cumulative_bits)
+    if not math.isfinite(f_wk):
+        _checks.finite("f_wk", f_wk)
+    if not 0.0 < eta_k < math.inf:
+        _checks.finite("eta_k", eta_k, "positive")
     if schedule.f_w0 is None:
         schedule = replace(schedule, f_w0=f_wk)
     index = cumulative_bits // schedule.interval_bits
     if index > schedule.interval_index:
-        level, saturated = _level(f_wk, eta_k, schedule, warn=not schedule.saturated)
-        schedule = replace(
-            schedule, interval_index=index, current_s=level, saturated=saturated
-        )
+        level, saturated = _level(f_wk, eta_k, schedule)
+        ticked = object.__new__(QuantSchedule)  # no checked field changes: not checked again
+        ticked.__dict__.update(schedule.__dict__, interval_index=index, current_s=level, saturated=saturated)
+        schedule = ticked
     return schedule.current_s, schedule
 
 
@@ -268,10 +247,10 @@ def lr_condition_fixed(
 
     ``run_training`` applies it each round to that round's ``eta_k`` and ``s_k``.
     """
-    if eta <= 0.0 or smoothness <= 0.0:
-        raise ValueError("eta and smoothness must be positive")
+    if eta <= 0.0 or smoothness <= 0.0:  # on the round path: the checker only raises
+        _checks.positive("eta and smoothness", np.array([eta, smoothness]))
     if min(dim, local_steps, s, n_clients) < 1:
-        raise ValueError("dim, local_steps, s, n_clients must be at least 1")
+        _checks.at_least("dim, local_steps, s, n_clients", np.array([dim, local_steps, s, n_clients]), 1)
     return _lr_margin(eta, smoothness, dim, local_steps, s, n_clients) >= 0.0
 
 
@@ -290,10 +269,8 @@ def adaptive_bound_terms(
         raise ValueError("etas must be a non-empty 1-D sequence")
     if levels.shape != etas.shape:
         raise ValueError("levels must match etas in length")
-    if np.any(etas <= 0.0):
-        raise ValueError("step sizes must be positive")
-    if np.any(levels < 1.0):
-        raise ValueError("levels must be at least 1")
+    _checks.positive("step sizes", etas)
+    _checks.at_least("levels", levels, 1)
     c = constants
     s1 = float(etas.sum())
     s2 = float((etas**2).sum())
@@ -317,19 +294,19 @@ class LrSchedule:
     decay_every: int | None = None
 
     def __post_init__(self) -> None:
-        _check_finite("eta0", self.eta0, positive=True)
-        if not 0.0 < self.decay_factor <= 1.0:
-            raise ValueError("decay_factor must be in (0, 1]")
-        if self.decay_every is not None and self.decay_every < 1:
-            raise ValueError("decay_every must be at least 1")
+        _checks.finite("eta0", self.eta0, "positive")
+        _checks.in_range("decay_factor", self.decay_factor, 0, 1)
+        _checks.positive("decay_factor", self.decay_factor)
+        if self.decay_every is not None:
+            _checks.at_least("decay_every", self.decay_every, 1)
 
     @classmethod
     def constant(cls, eta0: float) -> "LrSchedule":
         return cls(eta0=eta0)
 
     def eta_for_round(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("round index must be non-negative")
+        if k < 0:  # on the round path: the checker only raises
+            _checks.non_negative("round index", k)
         if self.decay_every is None or self.decay_factor == 1.0:
             return self.eta0
         return self.eta0 * self.decay_factor ** (k // self.decay_every)

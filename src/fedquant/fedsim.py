@@ -26,13 +26,12 @@ Drawing minibatches for several rounds at once reads the same draws.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import objectives, quantizer
+from . import _checks, objectives, quantizer
 from .config import AdaquantMode, FileData, SyntheticData, TrainingConfig
 from .controller import QuantSchedule, interval_tick, lr_condition_fixed
 from .objectives import ClientShard, Dataset, ModelSpec
@@ -112,10 +111,9 @@ class _Rows:
         rngs: Callable[[int], np.random.Generator],
         rounds: int = 1,
     ) -> None:
-        if count < 1:
-            raise ValueError("local_steps must be at least 1")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        _checks.at_least("local_steps", count, 1)
+        if batch_size is not None:
+            _checks.at_least("batch_size", batch_size, 1)
         groups: dict[int, list[int]] = {}
         for p, shard in enumerate(shards):
             m = shard.data.m
@@ -213,8 +211,7 @@ class GlobalState:
         w = np.asarray(self.w, dtype=np.float64).copy()
         if w.ndim != 1 or w.size < 1:
             raise ValueError("w must be a non-empty 1-D vector")
-        if self.round_index < 0 or self.cumulative_bits < 0:
-            raise ValueError("round_index and cumulative_bits must be non-negative")
+        _checks.non_negative("round_index and cumulative_bits", np.array([self.round_index, self.cumulative_bits]))
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -310,8 +307,8 @@ def _sgd(rows: _Rows, w_start: np.ndarray, k: int, eta: float) -> np.ndarray:
     client in shard order that diverges at all, at its first diverging
     step: the one a client-by-client loop would have stopped at.
     """
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if eta <= 0.0:  # on the round path: the checker only raises
+        _checks.positive("eta", eta)
     w_start = objectives._check_params(rows.model, w_start)
     planes = [np.repeat(w_start[None, :], len(positions), axis=0) for positions in rows.positions]
     grad = np.empty((max(map(len, planes)), rows.model.dim))
@@ -368,13 +365,12 @@ def local_round(
 
 
 def _check_weights(weights: Sequence[float]) -> None:
-    if not all(math.isfinite(p) for p in weights):
-        raise ValueError("weights must be finite")
+    for p in weights:
+        _checks.finite("weights", p)
     total = float(sum(weights))
     if abs(total - 1.0) > _WEIGHT_TOL:
         raise ValueError(f"weights must sum to 1 (got {total!r})")
-    if any(p <= 0.0 for p in weights):
-        raise ValueError("weights must be positive")
+    _checks.positive("weights", min(weights))
 
 
 def aggregate(

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, TypeVar
 
-from . import fedsim
+from . import _checks, fedsim
 from .config import (
     _LOSS_ESTIMATES,
     DEFAULT_S_MAX,
@@ -399,8 +399,7 @@ def grid_search_s0(
     cands = sorted(set(int(c) for c in candidates))
     if not cands:
         raise ValueError("candidates must be non-empty")
-    if cands[0] < 1:
-        raise ValueError("candidates must be at least 1")
+    _checks.at_least("candidates", cands[0], 1)
     base = _adaptive(config)
     summaries = _run_legs(
         config, {s0: replace(base, s0=s0, s_max=max(base.s_max, s0)) for s0 in cands}

@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _checks
+
 __all__ = [
     "Dataset",
     "ModelSpec",
@@ -57,10 +59,8 @@ class Dataset:
             raise ValueError("features must be a non-empty 2-D array")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must be 1-D with one entry per row")
-        if not np.all(np.isfinite(features)):
-            raise ValueError("features must be finite")
-        if not np.all(np.isfinite(labels.astype(np.float64))):
-            raise ValueError("labels must be finite")
+        _checks.finite("features", features)
+        _checks.finite("labels", labels.astype(np.float64))
         features.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
@@ -98,13 +98,10 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}, expected one of {_MODEL_KINDS}")
-        if self.n_features < 1:
-            raise ValueError("n_features must be at least 1")
+        _checks.at_least("n_features", self.n_features, 1)
         if self.kind == "mlp":
-            if self.hidden < 1:
-                raise ValueError("mlp requires hidden >= 1")
-            if self.n_classes < 2:
-                raise ValueError("mlp requires n_classes >= 2")
+            _checks.at_least("mlp hidden", self.hidden, 1)
+            _checks.at_least("mlp n_classes", self.n_classes, 2)
         elif self.hidden != 0:
             raise ValueError("hidden layers are only configurable for mlp models")
         elif self.n_classes not in (0, 2 if self.kind == "logistic" else 0):
@@ -142,10 +139,9 @@ class ClientShard:
     weight: float
 
     def __post_init__(self) -> None:
-        if self.client_id < 0:
-            raise ValueError("client_id must be non-negative")
-        if not 0.0 < self.weight <= 1.0:
-            raise ValueError(f"weight must be in (0, 1], got {self.weight}")
+        _checks.non_negative("client_id", self.client_id)
+        _checks.in_range("weight", self.weight, 0, 1)
+        _checks.positive("weight", self.weight)
 
 
 def _check_params(model: ModelSpec, w: np.ndarray) -> np.ndarray:
@@ -391,8 +387,7 @@ def sample_batch(
     When ``batch_size`` covers the whole dataset the data is returned as-is
     and the generator is left untouched.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
+    _checks.at_least("batch_size", batch_size, 1)
     if batch_size >= data.m:
         return data
     return data.subset(_draw_batches(_BatchWorkspace([data.m], batch_size, 1), [rng], 1)[0, 0])
@@ -441,12 +436,10 @@ def generate_synthetic(
     """
     if kind not in _DATA_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}")
-    if m < 1 or n_features < 1:
-        raise ValueError("m and n_features must be at least 1")
-    if noise < 0.0:
-        raise ValueError("noise must be non-negative")
-    if kind == "classification" and not 0.0 <= noise <= 1.0:
-        raise ValueError("label-flip noise must lie in [0, 1]")
+    _checks.at_least("m and n_features", np.array([m, n_features]), 1)
+    _checks.non_negative("noise", noise)
+    if kind == "classification":
+        _checks.in_range("label-flip noise", noise, 0, 1)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((m, n_features))
     if kind == "regression":
@@ -455,8 +448,7 @@ def generate_synthetic(
         if noise > 0.0:
             y = y + noise * rng.standard_normal(m)
         return Dataset(features=x, labels=y, planted_params=planted)
-    if n_classes < 2:
-        raise ValueError("n_classes must be at least 2")
+    _checks.at_least("n_classes", n_classes, 2)
     if n_classes == 2:
         planted = rng.standard_normal(n_features)
         y = (x @ planted > 0.0).astype(np.int64)
@@ -484,8 +476,7 @@ def partition(
     ``iid`` shuffles rows uniformly; ``sorted_label`` orders rows by label
     before slicing, so each client sees a narrow label range.
     """
-    if not 1 <= n <= data.m:
-        raise ValueError(f"need 1 <= n <= {data.m} clients, got {n}")
+    _checks.in_range("clients", n, 1, data.m)
     if mode == "iid":
         order = np.random.default_rng(seed).permutation(data.m)
     elif mode == "sorted_label":

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
+
 __all__ = [
     "QuantizedUpdate",
     "BitCost",
@@ -52,11 +54,9 @@ class QuantizedUpdate:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
+        _checks.at_least("d", self.d, 1)
         _check_level(self.s)
-        if not np.isfinite(self.norm) or self.norm < 0.0:
-            raise ValueError(f"norm must be finite and non-negative, got {self.norm}")
+        _checks.finite("norm", self.norm, "non-negative")
         signs, levels = np.asarray(self.signs), np.asarray(self.levels)
         if signs.shape != (self.d,) or levels.shape != (self.d,):
             raise ValueError("signs and levels must be 1-D arrays of length d")
@@ -124,8 +124,8 @@ def _check_level(s: int) -> None:
     """The level ``s`` must be an integer (not a bool) of at least 1."""
     if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
         raise ValueError(f"s must be an integer, got {s!r}")
-    if s < 1:
-        raise ValueError(f"quantization level s must be >= 1, got {s}")
+    if s < 1:  # on the round path: the checker only raises
+        _checks.at_least("quantization level s", s, 1)
 
 
 def _level_dtype(s: int) -> np.dtype:
@@ -138,7 +138,7 @@ def _check_input(plane: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.
     """``plane``, a stack of vectors ``w`` one per row, as C-contiguous
     float64, with each row's norm and the norm's float32 wire value.
 
-    Every ``w`` must be finite and its norm within the float32 range.  A
+    Every ``w`` must have finite entries and a norm within the float32 range.  A
     finite norm means every entry of its row is finite, so the entries are
     scanned only when some norm is not.  :func:`_check_vector` checks one
     vector as the one row of a plane.
@@ -153,8 +153,8 @@ def _check_input(plane: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.
     if not in_range and not np.isfinite(plane).all():
         raise ValueError("w must contain only finite values")
     _check_level(s)
-    if s > _MAX_EXACT_LEVEL:
-        raise ValueError(f"quantization level s must be at most 2**53, got {s}")
+    if s > _MAX_EXACT_LEVEL:  # on the round path: the checker only raises
+        _checks.in_range("quantization level s", s, 1, _MAX_EXACT_LEVEL)
     if not in_range:
         raise ValueError(
             "the norm of w exceeds the wire's float32 range "
@@ -244,8 +244,7 @@ def sample_dequantized(
     Row ``i`` equals ``dequantize(quantize(w, s, rng))`` on the i-th use of
     the same generator, just computed in one shot.
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be at least 1")
+    _checks.at_least("n_draws", n_draws, 1)
     w, norm, norm32 = _check_vector(w, s)
     levels = np.zeros((n_draws, w.size))
     if norm32 != 0.0:
@@ -257,8 +256,8 @@ def sample_dequantized(
 
 def bits_per_update(d: int, s: int) -> BitCost:
     """Wire size of an update: levels, then signs, then the float32 norm."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    if d < 1:  # on the round path: the checker only raises
+        _checks.at_least("d", d, 1)
     _check_level(s)
     # ceil(log2(s + 1)) bits index the s + 1 levels; for integers that is
     # exactly the bit length of s.
@@ -273,11 +272,9 @@ def bits_per_update(d: int, s: int) -> BitCost:
 
 def variance_upper_bound(d: int, s: int, norm_sq: float) -> float:
     """Worst-case quantization variance: ``d / s**2`` times the squared norm."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    _checks.at_least("d", d, 1)
     _check_level(s)
-    if norm_sq < 0.0:
-        raise ValueError("norm_sq must be non-negative")
+    _checks.non_negative("norm_sq", norm_sq)
     return (d / (s * s)) * norm_sq
 
 
@@ -287,10 +284,11 @@ def exact_variance(w: np.ndarray, s: int) -> float:
     Each coordinate rounds independently with Bernoulli carry probability
     ``p_i``, contributing ``p_i * (1 - p_i)`` lattice-cell variances.  Always
     at most :func:`variance_upper_bound` because ``p (1 - p) <= 1/4``.
-    Like :func:`quantize`, it rejects a norm beyond the float32 range.
+    Like :func:`quantize`, it rejects a norm beyond the float32 range, and
+    a norm that is zero in float32 (all-zero levels) has variance 0.
     """
-    w, norm, _ = _check_vector(w, s)
-    if norm == 0.0:
+    w, norm, norm32 = _check_vector(w, s)
+    if norm32 == 0.0:
         return 0.0
     _, frac = _lattice(w, s, norm)
     return float((norm * norm) * np.sum(frac * (1.0 - frac)) / (s * s))

@@ -24,6 +24,7 @@ import struct
 
 import numpy as np
 
+from . import _checks
 from .quantizer import NORM_BITS, QuantizedUpdate, _level_dtype, bits_per_update
 
 __all__ = ["MAGIC", "VERSION", "DecodeError", "encode", "decode", "encoded_size_bytes"]
@@ -41,8 +42,7 @@ class DecodeError(ValueError):
 
 def encoded_size_bytes(d: int, s: int) -> int:
     """Exact size in bytes of an encoded update with these dimensions."""
-    if d < 1 or s < 1:
-        raise ValueError("d and s must be at least 1")
+    _checks.at_least("d and s", np.array([d, s]), 1)
     payload_bits = bits_per_update(d, s).total_bits - NORM_BITS
     return _HEADER.size + _NORM.size + (payload_bits + 7) // 8
 
@@ -96,8 +96,8 @@ def encode(q: QuantizedUpdate) -> bytes:
 
 def decode(blob: bytes, d: int) -> QuantizedUpdate:
     """Parse ``blob`` into a :class:`QuantizedUpdate` of dimension ``d``."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    if d < 1:  # on the round path: the checker only raises
+        _checks.at_least("d", d, 1)
     prefix = _HEADER.size + _NORM.size
     if len(blob) < prefix:
         raise DecodeError(f"truncated input: {len(blob)} bytes, need at least {prefix}")

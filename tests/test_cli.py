@@ -4,11 +4,21 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedquant.cli import main
+from fedquant.config import TrainingConfig
+from fedquant.harness import ConfigError, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,6 +93,16 @@ class TestRun:
         assert outs[0] != outs[1]
         assert outs[1] == outs[2]
 
+    def test_unallocatable_size_is_one_error_line(self, tmp_path, capsys):
+        # NumPy refuses the 135 PiB feature matrix at once, touching no
+        # memory; its MemoryError used to reach the user as a traceback
+        text = (ROOT / "configs" / "reference.ini").read_text()
+        path = tmp_path / "huge.ini"
+        path.write_text(text.replace("samples = 2000", "samples = 1000000000000000"))
+        assert main(["run", "-c", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "allocate" in err and err.count("\n") == 1
+
 
 class TestLoudMistakes:
     """``configs/reference.ini`` cut to 40 rounds, with one mistake each."""
@@ -120,9 +140,61 @@ class TestLoudMistakes:
         assert captured.out.splitlines()[0].split()[-2:] == ["infeasible", "saturated"]
         assert captured.out.splitlines()[2].split()[-2:] == ["40", "0"]
 
+    def test_saturation_is_one_warning_line(self, tmp_path):
+        # the controller used to log its own unprefixed saturation line
+        # before the CLI's warning, two lines for one condition; it reached
+        # stderr through logging's last-resort handler, which pytest's own
+        # log capture replaces, so the run gets a process of its own
+        path = self.reference(tmp_path, ("rounds = 40", "rounds = 300"), ("f_star = 0.40", "f_star = 0.45"))
+        src = str(ROOT / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "fedquant", "run", "-c", path],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert run.returncode == 0
+        err = run.stderr
+        assert err.count("\n") == 1
+        assert err.startswith("warning: run has 0 infeasible rounds and ")
+        assert err.endswith(" saturated recomputations\n")
+
     def test_no_mistake_no_warning(self, tmp_path, capsys):
         assert main(["run", "-c", self.reference(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestConfigMutations:
+    """``configs/reference.ini`` at 3 rounds with one key set to a value of
+    the wrong kind, size or sign.  Every value is small or at least 10**15,
+    so a size key never asks for an array that could be allocated: NumPy
+    refuses those at once."""
+
+    BASE = (ROOT / "configs" / "reference.ini").read_text().replace("rounds = 1600", "rounds = 3")
+    LINES = BASE.splitlines()
+    KEYED = [i for i, line in enumerate(LINES) if " = " in line and not line.startswith("#")]
+    VALUES = ("0", "-1", "1.5", "nan", "inf", "-inf", "1e400", str(10**26), "", "many")
+
+    @given(line=st.sampled_from(KEYED), value=st.sampled_from(VALUES))
+    @settings(max_examples=250, deadline=None)
+    def test_parses_or_is_a_config_error_and_exits_cleanly(self, line, value):
+        lines = list(self.LINES)
+        lines[line] = f"{lines[line].split(' = ')[0]} = {value}"
+        text = "\n".join(lines)
+        try:
+            config = parse_config(text)
+        except ConfigError:
+            return
+        assert isinstance(config, TrainingConfig)
+        if config.rounds > 3:
+            text = self.BASE  # rounds capped at 3
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.ini"
+            path.write_text(text)
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["run", "-c", str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSweep:

@@ -119,7 +119,7 @@ class TestQuantizeBasics:
                 lambda: sample_dequantized(w, s, rng, 3),
                 lambda: exact_variance(w, s),
             ):
-                with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+                with pytest.raises(ValueError, match=f"s must lie in \\[1, {2**53}\\], got {s}"):
                     call()
         assert rng.bit_generator.state == before
         # the update record itself takes any integer level; the wire refuses it
@@ -292,6 +292,11 @@ class TestVariance:
     def test_exact_variance_hand_cases(self):
         assert exact_variance(np.array([3.0, -4.0]), 5) == 0.0
         assert exact_variance(np.zeros(3), 4) == 0.0
+        # a norm that is zero in float32 quantizes to all-zero levels, as
+        # quantize does, so its variance is 0 (it was 2.45e-93)
+        tiny = np.array([1e-46, 2e-46, 0.0])
+        assert not quantize(tiny, 3, np.random.default_rng(0)).levels.any()
+        assert exact_variance(tiny, 3) == 0.0
         p = 1.0 / math.sqrt(2.0)
         expected = 2.0 * 2.0 * p * (1.0 - p)
         np.testing.assert_allclose(exact_variance(np.array([1.0, 1.0]), 1), expected, rtol=1e-12)

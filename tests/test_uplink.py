@@ -64,7 +64,7 @@ def reference_aggregate(w: np.ndarray, updates, weights) -> np.ndarray:
 
 def reference_exact_variance(w: np.ndarray, s: int) -> float:
     norm = float(np.linalg.norm(w))
-    if norm == 0.0:
+    if np.float32(norm) == 0.0:  # quantize's all-zero levels: no variance
         return 0.0
     scaled = np.abs(w) * s / norm
     np.minimum(scaled, float(s), out=scaled)
