@@ -1,9 +1,10 @@
 """Range checks on input values: one checker per kind of value, each
 message written once.  A checker refuses a number, or an array with a
 refused entry (the first is shown), with ``ValueError("<name> must be
-<rule>, got <value>")``.  ``positive``, ``non_negative`` and ``at_least``
-only compare, so NaN passes them.  The round path tests a rule inline and
-calls its checker only to raise: a passing value costs no call there."""
+<rule>, got <value>")``.  ``non_negative`` and ``at_least`` refuse what
+does not compare at or above their bound, NaN too; ``positive`` only
+compares, so NaN passes it.  The round path tests a rule inline and calls
+its checker only to raise: a passing value costs no call there."""
 
 from __future__ import annotations
 
@@ -37,17 +38,17 @@ def positive(name: str, value) -> None:
 
 
 def non_negative(name: str, value) -> None:
-    """Refuse a ``value`` below zero."""
-    bad = value < 0
-    if np.any(bad):
-        raise ValueError(f"{name} must be non-negative, got {_shown(value, bad)}")
+    """Refuse a ``value`` below zero, and NaN."""
+    ok = value >= 0
+    if not np.all(ok):
+        raise ValueError(f"{name} must be non-negative, got {_shown(value, np.logical_not(ok))}")
 
 
 def at_least(name: str, value, lo) -> None:
-    """Refuse a ``value`` below ``lo``."""
-    bad = value < lo
-    if np.any(bad):
-        raise ValueError(f"{name} must be at least {lo}, got {_shown(value, bad)}")
+    """Refuse a ``value`` below ``lo``, and NaN."""
+    ok = value >= lo
+    if not np.all(ok):
+        raise ValueError(f"{name} must be at least {lo}, got {_shown(value, np.logical_not(ok))}")
 
 
 def in_range(name: str, value, lo, hi) -> None:

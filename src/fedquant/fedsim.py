@@ -5,14 +5,16 @@ global parameters, quantizes the resulting parameter delta, and sends it
 up; the server dequantizes, averages by shard weight, and applies the
 result.  Only uplink traffic is metered.  The uplink quantizes the
 clients' deltas as planes of as many clients as fit in a cache-sized
-buffer, reused across the round; it is bit for bit
-``aggregate(w, [quantize(delta, s, rng), ...], weights)`` but builds no
-``QuantizedUpdate``.  Local SGD and the loss estimate read the clients'
-rows from one row source per role (:class:`_Rows`), built once per run;
-each holds one minibatch block, for the shards with more than
+buffer, in a workspace (:class:`_UplinkWorkspace`) built once per run;
+it is bit for bit ``aggregate(w, [quantize(delta, s, rng), ...],
+weights)`` but builds no ``QuantizedUpdate``.  Local SGD and the loss
+estimate read the clients' rows from one row source per role
+(:class:`_Rows`), built once per run with each step's views of its
+buffers; each holds one minibatch block, for the shards with more than
 ``batch_size`` rows, drawn into sampler buffers it allocates once, so a
 block's indices hold only until the next block is drawn.  Only the
-parameter plane is built per round.
+parameter planes are built per round, and bound once a round to their
+gradient kernels.
 
 Determinism contract: a run derives one generator per (role, client)
 from ``(master_seed, role, client_id)`` and reads it in round order, so
@@ -97,9 +99,10 @@ class _Rows:
     :meth:`batches`), their indices drawn from ``rngs(position)`` and
     gathered ``span`` row sets at a time, as many as fit in
     ``objectives._GATHER_BYTES`` (at least one).  Everything here is built
-    once and lives as long as the rows are read, the sampler's workspace
-    too: it is sized to the largest block, ``min(_STREAM_ROUNDS, rounds)``
-    rounds, and every block is drawn into it.
+    once and lives as long as the rows are read: the sampler's workspace,
+    sized to the largest block, ``min(_STREAM_ROUNDS, rounds)`` rounds,
+    into which every block is drawn, and each step's list of views of the
+    groups' buffers, which every round gives again.
     """
 
     def __init__(
@@ -141,6 +144,8 @@ class _Rows:
                     [data[j].m for j in sampled], b, min(_STREAM_ROUNDS, rounds) * count
                 )
             self.groups.append((x, y, span))
+        # each step's views of the groups' buffers, made once
+        self.steps = [[(x[:, t % span], y[:, t % span]) for x, y, span in self.groups] for t in range(count)]
         self.start, self.drawn = 0, np.empty((0, 0), dtype=np.int64)  # no block yet
 
     def batches(self, k: int) -> np.ndarray:
@@ -164,16 +169,17 @@ class _Rows:
         """Round ``k``'s row sets, the rounds asked for in order: for each of
         the ``count`` steps, each group's rows and labels, ``(clients, b,
         f)`` and ``(clients, b)``.  The round's indices are all drawn before
-        its first set is given."""
+        its first set is given.  The sets given are the same lists of views
+        every round, into buffers the next gather overwrites."""
         idx = self.batches(k) if self.sources else None
-        for t in range(self.count):
+        for t, views in enumerate(self.steps):
             if self.sources and t % self.span == 0:
                 for (features, labels, xj, yj), steps in zip(self.sources, idx[:, t : t + self.span]):
                     # the indices lie in [0, m), so "clip" never clips; it
                     # lets take write straight into the buffer
                     features.take(steps, axis=0, out=xj[: len(steps)], mode="clip")
                     labels.take(steps, out=yj[: len(steps)], mode="clip")
-            yield [(x[:, t % span], y[:, t % span]) for x, y, span in self.groups]
+            yield views
 
 
 class TrainingDiverged(RuntimeError):
@@ -270,9 +276,9 @@ class TrainingRun:
     saturated_recomputations: int = 0
 
 
-def _blown_up(w: np.ndarray, positions: Sequence[int]) -> list[int]:
+def _blown_up(w: np.ndarray, positions: Sequence[int], flat: np.ndarray) -> list[int]:
     """The ``positions`` of the rows of the parameter plane ``w`` that left
-    the finite floats or passed 1e18.
+    the finite floats or passed 1e18; ``flat`` is ``w.ravel()``.
 
     Magnitudes past 1e18 are unambiguous divergence, and catching them
     keeps the update norm within float32 range downstream.  A plane whose
@@ -281,7 +287,7 @@ def _blown_up(w: np.ndarray, positions: Sequence[int]) -> list[int]:
     ``min`` decide (a NaN fails both comparisons).
     """
     with np.errstate(over="ignore"):
-        if np.vecdot(w.ravel(), w.ravel()) <= 1e35:
+        if np.vecdot(flat, flat) <= 1e35:
             return []
     bad = ~((w.max(axis=1) <= 1e18) & (w.min(axis=1) >= -1e18))
     return [p for p, b in zip(positions, bad) if b]
@@ -299,34 +305,48 @@ def _sgd(rows: _Rows, w_start: np.ndarray, k: int, eta: float) -> np.ndarray:
     which never change, where ``rows`` is built.  Each group of ``rows``
     steps its clients as one parameter plane, allocated per round, and gets
     their gradients from one stacked kernel call, so the deltas are
-    bit-identical to stepping the clients one at a time.
+    bit-identical to stepping the clients one at a time.  Each plane's
+    gradient kernel and raveled view are bound once a round.
 
     A client that diverges stops stepping, and so do the clients after it
     in shard order, which leaves each group a prefix of its plane; their
-    minibatches were all drawn before.  The error raised names the first
-    client in shard order that diverges at all, at its first diverging
-    step: the one a client-by-client loop would have stopped at.
+    minibatches were all drawn before.  Each cut binds the planes' prefixes
+    again, and from then on each step slices its rows to them.  The error
+    raised names the first client in shard order that diverges at all, at
+    its first diverging step: the one a client-by-client loop would have
+    stopped at.
     """
     if eta <= 0.0:  # on the round path: the checker only raises
         _checks.positive("eta", eta)
-    w_start = objectives._check_params(rows.model, w_start)
+    model = rows.model
+    w_start = objectives._check_params(model, w_start)
     planes = [np.repeat(w_start[None, :], len(positions), axis=0) for positions in rows.positions]
-    grad = np.empty((max(map(len, planes)), rows.model.dim))
+    grad = np.empty((max(map(len, planes)), model.dim))
+
+    def bind(planes: list[np.ndarray]) -> list[tuple]:
+        return [(w, objectives._gradient_kernel(model, w, grad[: len(w)]), w.ravel()) for w in planes]
+
+    bound = bind(planes)
     first_blowup: tuple[int, int] | None = None  # (shard position, step)
     for t, sets in enumerate(rows(k)):
-        for w, (x, y) in zip(planes, sets):
-            if n := len(w):
-                g = objectives._gradients(rows.model, w, x[:n], y[:n], grad[:n])
-                g *= eta
-                w -= g
-        for positions, w in zip(rows.positions, planes):
-            for pos in _blown_up(w, positions):
+        for (w, step, _), (x, y) in zip(bound, sets):
+            if first_blowup is not None:  # the planes are cut to prefixes
+                if not len(w):
+                    continue
+                x, y = x[: len(w)], y[: len(w)]
+            g = step(x, y)
+            g *= eta
+            w -= g
+        cut = first_blowup
+        for positions, (w, _, flat) in zip(rows.positions, bound):
+            for pos in _blown_up(w, positions, flat):
                 if first_blowup is None or pos < first_blowup[0]:
                     first_blowup = (pos, t)
-        if first_blowup is not None:
+        if first_blowup is not cut:  # a client before the cut diverged
             planes = [w[: bisect.bisect_left(ps, first_blowup[0])] for ps, w in zip(rows.positions, planes)]
             if not any(map(len, planes)):
                 break
+            bound = bind(planes)
     if first_blowup is not None:
         pos, t = first_blowup
         client_id = rows.shards[pos].client_id
@@ -339,7 +359,7 @@ def _sgd(rows: _Rows, w_start: np.ndarray, k: int, eta: float) -> np.ndarray:
         w -= w_start
     if len(planes) == 1:  # its positions are every shard's, in order
         return planes[0]
-    deltas = np.empty((len(rows.shards), rows.model.dim))
+    deltas = np.empty((len(rows.shards), model.dim))
     for positions, w in zip(rows.positions, planes):
         deltas[positions] = w
     return deltas
@@ -393,32 +413,45 @@ def aggregate(
     return out
 
 
+class _UplinkWorkspace:
+    """The buffers :func:`_uplink` quantizes ``(clients, d)`` delta planes
+    in, for clients of the given ``weights``: groups of as many rows as fit
+    in ``_UPLINK_BYTES`` (at least one), the three float buffers and the
+    carry mask of a group, their rows as lists of views, and the weights
+    as a column.  A run builds one and reuses it every round, so it dies
+    with the run; a round's short last group uses a prefix of each buffer.
+    """
+
+    def __init__(self, weights: Sequence[float], d: int) -> None:
+        self.group = g = max(1, min(len(weights), _UPLINK_BYTES // (8 * d)))
+        self.frac, self.lower, self.u = np.empty((3, g, d))
+        self.carry = np.empty((g, d), dtype=bool)
+        self.weights = np.array(weights, dtype=np.float64)[:, None]
+        # the rows as lists of views, made once: at large d the caches are cold
+        # between steps, where each array index or iteration costs microseconds
+        self.lower_rows, self.u_rows = list(self.lower), list(self.u)
+
+
 def _uplink(
-    w: np.ndarray, deltas: np.ndarray, s: int, rngs: Sequence, weights: Sequence[float]
+    w: np.ndarray, deltas: np.ndarray, s: int, rngs: Sequence, workspace: _UplinkWorkspace
 ) -> np.ndarray:
     """``aggregate(w, [quantize(delta, s, rng), ...], weights)`` bit for bit,
-    on checked weights, with no ``QuantizedUpdate`` or integer level built.
+    on checked weights, with no ``QuantizedUpdate`` or integer level built;
+    the weights, and the buffers, are the ``workspace``'s.
 
-    ``deltas`` are the rows of a plane, checked and quantized in groups of
-    as many rows as fit in ``_UPLINK_BYTES`` (at least one), in buffers
-    allocated once per call.  The lattice, carry, sign and scale steps run
-    once per group; each row has its own norm and draws from its own
-    generator, none when its norm is zero in float32; the rows are added
-    to ``w`` one at a time, in order.
+    ``deltas`` are the rows of a plane, checked and quantized in the
+    workspace's groups.  The lattice, carry, sign and scale steps run once
+    per group; each row has its own norm and draws from its own generator,
+    none when its norm is zero in float32; the rows are added to ``w`` one
+    at a time, in order.
     """
     plane = np.asarray(deltas, dtype=np.float64)
-    d = plane.shape[-1]
-    g = max(1, min(len(plane), _UPLINK_BYTES // (8 * d)))
+    ws, g = workspace, workspace.group
     out = np.array(w, dtype=np.float64)
-    frac, lower, u = np.empty((3, g, d))
-    carry = np.empty((g, d), dtype=bool)
-    weights = np.array(weights, dtype=np.float64)[:, None]
-    # the rows as lists of views, made once: at large d the caches are cold
-    # between steps, where each array index or iteration costs microseconds
-    lower_rows, u_rows = list(lower), list(u)
+    frac, lower, u, carry = ws.frac, ws.lower, ws.u, ws.carry
     for a in range(0, len(plane), g):
         rows, norms, norms32 = quantizer._check_input(plane[a : a + g], s)
-        if len(rows) < g:  # the last group is short
+        if len(rows) < g:  # the last group is short: its prefix of each buffer
             frac, lower, u, carry = (buf[: len(rows)] for buf in (frac, lower, u, carry))
         zero = [norm32 == 0.0 for norm32 in norms32.tolist()]
         if any(zero):
@@ -426,15 +459,15 @@ def _uplink(
             # probability at 0, so the row's levels are 0, and signed zeros below
             norms[zero] = np.inf
         quantizer._lattice(rows, s, norms[:, None], frac, lower)
-        for rng, draws, no_draw in zip(rngs[a : a + g], u_rows, zero):
+        for rng, draws, no_draw in zip(rngs[a : a + g], ws.u_rows, zero):
             if no_draw:
                 draws.fill(0.0)  # not below a carry probability of 0
             else:
                 rng.random(out=draws)
         quantizer._carry(lower, frac, u, carry)
         quantizer._scale(lower, norms32[:, None], s, quantizer._signs(rows, out=carry))
-        lower *= weights[a : a + g]
-        for row in lower_rows[: len(rows)]:
+        lower *= ws.weights[a : a + g]
+        for row in ws.lower_rows[: len(rows)]:
             out += row
     return out
 
@@ -492,7 +525,7 @@ def run_round(
         raise
     cost = bits_per_update(model.dim, s)
     spent = state.cumulative_bits + cost.total_bits
-    w_next = _uplink(state.w, deltas, s, quant, [sh.weight for sh in shards])
+    w_next = _uplink(state.w, deltas, s, quant, _UplinkWorkspace([sh.weight for sh in shards], model.dim))
     record = RoundRecord(
         round_index=k, s=s, element_bits=cost.element_bits, eta=eta,
         bits_this_round=cost.total_bits, cumulative_bits=spent, train_loss=float(train_loss),
@@ -604,8 +637,9 @@ def _train(
         lambda p: derive_rng(seed, ROLE_LOSS, shards[p].client_id), rounds,
     )
     weights = [sh.weight for sh in shards]
-    quant_rngs = () if exact else [derive_rng(config.master_seed, ROLE_QUANT, sh.client_id) for sh in shards]
-    uplink = _exact_uplink if exact else _uplink
+    quant_rngs = () if exact else [derive_rng(seed, ROLE_QUANT, sh.client_id) for sh in shards]
+    # the exact uplink takes the weights where _uplink takes its workspace
+    uplink, workspace = (_exact_uplink, weights) if exact else (_uplink, _UplinkWorkspace(weights, model.dim))
     w0 = objectives.init_params(model, derive_rng(config.master_seed, ROLE_INIT))
     state = GlobalState(w=w0, round_index=0, cumulative_bits=0)
     quant = config.quantization
@@ -650,7 +684,7 @@ def _train(
         metric = _eval_metric(problem, state.w) if k % config.eval_every == 0 else None
         try:
             # no name holds the deltas, so they are freed when the round ends
-            w_next = uplink(state.w, _sgd(sgd_rows, state.w, k, eta_k), s_k, quant_rngs, weights)
+            w_next = uplink(state.w, _sgd(sgd_rows, state.w, k, eta_k), s_k, quant_rngs, workspace)
         except TrainingDiverged as exc:
             exc.round_index, exc.records = k, tuple(records)
             raise

@@ -198,10 +198,11 @@ def _unpack_mlp(model: ModelSpec, w: np.ndarray):
     return w1, b1, w2, b2
 
 
-def _mlp_forward(model: ModelSpec, w: np.ndarray, features: np.ndarray):
-    """Forward pass for one client (``w`` 1-D, ``features`` 2-D) or for a
-    stack of them (``w`` is ``(n, dim)``, ``features`` is ``(n, b, f)``)."""
-    w1, b1, w2, b2 = _unpack_mlp(model, w)
+def _mlp_forward(layers, features: np.ndarray):
+    """Forward pass for one client (``layers`` of a 1-D ``w``, ``features``
+    2-D) or for a stack of them (of a ``(n, dim)`` plane, ``features`` is
+    ``(n, b, f)``); ``layers`` is :func:`_unpack_mlp` of the parameters."""
+    w1, b1, w2, b2 = layers
     pre = features @ w1 + b1[..., None, :]
     hidden = np.maximum(pre, 0.0)
     logits = hidden @ w2 + b2[..., None, :]
@@ -230,15 +231,15 @@ def _losses(model: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np
         z = x @ w[:-1] + w[-1]
         # mean(axis=1) is add.reduce and a divide by the count, done here
         return np.add.reduce(_softplus(z) - y * z, axis=1) / b
-    _, _, logits = _mlp_forward(model, w, x)
+    _, _, logits = _mlp_forward(_unpack_mlp(model, w), x)
     log_p = _log_softmax(logits)
     return -(np.add.reduce(log_p[np.arange(n)[:, None], np.arange(b), y], axis=1) / b)
 
 
-def _gradients(
-    model: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Gradients of :func:`loss` for a stack of clients, written into ``out``.
+def _gradient_kernel(model: ModelSpec, w: np.ndarray, out: np.ndarray):
+    """The gradient step of :func:`loss` for a stack of clients at the
+    parameter plane ``w``: a function of ``(x, y)`` that writes the
+    gradients into ``out`` and returns it.
 
     Raw arrays, no checks: ``w`` and ``out`` are ``(n, dim)``, ``x`` is
     ``(n, b, f)`` and ``y`` is ``(n, b)``, float labels for the convex
@@ -246,33 +247,58 @@ def _gradients(
     at ``w[i]`` over the rows ``x[i]``, ``y[i]``, bit for bit what one
     client alone gets: every product is the stacked form of the single
     client's ``matmul``, so each client keeps its own BLAS call, and every
-    sum runs over one client's axis in the same order.
+    sum runs over one client's axis in the same order.  The views of ``w``
+    and ``out`` are made here, once, so the step reads ``w`` as it is when
+    called: a plane stepped in place needs no new kernel.
     """
-    n, b, _ = x.shape
-    xt = x.swapaxes(1, 2)
     if model.kind == "quadratic":
-        r = np.matmul(x, w[:, :, None])[:, :, 0] - y
-        np.matmul(xt, r[:, :, None], out=out[:, :, None])
-        out /= b
-        return out
+        w_col, out_col = w[:, :, None], out[:, :, None]
+
+        def step(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            r = np.matmul(x, w_col)[:, :, 0] - y
+            np.matmul(x.swapaxes(1, 2), r[:, :, None], out=out_col)
+            return np.divide(out, x.shape[1], out=out)
+
+        return step
     if model.kind == "logistic":
-        z = np.matmul(x, w[:, :-1, None])[:, :, 0] + w[:, -1:]
-        resid = _sigmoid(z) - y
-        np.matmul(xt, resid[:, :, None], out=out[:, :-1, None])
-        np.add.reduce(resid, axis=1, out=out[:, -1])  # resid.mean(axis=1) once divided, as in _losses
-        out /= b
-        return out
-    pre, hidden, logits = _mlp_forward(model, w, x)
-    probs = np.exp(_log_softmax(logits))
-    probs[np.arange(n)[:, None], np.arange(b), y] -= 1.0
-    probs /= b
+        w_col, bias = w[:, :-1, None], w[:, -1:]
+        out_col, out_bias = out[:, :-1, None], out[:, -1]
+
+        def step(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            z = np.matmul(x, w_col)[:, :, 0] + bias
+            resid = _sigmoid(z) - y
+            np.matmul(x.swapaxes(1, 2), resid[:, :, None], out=out_col)
+            np.add.reduce(resid, axis=1, out=out_bias)  # resid.mean(axis=1) once divided, as in _losses
+            return np.divide(out, x.shape[1], out=out)
+
+        return step
+    layers = _unpack_mlp(model, w)
+    w2_t = layers[2].swapaxes(1, 2)
     g_w1, g_b1, g_w2, g_b2 = _unpack_mlp(model, out)
-    np.matmul(hidden.swapaxes(1, 2), probs, out=g_w2)
-    g_b2[...] = probs.sum(axis=1)
-    back = np.matmul(probs, _unpack_mlp(model, w)[2].swapaxes(1, 2)) * (pre > 0.0)
-    np.matmul(xt, back, out=g_w1)
-    g_b1[...] = back.sum(axis=1)
-    return out
+    clients = np.arange(len(w))[:, None]
+
+    def step(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        b = x.shape[1]
+        pre, hidden, logits = _mlp_forward(layers, x)
+        probs = np.exp(_log_softmax(logits))
+        probs[clients, np.arange(b), y] -= 1.0
+        probs /= b
+        np.matmul(hidden.swapaxes(1, 2), probs, out=g_w2)
+        g_b2[...] = probs.sum(axis=1)
+        back = np.matmul(probs, w2_t) * (pre > 0.0)
+        np.matmul(x.swapaxes(1, 2), back, out=g_w1)
+        g_b1[...] = back.sum(axis=1)
+        return out
+
+    return step
+
+
+def _gradients(
+    model: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Gradients of :func:`loss` for a stack of clients, written into
+    ``out``: one call of :func:`_gradient_kernel`'s step."""
+    return _gradient_kernel(model, w, out)(x, y)
 
 
 def _labels(model: ModelSpec, labels: np.ndarray) -> np.ndarray:
@@ -402,7 +428,7 @@ def accuracy(model: ModelSpec, w: np.ndarray, data: Dataset) -> float:
         pred = (z > 0.0).astype(np.int64)
         return float(np.mean(pred == np.asarray(data.labels, dtype=np.int64)))
     if model.kind == "mlp":
-        _, _, logits = _mlp_forward(model, w, data.features)
+        _, _, logits = _mlp_forward(_unpack_mlp(model, w), data.features)
         pred = logits.argmax(axis=1)
         return float(np.mean(pred == np.asarray(data.labels, dtype=np.int64)))
     raise ValueError("accuracy is undefined for quadratic models")

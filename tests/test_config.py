@@ -14,7 +14,7 @@ from fedquant.config import (
     SyntheticData,
     TrainingConfig,
 )
-from fedquant.controller import LrSchedule
+from fedquant.controller import LrSchedule, QuantSchedule
 from fedquant.harness import ConfigError, load_config
 from fedquant.objectives import ModelSpec
 
@@ -103,6 +103,27 @@ class TestNonFiniteFloats:
         with pytest.raises(ValueError, match="noise must be finite and non-negative"):
             SyntheticData(kind="regression", samples=10, n_features=2, noise=noise)
         assert SyntheticData(kind="regression", samples=10, n_features=2, noise=0.0).noise == 0.0
+
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("s0", lambda: QuantSchedule(s0=math.nan, interval_bits=64, s_max=8, eta0=0.1)),
+            ("s_max", lambda: QuantSchedule(s0=2, interval_bits=64, s_max=math.nan, eta0=0.1)),
+            ("samples", lambda: SyntheticData(kind="classification", samples=math.nan, n_features=4)),
+            ("s0", lambda: AdaquantMode(s0=math.nan)),
+            ("rounds", lambda: make_config(rounds=math.nan)),
+            ("n_features", lambda: ModelSpec.logistic(math.nan)),
+            ("decay_every", lambda: LrSchedule(eta0=0.1, decay_factor=0.5, decay_every=math.nan)),
+        ],
+        ids=[
+            "QuantSchedule.s0", "QuantSchedule.s_max", "SyntheticData.samples", "AdaquantMode.s0",
+            "TrainingConfig.rounds", "ModelSpec.n_features", "LrSchedule.decay_every",
+        ],
+    )
+    def test_nan_integer_field(self, field, build):
+        # NaN compares below no bound, so a compare-only check let it through
+        with pytest.raises(ValueError, match=f"^{field} must be [a-z -]+[0-9]*, got nan$"):
+            build()
 
     def test_ini_f_star_nan_is_a_config_error(self, tmp_path):
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

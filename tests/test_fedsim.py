@@ -174,24 +174,26 @@ def blown_up_reference(w: np.ndarray, positions: list[int]) -> list[int]:
 
 
 class TestDivergenceCertificate:
-    """``fedsim._blown_up`` clears a plane whose sum of squares is at
-    most 1e35 at once; any other plane is decided row by row."""
+    """``fedsim._blown_up`` clears a plane whose sum of squares, read from
+    the raveled plane, is at most 1e35 at once; any other plane is decided
+    row by row."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_sum_of_squares_with_no_entry_past_the_limit(self):
         # twenty entries of 1e17: the sum of squares, 2e35, fails the
         # certificate, and the rows decide
         assert np.vecdot(np.full(20, 1e17), np.full(20, 1e17)) > 1e35
-        assert fedsim._blown_up(np.full((1, 20), 1e17), [0]) == []
+        w = np.full((1, 20), 1e17)
+        assert fedsim._blown_up(w, [0], w.ravel()) == []
         w = np.full((3, 20), -1e18)
         w[1] = 1e18
-        assert fedsim._blown_up(w, [0, 2, 5]) == []
+        assert fedsim._blown_up(w, [0, 2, 5], w.ravel()) == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_just_under_the_certificate(self):
         w = np.zeros((2, 20))
         w[1, 7] = 3.16e17  # a square of 9.99e34
-        assert fedsim._blown_up(w, [0, 1]) == []
+        assert fedsim._blown_up(w, [0, 1], w.ravel()) == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -203,10 +205,10 @@ class TestDivergenceCertificate:
         for row in range(3):
             w = np.full((3, 20), 1e-3)
             w[row, 19 - row] = value
-            assert fedsim._blown_up(w, [1, 4, 6]) == [[1, 4, 6][row]]
+            assert fedsim._blown_up(w, [1, 4, 6], w.ravel()) == [[1, 4, 6][row]]
         w = np.full((3, 20), 1e17)
         w[0, 0] = w[2, 5] = value
-        assert fedsim._blown_up(w, [1, 4, 6]) == [1, 6]
+        assert fedsim._blown_up(w, [1, 4, 6], w.ravel()) == [1, 6]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -224,7 +226,7 @@ class TestDivergenceCertificate:
         positions = list(range(0, 3 * len(w), 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = fedsim._blown_up(w, positions)
+            got = fedsim._blown_up(w, positions, w.ravel())
         assert got == blown_up_reference(w, positions)
 
     def test_huge_step_size_diverges_at_step_zero_without_warnings(self):
@@ -684,8 +686,8 @@ class TestBuildProblem:
         state = GlobalState(w=np.zeros(3), round_index=4, cumulative_bits=10)
         built = []
 
-        def uplink(w, deltas, s, rngs, weights):
-            built.append(fedsim._exact_uplink(w, deltas, s, rngs, weights))
+        def uplink(w, deltas, s, rngs, workspace):
+            built.append(fedsim._exact_uplink(w, deltas, s, rngs, [sh.weight for sh in shards]))
             return built[-1]
 
         monkeypatch.setattr(fedsim, "_uplink", uplink)

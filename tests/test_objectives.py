@@ -232,6 +232,36 @@ class TestLogisticKernels:
         assert same_bits(got, logistic_gradients_reference(w, x, y))
 
 
+class TestGradientKernel:
+    """A kernel bound once, called on successive row blocks while its plane
+    is stepped in place, as local SGD calls it."""
+
+    @pytest.mark.parametrize(
+        "model", [ModelSpec.quadratic(5), ModelSpec.logistic(5), ModelSpec.mlp(5, 4, 3)], ids=lambda m: m.kind
+    )
+    def test_bound_kernel_is_a_fresh_call_at_every_step(self, model):
+        rng = np.random.default_rng(11)
+        n, steps, b = 3, 6, 7
+        # the blocks as local SGD gets them: step views of one row buffer
+        x = rng.standard_normal((n, steps, b, model.n_features))
+        if model.kind == "mlp":
+            y = rng.integers(0, model.n_classes, size=(n, steps, b))
+        elif model.kind == "logistic":
+            y = (rng.random((n, steps, b)) < 0.5).astype(np.float64)
+        else:
+            y = rng.standard_normal((n, steps, b))
+        w = rng.standard_normal((n, model.dim)) * 0.5
+        out = np.full((n, model.dim), np.nan)
+        step = objectives._gradient_kernel(model, w, out)
+        for t in range(steps):
+            want = objectives._gradients(model, w.copy(), x[:, t], y[:, t], np.empty((n, model.dim)))
+            got = step(x[:, t], y[:, t])
+            assert got is out
+            assert same_bits(got, want)
+            got *= 0.3
+            w -= got
+
+
 class TestStochasticGradient:
     """Minibatch sampling, the stochastic part of local SGD's gradients."""
 

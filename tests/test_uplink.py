@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedquant import fedsim
-from fedquant.fedsim import _uplink, aggregate
+from fedquant.fedsim import _uplink, _UplinkWorkspace, aggregate
 from fedquant.quantizer import QuantizedUpdate, _check_input, dequantize, exact_variance, quantize
 from fedquant.wire import decode, encode
 
@@ -245,7 +245,7 @@ def assert_uplink_matches(d, s, kinds, raw_weights, seed, group=None):
     want = reference_aggregate(base, updates, weights)
     budget = fedsim._UPLINK_BYTES if group is None else 8 * d * group
     with mock.patch.object(fedsim, "_UPLINK_BYTES", budget):
-        got = _uplink(base, np.array(deltas), s, rngs, weights)
+        got = _uplink(base, np.array(deltas), s, rngs, _UplinkWorkspace(weights, d))
     assert got.tobytes() == want.tobytes()
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
 
@@ -304,11 +304,36 @@ class TestRoundUplink:
         assert got.levels.tobytes() == want.levels.tobytes()
         assert rng_view.bit_generator.state == rng_copy.bit_generator.state
 
+    def test_workspace_serves_consecutive_rounds(self):
+        # 8 clients in groups of 3, 3 and 2, client 4 at zero norm: one
+        # workspace quantizes two rounds, and the short last group leaves
+        # its buffers whole for the next round's full groups
+        d, s = 29, 7
+        weights = [k / 36 for k in range(1, 9)]
+        rng = np.random.default_rng(5)
+        rngs = [np.random.default_rng([5, i]) for i in range(8)]
+        ref_rngs = [np.random.default_rng([5, i]) for i in range(8)]
+        with mock.patch.object(fedsim, "_UPLINK_BYTES", 8 * d * 3):
+            workspace = _UplinkWorkspace(weights, d)
+        assert workspace.group == 3
+        buffers = (workspace.frac, workspace.lower, workspace.u, workspace.carry)
+        w = rng.standard_normal(d)
+        for _ in range(2):
+            deltas = np.array([client_delta("zero" if i == 4 else "normal", d, rng) for i in range(8)])
+            want = aggregate(w, [quantize(delta, s, r) for delta, r in zip(deltas, ref_rngs)], weights)
+            got = _uplink(w, deltas, s, rngs, workspace)
+            assert got.tobytes() == want.tobytes()
+            assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+            kept = (workspace.frac, workspace.lower, workspace.u, workspace.carry)
+            assert all(a is b and a.shape[0] == 3 for a, b in zip(kept, buffers))
+            assert [len(rows) for rows in (workspace.lower_rows, workspace.u_rows)] == [3, 3]
+            w = got
+
     def test_inputs_are_left_alone(self):
         w = np.array([0.5, -0.0, 2.0])
         w.setflags(write=False)
         deltas = [np.array([1.0, -2.0, 0.0]), np.array([-0.0, 3.0, 1e-46])]
         before = [delta.copy() for delta in deltas]
         rngs = [np.random.default_rng(i) for i in range(2)]
-        _uplink(w, deltas, 3, rngs, [0.25, 0.75])
+        _uplink(w, deltas, 3, rngs, _UplinkWorkspace([0.25, 0.75], 3))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(deltas, before))
