@@ -1,10 +1,10 @@
 """Range checks on input values: one checker per kind of value, each
 message written once.  A checker refuses a number, or an array with a
 refused entry (the first is shown), with ``ValueError("<name> must be
-<rule>, got <value>")``.  ``non_negative`` and ``at_least`` refuse what
-does not compare at or above their bound, NaN too; ``positive`` only
-compares, so NaN passes it.  The round path tests a rule inline and calls
-its checker only to raise: a passing value costs no call there."""
+<rule>, got <value>")``.  ``positive``, ``non_negative`` and ``at_least``
+refuse what does not compare above or at their bound, NaN too.  The round
+path tests a rule inline and calls its checker only to raise: a passing
+value costs no call there."""
 
 from __future__ import annotations
 
@@ -31,10 +31,10 @@ def finite(name: str, value, sign: str = "") -> None:
 
 
 def positive(name: str, value) -> None:
-    """Refuse a ``value`` at or below zero."""
-    bad = value <= 0.0
-    if np.any(bad):
-        raise ValueError(f"{name} must be positive, got {_shown(value, bad)}")
+    """Refuse a ``value`` at or below zero, and NaN."""
+    ok = value > 0.0
+    if not np.all(ok):
+        raise ValueError(f"{name} must be positive, got {_shown(value, np.logical_not(ok))}")
 
 
 def non_negative(name: str, value) -> None:

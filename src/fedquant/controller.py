@@ -247,7 +247,7 @@ def lr_condition_fixed(
 
     ``run_training`` applies it each round to that round's ``eta_k`` and ``s_k``.
     """
-    if eta <= 0.0 or smoothness <= 0.0:  # on the round path: the checker only raises
+    if not (eta > 0.0 and smoothness > 0.0):  # on the round path: the checker only raises
         _checks.positive("eta and smoothness", np.array([eta, smoothness]))
     if min(dim, local_steps, s, n_clients) < 1:
         _checks.at_least("dim, local_steps, s, n_clients", np.array([dim, local_steps, s, n_clients]), 1)

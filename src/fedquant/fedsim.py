@@ -12,9 +12,9 @@ estimate read the clients' rows from one row source per role
 (:class:`_Rows`), built once per run with each step's views of its
 buffers; each holds one minibatch block, for the shards with more than
 ``batch_size`` rows, drawn into sampler buffers it allocates once, so a
-block's indices hold only until the next block is drawn.  Only the
-parameter planes are built per round, and bound once a round to their
-gradient kernels.
+block's indices hold only until the next block is drawn.  Local SGD's
+parameter planes, and their gradient kernels, are made in a run's first
+round and kept on its row source.
 
 Determinism contract: a run derives one generator per (role, client)
 from ``(master_seed, role, client_id)`` and reads it in round order, so
@@ -147,6 +147,7 @@ class _Rows:
         # each step's views of the groups' buffers, made once
         self.steps = [[(x[:, t % span], y[:, t % span]) for x, y, span in self.groups] for t in range(count)]
         self.start, self.drawn = 0, np.empty((0, 0), dtype=np.int64)  # no block yet
+        self.planes = self.grad = self.bound = self.deltas = None  # local SGD's, see _sgd
 
     def batches(self, k: int) -> np.ndarray:
         """Round ``k``'s minibatch indices of the sampling shards:
@@ -300,13 +301,16 @@ def _sgd(rows: _Rows, w_start: np.ndarray, k: int, eta: float) -> np.ndarray:
 
     Client ``i`` takes its steps from ``w_start`` on shard ``i``; the
     result is the ``(clients, dim)`` plane of parameter deltas, a row per
-    shard in shard order.  The parameters and ``eta``, which may decay to
-    0.0, are checked here; the shards, ``local_steps`` and the batch size,
-    which never change, where ``rows`` is built.  Each group of ``rows``
-    steps its clients as one parameter plane, allocated per round, and gets
-    their gradients from one stacked kernel call, so the deltas are
-    bit-identical to stepping the clients one at a time.  Each plane's
-    gradient kernel and raveled view are bound once a round.
+    shard in shard order, which the next round through ``rows`` overwrites.
+    The parameters and ``eta``, which may decay to 0.0, are checked here;
+    the shards, ``local_steps`` and the batch size, which never change,
+    where ``rows`` is built.  Each group of ``rows`` steps its clients as
+    one parameter plane and gets their gradients from one stacked kernel
+    call, so the deltas are bit-identical to stepping the clients one at a
+    time.  The planes, the gradient buffer, each plane's kernel and raveled
+    view, and the deltas (the one plane itself, with one group) are made in
+    the first round and kept on ``rows``, so they die with the run; each
+    round copies ``w_start`` into the planes.
 
     A client that diverges stops stepping, and so do the clients after it
     in shard order, which leaves each group a prefix of its plane; their
@@ -316,17 +320,22 @@ def _sgd(rows: _Rows, w_start: np.ndarray, k: int, eta: float) -> np.ndarray:
     its first diverging step: the one a client-by-client loop would have
     stopped at.
     """
-    if eta <= 0.0:  # on the round path: the checker only raises
+    if not eta > 0.0:  # on the round path: the checker only raises
         _checks.positive("eta", eta)
     model = rows.model
     w_start = objectives._check_params(model, w_start)
-    planes = [np.repeat(w_start[None, :], len(positions), axis=0) for positions in rows.positions]
-    grad = np.empty((max(map(len, planes)), model.dim))
 
     def bind(planes: list[np.ndarray]) -> list[tuple]:
-        return [(w, objectives._gradient_kernel(model, w, grad[: len(w)]), w.ravel()) for w in planes]
+        return [(w, objectives._gradient_kernel(model, w, rows.grad[: len(w)]), w.ravel()) for w in planes]
 
-    bound = bind(planes)
+    if rows.planes is None:  # the run's first round
+        rows.planes = [np.empty((len(positions), model.dim)) for positions in rows.positions]
+        rows.grad = np.empty((max(map(len, rows.planes)), model.dim))
+        rows.bound = bind(rows.planes)
+        rows.deltas = rows.planes[0] if len(rows.planes) == 1 else np.empty((len(rows.shards), model.dim))
+    planes, bound = rows.planes, rows.bound
+    for w in planes:
+        np.copyto(w, w_start)
     first_blowup: tuple[int, int] | None = None  # (shard position, step)
     for t, sets in enumerate(rows(k)):
         for (w, step, _), (x, y) in zip(bound, sets):
@@ -357,12 +366,10 @@ def _sgd(rows: _Rows, w_start: np.ndarray, k: int, eta: float) -> np.ndarray:
         )
     for w in planes:
         w -= w_start
-    if len(planes) == 1:  # its positions are every shard's, in order
-        return planes[0]
-    deltas = np.empty((len(rows.shards), model.dim))
-    for positions, w in zip(rows.positions, planes):
-        deltas[positions] = w
-    return deltas
+    if len(planes) > 1:  # one plane is the deltas: its positions are every shard's
+        for positions, w in zip(rows.positions, planes):
+            rows.deltas[positions] = w
+    return rows.deltas
 
 
 def local_round(
@@ -534,7 +541,9 @@ def run_round(
 
 
 def build_problem(config: TrainingConfig) -> Problem:
-    """Materialize data and shards for a config, deterministically."""
+    """Materialize data and shards for a config, deterministically.
+    ``train_data`` holds the training rows in partition order, each shard a
+    view of its rows there; the eval rows, the source's tail, are copied."""
     data = config.data
     if isinstance(data, SyntheticData):
         full = objectives.generate_synthetic(
@@ -545,25 +554,20 @@ def build_problem(config: TrainingConfig) -> Problem:
             seed=derive_rng(config.master_seed, ROLE_DATA),
             n_classes=data.n_classes,
         )
-        train = full.subset(np.arange(data.samples))
-        eval_data = (
-            full.subset(np.arange(data.samples, full.m)) if data.eval_samples else None
-        )
+        split = data.samples
     elif isinstance(data, FileData):
         full = objectives.load_delimited(data.path, kind=data.kind)
         if data.eval_samples >= full.m:
             raise ValueError("eval_samples must leave at least one training row")
         split = full.m - data.eval_samples
-        train = full.subset(np.arange(split))
-        eval_data = full.subset(np.arange(split, full.m)) if data.eval_samples else None
     else:
         raise TypeError(f"unsupported data source {type(data).__name__}")
-    shards = objectives.partition(
-        train,
-        config.n_clients,
-        mode=config.partition_mode,
-        seed=derive_rng(config.master_seed, ROLE_PARTITION),
+    order = objectives._partition_order(
+        full.labels[:split], config.partition_mode, derive_rng(config.master_seed, ROLE_PARTITION)
     )
+    train = full.subset(order)
+    eval_data = full.subset(np.arange(split, full.m)) if split < full.m else None
+    shards = objectives._deal(train, config.n_clients)
     return Problem(
         model=config.model, shards=tuple(shards), train_data=train, eval_data=eval_data
     )

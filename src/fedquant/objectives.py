@@ -70,6 +70,17 @@ class Dataset:
             planted.setflags(write=False)
             object.__setattr__(self, "planted_params", planted)
 
+    @classmethod
+    def _adopt(cls, features: np.ndarray, labels: np.ndarray, planted_params=None) -> Dataset:
+        """Wrap valid rows just built, read-only or referenced nowhere else:
+        they are frozen in place rather than copied and checked again."""
+        for array in (features, labels, planted_params):
+            if array is not None:
+                array.setflags(write=False)
+        data = object.__new__(cls)
+        data.__dict__.update(features=features, labels=labels, planted_params=planted_params)
+        return data
+
     @property
     def m(self) -> int:
         return self.features.shape[0]
@@ -78,12 +89,13 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(
-            features=self.features[indices],
-            labels=self.labels[indices],
-            planted_params=self.planted_params,
-        )
+    def subset(self, indices: np.ndarray | slice) -> "Dataset":
+        """The rows at ``indices``, read-only and sharing ``planted_params``:
+        gathered once for an index array, a view for a slice."""
+        features = self.features[indices]
+        if features.ndim != 2 or features.shape[0] < 1:
+            raise ValueError("features must be a non-empty 2-D array")
+        return Dataset._adopt(features, self.labels[indices], self.planted_params)
 
 
 @dataclass(frozen=True)
@@ -473,7 +485,8 @@ def generate_synthetic(
         y = x @ planted
         if noise > 0.0:
             y = y + noise * rng.standard_normal(m)
-        return Dataset(features=x, labels=y, planted_params=planted)
+        _checks.finite("labels", y)  # a huge noise overflows
+        return Dataset._adopt(x, y, planted)
     _checks.at_least("n_classes", n_classes, 2)
     if n_classes == 2:
         planted = rng.standard_normal(n_features)
@@ -481,14 +494,37 @@ def generate_synthetic(
         if noise > 0.0:
             flip = rng.random(m) < noise
             y = np.where(flip, 1 - y, y)
-        return Dataset(features=x, labels=y, planted_params=planted)
+        return Dataset._adopt(x, y, planted)
     planted = rng.standard_normal((n_features, n_classes))
     y = (x @ planted).argmax(axis=1).astype(np.int64)
     if noise > 0.0:
         flip = rng.random(m) < noise
         shift = rng.integers(1, n_classes, size=m)
         y = np.where(flip, (y + shift) % n_classes, y)
-    return Dataset(features=x, labels=y, planted_params=planted.ravel())
+    return Dataset._adopt(x, y, planted.ravel())
+
+
+def _partition_order(labels: np.ndarray, mode: str, seed) -> np.ndarray:
+    """The order :func:`partition` deals the rows of ``labels`` in: a uniform
+    permutation for ``iid``, a stable sort by label for ``sorted_label``."""
+    if mode == "iid":
+        return np.random.default_rng(seed).permutation(len(labels))
+    if mode == "sorted_label":
+        return np.argsort(np.asarray(labels), kind="stable")
+    raise ValueError(f"unknown partition mode {mode!r}, expected one of {_PARTITION_MODES}")
+
+
+def _deal(block: Dataset, n: int) -> list[ClientShard]:
+    """``n`` shards of consecutive rows of ``block``, in order, sizes within
+    one of each other and the larger first, each a view of ``block``."""
+    _checks.in_range("clients", n, 1, block.m)
+    base, extra = divmod(block.m, n)
+    shards, start = [], 0
+    for i in range(n):
+        size = base + (i < extra)
+        shards.append(ClientShard(i, block.subset(slice(start, start + size)), size / block.m))
+        start += size
+    return shards
 
 
 def partition(
@@ -500,26 +536,10 @@ def partition(
     """Split ``data`` into ``n`` client shards weighted by shard size.
 
     ``iid`` shuffles rows uniformly; ``sorted_label`` orders rows by label
-    before slicing, so each client sees a narrow label range.
+    before slicing, so each client sees a narrow label range.  The rows are
+    gathered once, in that order, and each shard is a view of the block.
     """
-    _checks.in_range("clients", n, 1, data.m)
-    if mode == "iid":
-        order = np.random.default_rng(seed).permutation(data.m)
-    elif mode == "sorted_label":
-        order = np.argsort(np.asarray(data.labels), kind="stable")
-    else:
-        raise ValueError(f"unknown partition mode {mode!r}, expected one of {_PARTITION_MODES}")
-    base, extra = divmod(data.m, n)
-    shards = []
-    start = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        rows = order[start : start + size]
-        start += size
-        shards.append(
-            ClientShard(client_id=i, data=data.subset(rows), weight=size / data.m)
-        )
-    return shards
+    return _deal(data.subset(_partition_order(data.labels, mode, seed)), n)
 
 
 def load_delimited(

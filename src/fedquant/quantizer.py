@@ -3,8 +3,11 @@
 A vector ``w`` is encoded as its Euclidean norm, one sign per coordinate,
 and one integer level per coordinate drawn from ``{0, ..., s}``.  The level
 for coordinate ``i`` is randomized between the two integers bracketing
-``|w_i| / ||w|| * s`` so that dequantization is unbiased.  Raising ``s``
-tightens the lattice and costs more bits per coordinate.
+``|w_i| / ||w|| * s`` so that dequantization is unbiased but for the norm:
+the lattice uses the float64 norm and the reconstruction the float32 one
+the wire carries, so ``E[Q(w)] = w * norm32 / norm``, a relative bias of at
+most about 2**-24.  Raising ``s`` tightens the lattice and costs more bits
+per coordinate.
 """
 
 from __future__ import annotations
@@ -213,7 +216,8 @@ def _scale(levels: np.ndarray, norm, s: int, signs: np.ndarray) -> np.ndarray:
 
 
 def quantize(w: np.ndarray, s: int, rng: np.random.Generator) -> QuantizedUpdate:
-    """Randomly round ``w`` onto the level lattice; unbiased by construction.
+    """Randomly round ``w`` onto the level lattice; unbiased up to the
+    float32 norm, ``E[dequantize(quantize(w))] = w * norm32 / norm``.
 
     A vector whose norm is zero at the wire's float32 precision (a zero
     vector, or one so small its norm underflows) encodes as all-zero

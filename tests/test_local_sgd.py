@@ -11,6 +11,8 @@ errors must match exactly.
 
 from __future__ import annotations
 
+import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -213,6 +215,36 @@ def test_rows_gathered_a_few_steps_at_a_time(monkeypatch, layout, gather_bytes):
         assert np.array_equal(want, have)
 
 
+@pytest.mark.parametrize("layout", ["equal", "interleaved"])
+def test_later_rounds_step_in_the_run_planes(layout):
+    # the planes, their gradient buffer and the deltas are made in the first
+    # round through a row source; a later round copies its start point in
+    # and allocates no (clients, dim) plane; dim is past NumPy's 8192-element
+    # ufunc buffer, which a broadcast in a smaller plane allocates
+    model = ModelSpec.quadratic(20_000)
+    sizes, batch_size, steps = LAYOUTS[layout]
+    shards = make_shards(model, sizes)
+    rows = fedsim._Rows(model, shards, batch_size, steps, streams(len(sizes)).__getitem__, rounds=3)
+    ref_rngs = streams(len(sizes))
+    plane_bytes = len(sizes) * model.dim * 8
+    for k in range(3):
+        w0 = start_point(model, seed=k)
+        expected = reference_local_sgd(model, shards, w0, steps, 0.3, batch_size, ref_rngs)
+        tracemalloc.start()
+        try:
+            got = fedsim._sgd(rows, w0, k, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == np.array(expected).tobytes()
+        if k == 0:
+            first = got
+            assert peak >= plane_bytes
+        else:
+            assert got is first
+            assert peak < plane_bytes / 4
+
+
 def test_full_batch_clients_draw_nothing():
     model = MODELS["logistic"]
     shards = make_shards(model, [4, 3, 3])
@@ -266,6 +298,17 @@ def scaled_shard(client_id: int, scale: float) -> ClientShard:
     return ClientShard(
         client_id=client_id, data=Dataset(features=x, labels=np.zeros(4)), weight=0.25
     )
+
+
+@pytest.mark.parametrize("eta", [math.nan, 0.0, -0.5])
+def test_step_size_is_checked_before_stepping(eta):
+    # a nan step size passed the round path's inline test, and the client
+    # diverged at its first step
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"eta must be positive, got {eta}"):
+        local_round(QUAD2, scaled_shard(0, 1.0), np.ones(2), 2, eta, 2, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_divergence_names_first_client_in_shard_order():

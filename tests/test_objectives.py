@@ -80,6 +80,31 @@ class TestDataset:
         assert sub.m == 2
         np.testing.assert_array_equal(sub.features[0], data.features[3])
 
+    def test_subset_is_read_only(self):
+        data = generate_synthetic("regression", 10, 3, seed=1)
+        for sub in (data.subset(np.array([3, 1])), data.subset(slice(2, 5))):
+            assert not sub.features.flags.writeable and not sub.labels.flags.writeable
+            assert sub.planted_params is data.planted_params
+            with pytest.raises(ValueError):
+                sub.features[0, 0] = 5.0
+        # a slice is a view of the rows, an index array a gathered copy
+        assert np.shares_memory(data.subset(slice(2, 5)).features, data.features)
+        assert not np.shares_memory(data.subset(np.array([3, 1])).features, data.features)
+
+    @pytest.mark.parametrize("indices", [np.array([], dtype=np.intp), 3, slice(4, 4)])
+    def test_subset_refuses_no_rows_and_a_lone_index(self, indices):
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            quad_data()[0].subset(indices)
+
+    def test_constructor_copies_its_arguments(self):
+        x, y, planted = np.ones((3, 2)), np.zeros(3), np.ones(2)
+        data = Dataset(features=x, labels=y, planted_params=planted)
+        for given, kept in ((x, data.features), (y, data.labels), (planted, data.planted_params)):
+            assert not np.shares_memory(given, kept) and not kept.flags.writeable
+            assert given.flags.writeable
+        x[0, 0] = 5.0
+        assert data.features[0, 0] == 1.0
+
 
 class TestModelSpec:
     def test_dims(self):
@@ -340,6 +365,22 @@ class TestPartition:
         shards = partition(data, 3, mode="sorted_label", seed=0)
         for shard in shards:
             assert len(np.unique(shard.data.labels)) == 1
+
+    @pytest.mark.parametrize("mode", ["iid", "sorted_label"])
+    def test_shards_are_consecutive_rows_of_the_dealt_order(self, mode):
+        data = logi_data(m=23)
+        shards = partition(data, 5, mode=mode, seed=4)
+        if mode == "iid":
+            order = np.random.default_rng(4).permutation(23)
+        else:
+            order = np.argsort(data.labels, kind="stable")
+        merged = np.concatenate([s.data.features for s in shards])
+        np.testing.assert_array_equal(merged, data.features[order])
+        np.testing.assert_array_equal(np.concatenate([s.data.labels for s in shards]), data.labels[order])
+        assert [s.data.m for s in shards] == [5, 5, 5, 4, 4]
+        # one gathered block: every shard is a view, none owns its rows
+        assert not any(s.data.features.flags.owndata for s in shards)
+        assert len({id(s.data.features.base) for s in shards}) == 1
 
     def test_too_many_clients(self):
         with pytest.raises(ValueError):
