@@ -28,6 +28,7 @@ Drawing minibatches for several rounds at once reads the same draws.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -218,6 +219,10 @@ class GlobalState:
         w = np.asarray(self.w, dtype=np.float64).copy()
         if w.ndim != 1 or w.size < 1:
             raise ValueError("w must be a non-empty 1-D vector")
+        for name in ("round_index", "cumulative_bits"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         _checks.non_negative("round_index and cumulative_bits", np.array([self.round_index, self.cumulative_bits]))
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -497,7 +502,7 @@ def _loss_estimate(rows: _Rows, w: np.ndarray, k: int) -> float:
     call; the weighted sum runs in shard order."""
     losses = [0.0] * len(rows.shards)
     for positions, (x, y) in zip(rows.positions, next(rows(k))):
-        for p, value in zip(positions, objectives._losses(rows.model, w, x, y)):
+        for p, value in zip(positions, objectives._losses(rows.model, w, x, y).tolist()):
             losses[p] = value
     total = 0.0
     for shard, value in zip(rows.shards, losses):
@@ -661,7 +666,7 @@ def _train(
     saturated = 0
     for k in range(config.rounds):
         f_wk = _loss_estimate(loss_rows, state.w, k)
-        if not np.isfinite(f_wk):
+        if not math.isfinite(f_wk):
             raise TrainingDiverged(
                 f"non-finite training loss at round {k}", round_index=k, records=tuple(records)
             )

@@ -178,14 +178,19 @@ def _check_data(model: ModelSpec, data: Dataset) -> None:
             raise ValueError(f"mlp labels must lie in [0, {model.n_classes})")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out=None, denominator=None, nonneg=None) -> np.ndarray:
+    """The logistic function of ``z``, in ``out``; ``denominator`` and the
+    bool ``nonneg`` are its work buffers, shaped like ``z`` and made where
+    None.  ``out`` may be ``z``: the logistic step passes its kernel's own
+    buffers, so it allocates nothing."""
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
-    # overflows; both share e = e^-|z|, formed in one buffer that then
-    # becomes the numerator once 1 + e is taken
-    e = np.copysign(z, -1.0)
+    # overflows; both share e = e^-|z|, formed in out (so the sign is read
+    # first), which then becomes the numerator once 1 + e is taken
+    nonneg = np.greater_equal(z, 0, out=nonneg)
+    e = np.copysign(z, -1.0, out=out)
     np.exp(e, out=e)
-    denominator = 1.0 + e
-    np.copyto(e, 1.0, where=z >= 0)
+    denominator = np.add(1.0, e, out=denominator)
+    np.copyto(e, 1.0, where=nonneg)
     e /= denominator
     return e
 
@@ -262,6 +267,12 @@ def _gradient_kernel(model: ModelSpec, w: np.ndarray, out: np.ndarray):
     sum runs over one client's axis in the same order.  The views of ``w``
     and ``out`` are made here, once, so the step reads ``w`` as it is when
     called: a plane stepped in place needs no new kernel.
+
+    The logistic step's temporaries (``z``, the sigmoid's buffers and the
+    residual) live in the kernel, made at its first call and again when the
+    row count changes, so after that it allocates nothing; a step's result
+    and residual hold only until its next call.  The mlp step still
+    allocates its temporaries: buffering them gained nothing measurable.
     """
     if model.kind == "quadratic":
         w_col, out_col = w[:, :, None], out[:, :, None]
@@ -275,12 +286,24 @@ def _gradient_kernel(model: ModelSpec, w: np.ndarray, out: np.ndarray):
     if model.kind == "logistic":
         w_col, bias = w[:, :-1, None], w[:, -1:]
         out_col, out_bias = out[:, :-1, None], out[:, -1]
+        scratch = None  # z, then the residual, its column, 1 + e^-|z| and z >= 0
 
         def step(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            z = np.matmul(x, w_col)[:, :, 0] + bias
-            resid = _sigmoid(z) - y
-            np.matmul(x.swapaxes(1, 2), resid[:, :, None], out=out_col)
-            np.add.reduce(resid, axis=1, out=out_bias)  # resid.mean(axis=1) once divided, as in _losses
+            nonlocal scratch
+            if scratch is None or scratch[0].shape != y.shape:  # the first call, or a new row count
+                z = np.empty(y.shape)
+                scratch = z, z[:, :, None], np.empty(y.shape), np.empty(y.shape, dtype=bool)
+            z, z_col, denominator, nonneg = scratch
+            # bias and y go through the denominator's buffer: a ufunc given
+            # either one (broadcast, or strided over clients) buffers it
+            np.matmul(x, w_col, out=z_col)
+            np.copyto(denominator, bias)
+            z += denominator
+            _sigmoid(z, z, denominator, nonneg)
+            np.copyto(denominator, y)
+            z -= denominator
+            np.matmul(x.swapaxes(1, 2), z_col, out=out_col)
+            np.add.reduce(z, axis=1, out=out_bias)  # the residual's mean once divided, as in _losses
             return np.divide(out, x.shape[1], out=out)
 
         return step

@@ -753,3 +753,20 @@ class TestBuildProblem:
             GlobalState(w=np.zeros(2), round_index=-1, cumulative_bits=0)
         with pytest.raises(ValueError):
             GlobalState(w=np.zeros((2, 2)), round_index=0, cumulative_bits=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("round_index", 1.5), ("round_index", 1.0), ("round_index", True), ("round_index", np.True_),
+            ("round_index", "1"), ("cumulative_bits", 2.5), ("cumulative_bits", False),
+            ("cumulative_bits", np.float64(3.0)),
+        ],
+    )
+    def test_global_state_refuses_non_integers(self, field, value):
+        fields = {"round_index": 0, "cumulative_bits": 0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GlobalState(w=np.zeros(2), **fields)
+
+    def test_global_state_takes_numpy_integers(self):
+        state = GlobalState(w=np.zeros(2), round_index=np.int64(3), cumulative_bits=np.uint32(7))
+        assert (state.round_index, state.cumulative_bits) == (3, 7)

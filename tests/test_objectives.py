@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,15 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
 EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 745.0, -745.0, 1e-310, -1e-310, 36.0, -36.0, 1.0]
 
 
+def sigmoid_into(z: np.ndarray, alias: bool) -> np.ndarray:
+    """``_sigmoid`` given all its buffers, filled with junk first: the
+    output is ``z`` itself with ``alias``, else an array of its own."""
+    out = z if alias else np.full_like(z, np.nan)
+    got = objectives._sigmoid(z, out, np.full_like(z, np.nan), np.ones(z.shape, dtype=bool))
+    assert got is out
+    return got
+
+
 class TestLogisticKernels:
     """The logistic kernels bit for bit against their reference forms."""
 
@@ -235,6 +245,8 @@ class TestLogisticKernels:
     def test_edges(self):
         z = np.array(EDGES)
         assert same_bits(objectives._sigmoid(z.copy()), sigmoid_reference(z.copy()))
+        for alias in (False, True):
+            assert same_bits(sigmoid_into(z.copy(), alias), sigmoid_reference(z.copy()))
         assert same_bits(objectives._softplus(z.copy()), softplus_reference(z.copy()))
 
     @settings(max_examples=300, deadline=None)
@@ -242,6 +254,8 @@ class TestLogisticKernels:
     def test_any_floats(self, values):
         z = np.array(values, dtype=np.float64)
         assert same_bits(objectives._sigmoid(z), sigmoid_reference(z))
+        for alias in (False, True):
+            assert same_bits(sigmoid_into(z.copy(), alias), sigmoid_reference(z))
         assert same_bits(objectives._softplus(z), softplus_reference(z))
 
     @settings(max_examples=150, deadline=None)
@@ -278,13 +292,49 @@ class TestGradientKernel:
         w = rng.standard_normal((n, model.dim)) * 0.5
         out = np.full((n, model.dim), np.nan)
         step = objectives._gradient_kernel(model, w, out)
-        for t in range(steps):
-            want = objectives._gradients(model, w.copy(), x[:, t], y[:, t], np.empty((n, model.dim)))
-            got = step(x[:, t], y[:, t])
-            assert got is out
+
+        def check(step, w, x, y):
+            want = objectives._gradients(model, w.copy(), x, y, np.empty(w.shape))
+            got = step(x, y)
             assert same_bits(got, want)
+            if model.kind == "logistic":
+                assert same_bits(got, logistic_gradients_reference(w, x, y))
+            return got
+
+        for t in range(steps):
+            got = check(step, w, x[:, t], y[:, t])
+            assert got is out
             got *= 0.3
             w -= got
+        # fewer rows, then the first count again: the same kernel
+        check(step, w, x[:, 0, :2], y[:, 0, :2])
+        check(step, w, x[:, 1], y[:, 1])
+        # a prefix of the plane and its gradient rows, bound again as local
+        # SGD binds them once a client diverges
+        cut = objectives._gradient_kernel(model, w[:2], out[:2])
+        for t in range(2):
+            got = check(cut, w[:2], x[:2, t], y[:2, t])
+            got *= 0.3
+            w[:2] -= got
+
+    def test_bound_logistic_step_allocates_nothing_after_its_first_call(self):
+        n, b, f, steps = 8, 256, 20, 6
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((n, steps, b, f))
+        y = (rng.random((n, steps, b)) < 0.5).astype(np.float64)
+        w = rng.standard_normal((n, f + 1)) * 0.1
+        step = objectives._gradient_kernel(ModelSpec.logistic(f), w, np.empty_like(w))
+        step(x[:, 0], y[:, 0])
+        tracemalloc.start()
+        try:
+            for t in range(1, steps):
+                got = step(x[:, t], y[:, t])
+                got *= 0.1
+                w -= got
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * b * 8  # one (n, b) float64 array
 
 
 class TestStochasticGradient:
