@@ -10,11 +10,13 @@ it is bit for bit ``aggregate(w, [quantize(delta, s, rng), ...],
 weights)`` but builds no ``QuantizedUpdate``.  Local SGD and the loss
 estimate read the clients' rows from one row source per role
 (:class:`_Rows`), built once per run with each step's views of its
-buffers; each holds one minibatch block, for the shards with more than
-``batch_size`` rows, drawn into sampler buffers it allocates once, so a
-block's indices hold only until the next block is drawn.  Local SGD's
-parameter planes, and their gradient kernels, are made in a run's first
-round and kept on its row source.
+buffers.  A row source reads ``Problem.train_data`` in place: each group
+of clients gets its rows for a span of steps from one ``take`` of rows
+and one of labels, into step-major buffers, through an index workspace
+of block rows that holds a block of rounds' minibatches, drawn at once
+into buffers it allocates once, so a block's indices hold only until the
+next block is drawn.  Local SGD's parameter planes, and their gradient
+kernels, are made in a run's first round and kept on its row source.
 
 Determinism contract: a run derives one generator per (role, client)
 from ``(master_seed, role, client_id)`` and reads it in round order, so
@@ -90,20 +92,26 @@ class _Rows:
     a time: ``count`` row sets a round, ``local_steps`` minibatches for
     local SGD or one for the loss estimate.
 
-    The shards are grouped by their effective row count ``b``, ``min(
-    batch_size, m)``, or ``m`` with ``batch_size`` None: group ``g`` holds
-    the shards at ``positions[g]``, in shard order, and gets its rows and
-    labels (in the kernels' dtype) stacked by client.  A shard whose ``b``
-    rows are its whole shard has them filled in once, here.  The shards
-    with more than ``batch_size`` rows sample; they all sit in the group of
-    ``batch_size`` rows and share one minibatch block (see
-    :meth:`batches`), their indices drawn from ``rngs(position)`` and
-    gathered ``span`` row sets at a time, as many as fit in
-    ``objectives._GATHER_BYTES`` (at least one).  Everything here is built
-    once and lives as long as the rows are read: the sampler's workspace,
-    sized to the largest block, ``min(_STREAM_ROUNDS, rounds)`` rounds,
-    into which every block is drawn, and each step's list of views of the
-    groups' buffers, which every round gives again.
+    The rows are read in place from one block whose consecutive rows the
+    shards are, in shard order: ``block`` (``_train`` passes
+    ``Problem.train_data``) or, where None, the shards' rows concatenated
+    once (a lone shard is its own block); its labels are converted to the
+    kernels' dtype once.  The shards are grouped by their effective row
+    count ``b``, ``min(batch_size, m)``, or ``m`` with ``batch_size`` None:
+    group ``g`` holds the shards at ``positions[g]``, in shard order, and
+    gets step-major buffers of rows and labels, ``(span, clients, b, f)``
+    and ``(span, clients, b)``, filled once for a group of whole shards.
+    The shards with more than ``batch_size`` rows sample; they all sit in
+    the group of ``batch_size`` rows, which gathers ``span`` steps at a
+    time, as many as fit in ``objectives._GATHER_BYTES`` (at least one),
+    with one ``take`` of rows and one of labels, at the block rows in
+    ``index``, ``(rounds, count, clients, b)``: a sampling shard's are its
+    draws from ``rngs(position)`` plus its first row (see :meth:`batches`),
+    a whole shard's its own rows, set once.  Everything here is built once
+    and lives as long as the rows are read: ``index`` and the sampler's
+    workspace, sized to the largest block, ``min(_STREAM_ROUNDS, rounds)``
+    rounds, into which every block is drawn, and each step's list of views
+    of the groups' buffers, which every round gives again.
     """
 
     def __init__(
@@ -114,58 +122,75 @@ class _Rows:
         count: int,
         rngs: Callable[[int], np.random.Generator],
         rounds: int = 1,
+        block: Dataset | None = None,
     ) -> None:
         _checks.at_least("local_steps", count, 1)
         if batch_size is not None:
             _checks.at_least("batch_size", batch_size, 1)
+        if block is None:
+            block = shards[0].data if len(shards) == 1 else Dataset._adopt(
+                np.concatenate([shard.data.features for shard in shards]),
+                np.concatenate([shard.data.labels for shard in shards]),
+            )
+        sizes = [shard.data.m for shard in shards]
+        first = np.cumsum([0] + sizes[:-1])  # each shard's first row in the block
         groups: dict[int, list[int]] = {}
-        for p, shard in enumerate(shards):
-            m = shard.data.m
+        for p, m in enumerate(sizes):
             groups.setdefault(m if batch_size is None else min(batch_size, m), []).append(p)
         self.model, self.shards, self.count = model, shards, count
         self.batch_size, self.rounds = batch_size, rounds
+        self.features, self.labels = block.features, objectives._labels(model, block.labels)
         self.positions, self.groups = list(groups.values()), []
-        self.sources, self.streams, self.span, self.sampler = [], [], 1, None
+        self.streams, self.span, self.sampler = [], 1, None
         for b, positions in groups.items():
-            data = [shards[p].data for p in positions]
-            labels = [objectives._labels(model, d.labels) for d in data]
-            sampled = [j for j, d in enumerate(data) if d.m > b]
-            step_bytes = len(data) * b * model.n_features * 8
+            sampled = [j for j, p in enumerate(positions) if sizes[p] > b]
+            step_bytes = len(positions) * b * model.n_features * 8
             span = max(1, min(count if sampled else 1, objectives._GATHER_BYTES // step_bytes))
-            x = np.empty((len(data), span, b, model.n_features))
-            y = np.empty((len(data), span, b), dtype=labels[0].dtype)
-            for j, d in enumerate(data):
-                if d.m == b:
-                    x[j], y[j] = d.features, labels[j]
+            x = np.empty((span, len(positions), b, model.n_features))
+            y = np.empty((span, len(positions), b), dtype=self.labels.dtype)
+            own = first[positions, None] + np.arange(b)  # each client's first b rows
             if sampled:  # the group of batch_size rows
-                self.sources = [(data[j].features, labels[j], x[j], y[j]) for j in sampled]
+                blocks = min(_STREAM_ROUNDS, rounds)
+                self.index = np.empty((blocks, count, len(positions), b), dtype=np.intp)
+                self.index[...] = own
+                self.sampled = [(j, first[positions[j]]) for j in sampled]
                 self.streams = [rngs(positions[j]) for j in sampled]
-                self.span = span
+                self.span, self.x, self.y = span, x, y
                 self.sampler = objectives._BatchWorkspace(
-                    [data[j].m for j in sampled], b, min(_STREAM_ROUNDS, rounds) * count
+                    [sizes[positions[j]] for j in sampled], b, blocks * count
                 )
+            else:
+                self.features.take(own, axis=0, out=x[0], mode="clip")
+                self.labels.take(own, out=y[0], mode="clip")
             self.groups.append((x, y, span))
         # each step's views of the groups' buffers, made once
-        self.steps = [[(x[:, t % span], y[:, t % span]) for x, y, span in self.groups] for t in range(count)]
-        self.start, self.drawn = 0, np.empty((0, 0), dtype=np.int64)  # no block yet
+        self.steps = [[(x[t % span], y[t % span]) for x, y, span in self.groups] for t in range(count)]
+        self.start = self.drawn = 0  # no block yet
         self.planes = self.grad = self.bound = self.deltas = None  # local SGD's, see _sgd
 
     def batches(self, k: int) -> np.ndarray:
-        """Round ``k``'s minibatch indices of the sampling shards:
-        ``self.batches(k)[i, t]`` is the ``i``-th one's ``t``-th of round
-        ``k``.  The rounds are asked for in order, so each stream gives its
-        minibatches in round order; no minibatch depends on the model, so
-        those of ``_STREAM_ROUNDS`` rounds, never past ``rounds``, come from
-        one ``_draw_batches`` call.  The view returned lies in the sampler's
-        workspace, so it holds only until the next block is drawn."""
-        stop = self.start + self.drawn.shape[1]
+        """Round ``k``'s block rows of the sampling group, ``(count,
+        clients, b)``: ``self.batches(k)[t, j]`` are the rows the group's
+        ``j``-th client steps on at step ``t`` of round ``k``.  The rounds
+        are asked for in order, up to the run's last, so each stream gives
+        its minibatches in round order; no minibatch depends on the model,
+        so those of ``_STREAM_ROUNDS`` rounds, never past ``rounds``, come
+        from one ``_draw_batches`` call.  The view returned lies in the
+        index workspace, so it holds only until the next block is drawn."""
+        stop = self.start + self.drawn
         if not self.start <= k < stop:
+            if k >= self.rounds:
+                raise ValueError(f"round {k} asked for past the run's last round {self.rounds - 1}")
             if k != stop:
                 raise ValueError(f"round {k} asked for after round {stop - 1}")
             n = min(_STREAM_ROUNDS, self.rounds - k)
             drawn = objectives._draw_batches(self.sampler, self.streams, n * self.count)
-            self.start, self.drawn = k, drawn.reshape(len(self.streams), n, self.count, self.batch_size)
-        return self.drawn[:, k - self.start]
+            index = self.index.reshape(-1, *self.index.shape[2:])[: n * self.count]
+            for (j, row), rows in zip(self.sampled, drawn):
+                np.copyto(index[:, j], rows)  # the sampler's narrow dtype, cast
+                index[:, j] += row
+            self.start, self.drawn = k, n
+        return self.index[k - self.start]
 
     def __call__(self, k: int):
         """Round ``k``'s row sets, the rounds asked for in order: for each of
@@ -173,14 +198,14 @@ class _Rows:
         f)`` and ``(clients, b)``.  The round's indices are all drawn before
         its first set is given.  The sets given are the same lists of views
         every round, into buffers the next gather overwrites."""
-        idx = self.batches(k) if self.sources else None
+        index = None if self.sampler is None else self.batches(k)
         for t, views in enumerate(self.steps):
-            if self.sources and t % self.span == 0:
-                for (features, labels, xj, yj), steps in zip(self.sources, idx[:, t : t + self.span]):
-                    # the indices lie in [0, m), so "clip" never clips; it
-                    # lets take write straight into the buffer
-                    features.take(steps, axis=0, out=xj[: len(steps)], mode="clip")
-                    labels.take(steps, out=yj[: len(steps)], mode="clip")
+            if index is not None and t % self.span == 0:
+                rows = index[t : t + self.span]
+                # the indices lie in the block, so "clip" never clips; it
+                # lets take write straight into the buffer
+                self.features.take(rows, axis=0, out=self.x[: len(rows)], mode="clip")
+                self.labels.take(rows, out=self.y[: len(rows)], mode="clip")
             yield views
 
 
@@ -261,7 +286,9 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class Problem:
-    """A concrete instance: model, shards, and an optional held-out split."""
+    """A concrete instance: model, shards, and an optional held-out split.
+    The shards are consecutive rows of ``train_data``, in shard order,
+    which the training loop reads them from."""
 
     model: ModelSpec
     shards: tuple[ClientShard, ...]
@@ -639,11 +666,11 @@ def _train(
     seed, rounds = config.master_seed, config.rounds
     sgd_rows = _Rows(
         model, shards, config.batch_size, config.local_steps,
-        lambda p: derive_rng(seed, ROLE_SGD, shards[p].client_id), rounds,
+        lambda p: derive_rng(seed, ROLE_SGD, shards[p].client_id), rounds, problem.train_data,
     )
     loss_rows = _Rows(
         model, shards, None if config.loss_estimate == "full" else config.batch_size, 1,
-        lambda p: derive_rng(seed, ROLE_LOSS, shards[p].client_id), rounds,
+        lambda p: derive_rng(seed, ROLE_LOSS, shards[p].client_id), rounds, problem.train_data,
     )
     weights = [sh.weight for sh in shards]
     quant_rngs = () if exact else [derive_rng(seed, ROLE_QUANT, sh.client_id) for sh in shards]

@@ -294,14 +294,14 @@ def _gradient_kernel(model: ModelSpec, w: np.ndarray, out: np.ndarray):
                 z = np.empty(y.shape)
                 scratch = z, z[:, :, None], np.empty(y.shape), np.empty(y.shape, dtype=bool)
             z, z_col, denominator, nonneg = scratch
-            # bias and y go through the denominator's buffer: a ufunc given
-            # either one (broadcast, or strided over clients) buffers it
+            # the bias goes through the denominator's buffer: a ufunc given
+            # it broadcast over clients buffers it; y, a step's contiguous
+            # labels in the gather buffer, is subtracted as it is
             np.matmul(x, w_col, out=z_col)
             np.copyto(denominator, bias)
             z += denominator
             _sigmoid(z, z, denominator, nonneg)
-            np.copyto(denominator, y)
-            z -= denominator
+            z -= y
             np.matmul(x.swapaxes(1, 2), z_col, out=out_col)
             np.add.reduce(z, axis=1, out=out_bias)  # the residual's mean once divided, as in _losses
             return np.divide(out, x.shape[1], out=out)
@@ -347,13 +347,13 @@ _GATHER_BYTES = 1 << 20
 
 
 class _BatchWorkspace:
-    """Every block-sized array :func:`_draw_batches` fills, and the
-    constants it reads, for minibatches of ``batch_size`` of ``ms[i]`` rows
-    from stream ``i``, at most ``count`` per stream a call.  Built once,
-    so a draw makes no array of its size; a draw of fewer minibatches uses
-    a prefix of each buffer.  The index plane's chunks of rows are sized
-    here, from ``_GATHER_BYTES``.  Every ``ms[i]`` must exceed
-    ``batch_size``.
+    """Every block-sized array :func:`_draw_batches` fills, one stream's
+    doubles, and the constants it reads, for minibatches of ``batch_size``
+    of ``ms[i]`` rows from stream ``i``, at most ``count`` per stream a
+    call.  Built once, so a draw makes no array of its size; a draw of
+    fewer minibatches uses a prefix of each buffer.  The index plane's
+    chunks of rows are sized here, from ``_GATHER_BYTES``.  Every
+    ``ms[i]`` must exceed ``batch_size``.
     """
 
     def __init__(self, ms: Sequence[int], batch_size: int, count: int) -> None:
@@ -364,13 +364,13 @@ class _BatchWorkspace:
         width = max(ms)
         dtype = np.min_scalar_type(width)
         size = len(ms) * count * b
-        self.u = np.empty(size)
+        self.u = np.empty(count * b)
         self.targets = np.empty(size, dtype=np.intp)
         self.entries = np.empty(size, dtype=dtype)
         self.result = np.empty(size, dtype=dtype)
         # step i of a stream's shuffle scales its draw by m - i, then offsets
         # the target by i; a plane row starts at a multiple of the width
-        self.scale = np.asarray(ms, dtype=np.float64)[:, None, None] - np.arange(b)
+        self.scale = np.asarray(ms, dtype=np.float64)[:, None] - np.arange(b)
         self.step = np.arange(b)[:, None]
         self.chunk_rows = max(1, min(len(ms) * count, _GATHER_BYTES // (width * dtype.itemsize)))
         self.offsets = np.arange(0, self.chunk_rows * width, width)
@@ -398,14 +398,15 @@ def _draw_batches(workspace: _BatchWorkspace, rngs: Sequence, count: int) -> np.
     """
     ws, b = workspace, workspace.batch_size
     n_rows, size, width = len(ws.ms) * count, len(ws.ms) * count * b, len(ws.template)
-    u = ws.u[:size].reshape(len(ws.ms), count, b)
-    for rng, draws in zip(rngs, u):
-        rng.random(out=draws)
-    u *= ws.scale
     # each row's swap targets, offsets from its row's start in the plane,
-    # indexed (step, row) so that a step's targets, and results, are contiguous
+    # indexed (step, row) so that a step's targets, and results, are
+    # contiguous; a stream's doubles at a time, so they need one stream's room
+    u = ws.u[: count * b].reshape(count, b)
     targets = ws.targets[:size].reshape(b, n_rows)
-    np.copyto(targets, u.reshape(n_rows, b).T, casting="unsafe")
+    for i, (rng, scale) in enumerate(zip(rngs, ws.scale)):
+        rng.random(out=u)
+        u *= scale
+        np.copyto(targets[:, i * count : (i + 1) * count].T, u, casting="unsafe")
     targets += ws.step
     out = ws.entries[:size].reshape(b, n_rows)
     for a in range(0, n_rows, ws.chunk_rows):

@@ -110,9 +110,10 @@ class TestDeriveRng:
 class TestBatches:
     """A run's minibatches, asked for round by round from a row source's
     block, are its per-client streams read in round order through the
-    one-row sampler."""
+    one-row sampler, each offset by its shard's first row in the block."""
 
     SHARDS = [quad_shard(seed=1, m=12, client_id=4), quad_shard(seed=2, m=300, client_id=9)]
+    FIRST = (0, 12)  # the shards' first rows in the block of both
 
     def rows(self, rounds, b=5, count=3):
         def rngs(p):
@@ -126,10 +127,12 @@ class TestBatches:
         refs = [derive_rng(11, fedsim.ROLE_SGD, sh.client_id) for sh in self.SHARDS]
         for k in range(rounds):
             got = rows.batches(k)
-            assert got.shape == (2, 3, 5)
-            for shard, ref, drawn in zip(self.SHARDS, refs, got):
+            # step-major, then client-major
+            assert got.shape == (3, 2, 5)
+            for j, (shard, ref, first) in enumerate(zip(self.SHARDS, refs, self.FIRST)):
                 for t in range(3):
-                    assert np.array_equal(drawn[t], fisher_yates(ref, shard.data.m, 5)), (k, t)
+                    want = first + fisher_yates(ref, shard.data.m, 5)
+                    assert np.array_equal(got[t, j], want), (k, t)
         # the last block stops at the last round: nothing is drawn past it
         for used, ref in zip(rows.streams, refs):
             assert used.bit_generator.state == ref.bit_generator.state
@@ -166,6 +169,18 @@ class TestBatches:
             rows.batches(k)
         with pytest.raises(ValueError, match=f"round {asked} asked for"):
             rows.batches(asked)
+
+    @pytest.mark.parametrize("rounds, read", [(1, 1), (3, 3), (40, 40), (17, 3)])
+    def test_rounds_past_the_last_rejected(self, rounds, read):
+        # the round after the last, once every round is read, or a round
+        # past the last before it
+        rows = self.rows(rounds)
+        for k in range(read):
+            rows.batches(k)
+        for asked in (rounds, rounds + 5):
+            message = f"round {asked} asked for past the run's last round {rounds - 1}"
+            with pytest.raises(ValueError, match=message):
+                rows.batches(asked)
 
 
 def blown_up_reference(w: np.ndarray, positions: list[int]) -> list[int]:

@@ -245,6 +245,61 @@ def test_later_rounds_step_in_the_run_planes(layout):
             assert peak < plane_bytes / 4
 
 
+@pytest.mark.parametrize("given_block", [False, True])
+@pytest.mark.parametrize("gather_bytes", [0, 2048])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_rounds_across_small_blocks_equal_reference_loop(monkeypatch, layout, gather_bytes, given_block):
+    # blocks of two rounds and spans of one step or a few: every round, on
+    # either side of a block's end, is the client-by-client loop on streams
+    # read in round order, whether the row source builds its block or is
+    # given one
+    monkeypatch.setattr(fedsim, "_STREAM_ROUNDS", 2)
+    monkeypatch.setattr(objectives, "_GATHER_BYTES", gather_bytes)
+    model = MODELS["logistic"]
+    sizes, batch_size, steps = LAYOUTS[layout]
+    shards = make_shards(model, sizes)
+    block = None
+    if given_block:
+        block = Dataset(
+            features=np.concatenate([sh.data.features for sh in shards]),
+            labels=np.concatenate([sh.data.labels for sh in shards]),
+        )
+    rngs, ref_rngs = streams(len(sizes)), streams(len(sizes))
+    rows = fedsim._Rows(model, shards, batch_size, steps, rngs.__getitem__, rounds=5, block=block)
+    for k in range(5):
+        w0 = start_point(model, seed=k)
+        expected = reference_local_sgd(model, shards, w0, steps, 0.3, batch_size, ref_rngs)
+        assert fedsim._sgd(rows, w0, k, 0.3).tobytes() == np.array(expected).tobytes(), k
+    for a, b in zip(ref_rngs, rngs):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_later_rounds_gather_without_allocating():
+    # 16 shards of 300 rows, 64 steps of batch 64 a round, gathered as one
+    # span: after the first round, the rounds across the draws of the
+    # second and third blocks allocate nothing the size of the index
+    # workspace or of a gather buffer.  The sizes put every one of those
+    # past the buffers NumPy's ufunc iterator takes for each broadcast or
+    # strided operand in a block draw (8192 elements), which do not grow
+    # with the rows
+    model = ModelSpec.logistic(2)
+    shards = make_shards(model, [300] * 16)
+    rounds = 3 * fedsim._STREAM_ROUNDS
+    rows = fedsim._Rows(model, shards, 64, 64, streams(16).__getitem__, rounds=rounds)
+    assert rows.span == 64 and rows.x.shape == (64, 16, 64, 2) and rows.y.shape == (64, 16, 64)
+    for _ in rows(0):
+        pass
+    tracemalloc.start()
+    try:
+        for k in range(1, rounds):
+            for _ in rows(k):
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(rows.index.nbytes, rows.x.nbytes, rows.y.nbytes) / 2
+
+
 def test_full_batch_clients_draw_nothing():
     model = MODELS["logistic"]
     shards = make_shards(model, [4, 3, 3])

@@ -281,14 +281,15 @@ class TestGradientKernel:
     def test_bound_kernel_is_a_fresh_call_at_every_step(self, model):
         rng = np.random.default_rng(11)
         n, steps, b = 3, 6, 7
-        # the blocks as local SGD gets them: step views of one row buffer
-        x = rng.standard_normal((n, steps, b, model.n_features))
+        # the blocks as local SGD gets them: step views of one step-major
+        # row buffer
+        x = rng.standard_normal((steps, n, b, model.n_features))
         if model.kind == "mlp":
-            y = rng.integers(0, model.n_classes, size=(n, steps, b))
+            y = rng.integers(0, model.n_classes, size=(steps, n, b))
         elif model.kind == "logistic":
-            y = (rng.random((n, steps, b)) < 0.5).astype(np.float64)
+            y = (rng.random((steps, n, b)) < 0.5).astype(np.float64)
         else:
-            y = rng.standard_normal((n, steps, b))
+            y = rng.standard_normal((steps, n, b))
         w = rng.standard_normal((n, model.dim)) * 0.5
         out = np.full((n, model.dim), np.nan)
         step = objectives._gradient_kernel(model, w, out)
@@ -302,33 +303,33 @@ class TestGradientKernel:
             return got
 
         for t in range(steps):
-            got = check(step, w, x[:, t], y[:, t])
+            got = check(step, w, x[t], y[t])
             assert got is out
             got *= 0.3
             w -= got
         # fewer rows, then the first count again: the same kernel
-        check(step, w, x[:, 0, :2], y[:, 0, :2])
-        check(step, w, x[:, 1], y[:, 1])
+        check(step, w, x[0, :, :2], y[0, :, :2])
+        check(step, w, x[1], y[1])
         # a prefix of the plane and its gradient rows, bound again as local
         # SGD binds them once a client diverges
         cut = objectives._gradient_kernel(model, w[:2], out[:2])
         for t in range(2):
-            got = check(cut, w[:2], x[:2, t], y[:2, t])
+            got = check(cut, w[:2], x[t, :2], y[t, :2])
             got *= 0.3
             w[:2] -= got
 
     def test_bound_logistic_step_allocates_nothing_after_its_first_call(self):
         n, b, f, steps = 8, 256, 20, 6
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((n, steps, b, f))
-        y = (rng.random((n, steps, b)) < 0.5).astype(np.float64)
+        x = rng.standard_normal((steps, n, b, f))
+        y = (rng.random((steps, n, b)) < 0.5).astype(np.float64)
         w = rng.standard_normal((n, f + 1)) * 0.1
         step = objectives._gradient_kernel(ModelSpec.logistic(f), w, np.empty_like(w))
-        step(x[:, 0], y[:, 0])
+        step(x[0], y[0])
         tracemalloc.start()
         try:
             for t in range(1, steps):
-                got = step(x[:, t], y[:, t])
+                got = step(x[t], y[t])
                 got *= 0.1
                 w -= got
             peak = tracemalloc.get_traced_memory()[1]

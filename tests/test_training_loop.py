@@ -14,6 +14,7 @@ errors must match exactly, across block ends and at stops inside a block.
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -174,9 +175,9 @@ def test_blocks_stop_at_the_last_round(monkeypatch):
     assert sorted(calls[:2]) == [(4, 5 * 1), (4, 5 * 3)]
 
 
-def test_labels_converted_once_per_shard_and_role(monkeypatch):
-    # the SGD and loss-estimate row sources each convert every shard's
-    # labels once per run, not once per round
+def test_labels_converted_once_per_role(monkeypatch):
+    # the SGD and loss-estimate row sources each convert the labels of the
+    # whole training block once per run, not once per shard or round
     calls = []
 
     def counting(model, labels):
@@ -187,7 +188,39 @@ def test_labels_converted_once_per_shard_and_role(monkeypatch):
     monkeypatch.setattr(objectives, "_labels", counting)
     config = make_config(rounds=20, loss_estimate="minibatch")
     assert len(run_training(config).records) == 20
-    assert len(calls) == 2 * config.n_clients
+    assert calls == [config.data.samples] * 2
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_row_sources_read_the_training_block_in_place(monkeypatch, kind):
+    # a run's SGD and minibatch-loss row sources read the rows of
+    # Problem.train_data itself, and build nothing near its size; the
+    # labels are the block's own where they already have the kernels'
+    # dtype (the mlp's class ids), else converted once
+    made = []
+
+    class Recording(fedsim._Rows):
+        def __init__(self, *args, **kwargs):
+            tracemalloc.start()
+            try:
+                super().__init__(*args, **kwargs)
+                self.built_bytes = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            made.append(self)
+
+    monkeypatch.setattr(fedsim, "_Rows", Recording)
+    _, data_kind, classes = MODELS[kind]
+    model = ModelSpec.logistic(64) if kind == "logistic" else ModelSpec.mlp(64, 5, 3)
+    data = SyntheticData(kind=data_kind, samples=8000, n_features=64, eval_samples=20, n_classes=classes)
+    run = run_training(make_config(kind, model=model, data=data, rounds=3, loss_estimate="minibatch"))
+    block = run.problem.train_data
+    assert len(made) == 2
+    for rows in made:
+        assert rows.features is block.features
+        assert np.shares_memory(rows.features, run.problem.shards[-1].data.features)
+        assert (rows.labels is block.labels) == (kind == "mlp")
+        assert rows.built_bytes < block.features.nbytes / 2
 
 
 def test_loss_threshold_stops_inside_a_block():
