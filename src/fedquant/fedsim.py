@@ -29,7 +29,6 @@ Drawing minibatches for several rounds at once reads the same draws.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -166,7 +165,7 @@ class _Rows:
         # each step's views of the groups' buffers, made once
         self.steps = [[(x[t % span], y[t % span]) for x, y, span in self.groups] for t in range(count)]
         self.start = self.drawn = 0  # no block yet
-        self.planes = self.grad = self.bound = self.deltas = None  # local SGD's, see _sgd
+        self.bound = self.deltas = None  # local SGD's, see _sgd
 
     def batches(self, k: int) -> np.ndarray:
         """Round ``k``'s block rows of the sampling group, ``(count,
@@ -244,6 +243,7 @@ class GlobalState:
         w = np.asarray(self.w, dtype=np.float64).copy()
         if w.ndim != 1 or w.size < 1:
             raise ValueError("w must be a non-empty 1-D vector")
+        _checks.finite("w", w)
         for name in ("round_index", "cumulative_bits"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -339,55 +339,40 @@ def _sgd(rows: _Rows, w_start: np.ndarray, k: int, eta: float) -> np.ndarray:
     where ``rows`` is built.  Each group of ``rows`` steps its clients as
     one parameter plane and gets their gradients from one stacked kernel
     call, so the deltas are bit-identical to stepping the clients one at a
-    time.  The planes, the gradient buffer, each plane's kernel and raveled
-    view, and the deltas (the one plane itself, with one group) are made in
-    the first round and kept on ``rows``, so they die with the run; each
-    round copies ``w_start`` into the planes.
+    time.  The planes, each with its kernel and raveled view, and the
+    deltas (the one plane itself, with one group) are made in the first
+    round and kept on ``rows``, so they die with the run; each round
+    copies ``w_start`` into the planes.
 
-    A client that diverges stops stepping, and so do the clients after it
-    in shard order, which leaves each group a prefix of its plane; their
-    minibatches were all drawn before.  Each cut binds the planes' prefixes
-    again, and from then on each step slices its rows to them.  The error
-    raised names the first client in shard order that diverges at all, at
-    its first diverging step: the one a client-by-client loop would have
+    Every client steps to the end of the round, with float errors ignored:
+    a client that diverges changes no other client's row, and
+    :func:`_blown_up`, after each step, reports any overflow or NaN.  The
+    error raised names the lowest shard position it ever flags, at its
+    first flagged step: the client a client-by-client loop would have
     stopped at.
     """
     if not eta > 0.0:  # on the round path: the checker only raises
         _checks.positive("eta", eta)
     model = rows.model
     w_start = objectives._check_params(model, w_start)
-
-    def bind(planes: list[np.ndarray]) -> list[tuple]:
-        return [(w, objectives._gradient_kernel(model, w, rows.grad[: len(w)]), w.ravel()) for w in planes]
-
-    if rows.planes is None:  # the run's first round
-        rows.planes = [np.empty((len(positions), model.dim)) for positions in rows.positions]
-        rows.grad = np.empty((max(map(len, rows.planes)), model.dim))
-        rows.bound = bind(rows.planes)
-        rows.deltas = rows.planes[0] if len(rows.planes) == 1 else np.empty((len(rows.shards), model.dim))
-    planes, bound = rows.planes, rows.bound
-    for w in planes:
+    if rows.bound is None:  # the run's first round
+        planes = [np.empty((len(positions), model.dim)) for positions in rows.positions]
+        grad = np.empty((max(map(len, planes)), model.dim))  # the groups' gradients, one at a time
+        rows.bound = [(w, objectives._gradient_kernel(model, w, grad[: len(w)]), w.ravel()) for w in planes]
+        rows.deltas = planes[0] if len(planes) == 1 else np.empty((len(rows.shards), model.dim))
+    for w, _, _ in rows.bound:
         np.copyto(w, w_start)
     first_blowup: tuple[int, int] | None = None  # (shard position, step)
-    for t, sets in enumerate(rows(k)):
-        for (w, step, _), (x, y) in zip(bound, sets):
-            if first_blowup is not None:  # the planes are cut to prefixes
-                if not len(w):
-                    continue
-                x, y = x[: len(w)], y[: len(w)]
-            g = step(x, y)
-            g *= eta
-            w -= g
-        cut = first_blowup
-        for positions, (w, _, flat) in zip(rows.positions, bound):
-            for pos in _blown_up(w, positions, flat):
-                if first_blowup is None or pos < first_blowup[0]:
-                    first_blowup = (pos, t)
-        if first_blowup is not cut:  # a client before the cut diverged
-            planes = [w[: bisect.bisect_left(ps, first_blowup[0])] for ps, w in zip(rows.positions, planes)]
-            if not any(map(len, planes)):
-                break
-            bound = bind(planes)
+    with np.errstate(all="ignore"):
+        for t, sets in enumerate(rows(k)):
+            for (w, step, _), (x, y) in zip(rows.bound, sets):
+                g = step(x, y)
+                g *= eta
+                w -= g
+            for positions, (w, _, flat) in zip(rows.positions, rows.bound):
+                for pos in _blown_up(w, positions, flat):
+                    if first_blowup is None or pos < first_blowup[0]:
+                        first_blowup = (pos, t)
     if first_blowup is not None:
         pos, t = first_blowup
         client_id = rows.shards[pos].client_id
@@ -396,10 +381,9 @@ def _sgd(rows: _Rows, w_start: np.ndarray, k: int, eta: float) -> np.ndarray:
             step=t,
             client_id=client_id,
         )
-    for w in planes:
+    for positions, (w, _, _) in zip(rows.positions, rows.bound):
         w -= w_start
-    if len(planes) > 1:  # one plane is the deltas: its positions are every shard's
-        for positions, w in zip(rows.positions, planes):
+        if w is not rows.deltas:  # one plane is the deltas: its positions are every shard's
             rows.deltas[positions] = w
     return rows.deltas
 
@@ -420,6 +404,7 @@ def local_round(
     :class:`TrainingDiverged`.
     """
     objectives._check_data(model, shard.data)
+    _checks.finite("w_start", objectives._check_params(model, w_start))
     return _sgd(_Rows(model, [shard], batch_size, local_steps, [rng].__getitem__), w_start, 0, eta)[0]
 
 

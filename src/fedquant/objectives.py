@@ -269,10 +269,11 @@ def _gradient_kernel(model: ModelSpec, w: np.ndarray, out: np.ndarray):
     called: a plane stepped in place needs no new kernel.
 
     The logistic step's temporaries (``z``, the sigmoid's buffers and the
-    residual) live in the kernel, made at its first call and again when the
-    row count changes, so after that it allocates nothing; a step's result
-    and residual hold only until its next call.  The mlp step still
-    allocates its temporaries: buffering them gained nothing measurable.
+    residual) live in the kernel, made at its first call, so after that it
+    allocates nothing; every call must give the first call's row count.  A
+    step's result and residual hold only until its next call.  The mlp
+    step still allocates its temporaries: buffering them gained nothing
+    measurable.
     """
     if model.kind == "quadratic":
         w_col, out_col = w[:, :, None], out[:, :, None]
@@ -290,7 +291,7 @@ def _gradient_kernel(model: ModelSpec, w: np.ndarray, out: np.ndarray):
 
         def step(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             nonlocal scratch
-            if scratch is None or scratch[0].shape != y.shape:  # the first call, or a new row count
+            if scratch is None:  # the first call
                 z = np.empty(y.shape)
                 scratch = z, z[:, :, None], np.empty(y.shape), np.empty(y.shape, dtype=bool)
             z, z_col, denominator, nonneg = scratch
@@ -326,14 +327,6 @@ def _gradient_kernel(model: ModelSpec, w: np.ndarray, out: np.ndarray):
         return out
 
     return step
-
-
-def _gradients(
-    model: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Gradients of :func:`loss` for a stack of clients, written into
-    ``out``: one call of :func:`_gradient_kernel`'s step."""
-    return _gradient_kernel(model, w, out)(x, y)
 
 
 def _labels(model: ModelSpec, labels: np.ndarray) -> np.ndarray:
@@ -438,7 +431,7 @@ def gradient(model: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
     _check_data(model, data)
     out = np.empty((1, model.dim))
     y = _labels(model, data.labels)
-    return _gradients(model, w[None], data.features[None], y[None], out)[0]
+    return _gradient_kernel(model, w[None], out)(data.features[None], y[None])[0]
 
 
 def sample_batch(

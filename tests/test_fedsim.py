@@ -769,6 +769,12 @@ class TestBuildProblem:
         with pytest.raises(ValueError):
             GlobalState(w=np.zeros((2, 2)), round_index=0, cumulative_bits=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_global_state_refuses_non_finite_parameters(self, value):
+        # the caller's mistake, not a divergence of the first round's client 0
+        with pytest.raises(ValueError, match=f"w must be finite, got {value}"):
+            GlobalState(w=[0.0, value, 0.0], round_index=0, cumulative_bits=0)
+
     @pytest.mark.parametrize(
         "field, value",
         [

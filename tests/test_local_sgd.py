@@ -345,6 +345,22 @@ def test_inputs_are_checked_before_stepping():
         stacked_local_sgd(model, shards, start_point(model), 2, 0.1, 0, streams(3))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_point_is_refused_before_stepping(value):
+    # the caller's mistake, not the client's divergence at step 0
+    model = MODELS["logistic"]
+    shard = make_shards(model, [4])[0]
+    w = start_point(model)
+    w[2] = value
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"w_start must be finite, got {value}"):
+            local_round(model, shard, w, 2, 0.1, 2, rng)
+    assert rng.bit_generator.state == before
+
+
 QUAD2 = ModelSpec.quadratic(2)
 
 
@@ -376,8 +392,8 @@ def test_divergence_names_first_client_in_shard_order():
     assert (ref.value.client_id, ref.value.step) == (1, 24)
     state = GlobalState(w=np.ones(2), round_index=7, cumulative_bits=0)
     with warnings.catch_warnings():
-        # clients 2 and 3 grow 1e16-fold per step: left stepping, they
-        # would overflow to inf and NaN long before step 24
+        # clients 2 and 3 grow 1e16-fold per step and step on to the end:
+        # they overflow to inf and NaN long before step 24, silently
         warnings.simplefilter("error")
         with pytest.raises(TrainingDiverged) as got:
             run_round(
@@ -447,8 +463,8 @@ def test_diverging_round_drawn_ahead_keeps_its_error():
 def test_divergence_inside_a_gathered_span_keeps_its_error(monkeypatch, gather_bytes):
     # a step of 4 clients of batch 2 on 2 features is 128 bytes: the rows
     # of 1 or 3 steps are gathered at once.  Clients 2 and 3 blow up at
-    # step 1, so step 2, the first span's last, runs without them; client
-    # 1 blows up at step 29
+    # step 1, inside the first span, and step on; client 1 blows up at
+    # step 29
     monkeypatch.setattr(objectives, "_GATHER_BYTES", gather_bytes)
     shards = [scaled_shard(i, scale) for i, scale in enumerate((0.1, 3.0, 1e8, 1e8))]
     with pytest.raises(TrainingDiverged) as ref:
@@ -541,6 +557,44 @@ def test_run_diverging_across_two_interleaved_batch_groups(monkeypatch):
     assert (want.value.round_index, want.value.client_id, want.value.step) == (9, 2, 2)
     assert got.value.records == want.value.records
     assert len(got.value.records) == 9
+
+
+def overflowing_round():
+    # the first step's gradient times eta overflows before any check sees
+    # the parameters
+    shard = replace(scaled_shard(9, 1e8), weight=1.0)
+    state = GlobalState(w=np.ones(2), round_index=2, cumulative_bits=0)
+    return run_round(
+        QUAD2, [shard], state, 3, 1e300, local_steps=2, batch_size=4, master_seed=0, train_loss=1.0
+    )
+
+
+def test_overflow_inside_a_step_is_divergence_not_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged) as warned:
+            overflowing_round()
+    with np.errstate(all="raise"):
+        with pytest.raises(TrainingDiverged) as raised:
+            overflowing_round()
+    for exc in (warned.value, raised.value):
+        assert str(exc) == "client 9: parameters blew up at local step 0"
+        assert (exc.client_id, exc.step, exc.round_index) == (9, 0, 2)
+
+
+@pytest.mark.parametrize("diverging", [False, True])
+def test_local_sgd_leaves_the_float_error_state_as_it_found_it(diverging):
+    # a diverging client 1 overflows to inf and NaN within its 40 steps
+    shards = [scaled_shard(0, 0.1), scaled_shard(1, 1e8 if diverging else 0.1)]
+    for state in ({"all": "raise"}, {"over": "ignore", "invalid": "warn", "divide": "raise", "under": "warn"}):
+        with np.errstate(**state):
+            before = np.geterr()
+            if diverging:
+                with pytest.raises(TrainingDiverged):
+                    stacked_local_sgd(QUAD2, shards, np.ones(2), 40, 1.0, 2, streams(2))
+            else:
+                stacked_local_sgd(QUAD2, shards, np.ones(2), 40, 1.0, 2, streams(2))
+            assert np.geterr() == before
 
 
 def test_local_round_stream_gives_all_draws_even_when_diverging():
