@@ -2,7 +2,8 @@
 message written once.  A checker refuses a number, or an array with a
 refused entry (the first is shown), with ``ValueError("<name> must be
 <rule>, got <value>")``.  ``positive``, ``non_negative`` and ``at_least``
-refuse what does not compare above or at their bound, NaN too.  The round
+refuse what does not compare above or at their bound, NaN too; ``integer``
+also refuses a bool or a non-integer, where NumPy integers pass.  The round
 path tests a rule inline and calls its checker only to raise: a passing
 value costs no call there."""
 
@@ -49,6 +50,12 @@ def at_least(name: str, value, lo) -> None:
     ok = value >= lo
     if not np.all(ok):
         raise ValueError(f"{name} must be at least {lo}, got {_shown(value, np.logical_not(ok))}")
+
+
+def integer(name: str, value, lo) -> None:
+    """Refuse a ``value`` that is a bool, not an integer, or below ``lo``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"{name} must be an integer of at least {lo}, got {value}")
 
 
 def in_range(name: str, value, lo, hi) -> None:

@@ -65,8 +65,6 @@ def _parse_candidates(raw: str) -> list[int]:
         values = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"candidates must be integers, got {raw!r}") from None
-    if not values:
-        raise ConfigError("candidates must be non-empty")
     return values
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "TrainingConfig",
 ]
 
-DEFAULT_S_MAX = 2**16 - 1
 _LOSS_ESTIMATES = ("full", "minibatch")
 
 
@@ -41,11 +40,11 @@ class SyntheticData:
     def __post_init__(self) -> None:
         if self.kind not in _DATA_KINDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
-        _checks.at_least("samples", self.samples, 1)
-        _checks.at_least("n_features", self.n_features, 1)
-        _checks.non_negative("eval_samples", self.eval_samples)
+        _checks.integer("samples", self.samples, 1)
+        _checks.integer("n_features", self.n_features, 1)
+        _checks.integer("eval_samples", self.eval_samples, 0)
         _checks.finite("noise", self.noise, "non-negative")
-        _checks.at_least("n_classes", self.n_classes, 2)
+        _checks.integer("n_classes", self.n_classes, 2)
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class FileData:
     def __post_init__(self) -> None:
         if self.kind not in _DATA_KINDS:
             raise ValueError(f"unknown data kind {self.kind!r}")
-        _checks.non_negative("eval_samples", self.eval_samples)
+        _checks.integer("eval_samples", self.eval_samples, 0)
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,7 @@ class FixedMode:
     bits: int
 
     def __post_init__(self) -> None:
+        _checks.integer("bits", self.bits, 1)
         _checks.in_range("bits", self.bits, 1, 31)
 
     @property
@@ -86,15 +86,15 @@ class AdaquantMode:
 
     s0: int = 2
     interval_bits: int | None = None
-    s_max: int = DEFAULT_S_MAX
+    s_max: int = 2**16 - 1
     f_star: float = 0.0
 
     def __post_init__(self) -> None:
-        _checks.at_least("s0", self.s0, 1)
-        _checks.at_least("s_max", self.s_max, self.s0)
+        _checks.integer("s0", self.s0, 1)
+        _checks.integer("s_max", self.s_max, self.s0)
         _checks.in_range("s_max", self.s_max, 1, _MAX_EXACT_LEVEL)
         if self.interval_bits is not None:
-            _checks.at_least("interval_bits", self.interval_bits, 1)
+            _checks.integer("interval_bits", self.interval_bits, 1)
         _checks.finite("f_star", self.f_star)
 
 
@@ -119,19 +119,19 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_clients", "local_steps", "batch_size", "eval_every"):
-            _checks.at_least(name, getattr(self, name), 1)
-        _checks.non_negative("rounds", self.rounds)
+            _checks.integer(name, getattr(self, name), 1)
+        _checks.integer("rounds", self.rounds, 0)
         if self.partition_mode not in _PARTITION_MODES:
             raise ValueError(f"unknown partition mode {self.partition_mode!r}")
         if self.bit_budget is not None:
-            _checks.at_least("bit_budget", self.bit_budget, 1)
+            _checks.integer("bit_budget", self.bit_budget, 1)
         if self.loss_estimate not in _LOSS_ESTIMATES:
             raise ValueError(f"loss_estimate must be 'full' or 'minibatch', got {self.loss_estimate!r}")
         if self.loss_threshold is not None:
             _checks.finite("loss_threshold", self.loss_threshold)
         if self.smoothness is not None:
             _checks.finite("smoothness", self.smoothness, "positive")
-        _checks.non_negative("master_seed", self.master_seed)
+        _checks.integer("master_seed", self.master_seed, 0)
         self._check_model_data()
 
     def _check_model_data(self) -> None:

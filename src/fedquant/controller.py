@@ -57,7 +57,7 @@ class BoundConstants:
         for name in ("eta", "smoothness", "bit_budget"):
             _checks.positive(name, getattr(self, name))
         for name in ("local_steps", "n_clients", "dim"):
-            _checks.at_least(name, getattr(self, name), 1)
+            _checks.integer(name, getattr(self, name), 1)
         _checks.non_negative("grad_variance", self.grad_variance)
         if not self.initial_loss > self.optimal_loss:
             raise ValueError("initial_loss must exceed optimal_loss")
@@ -164,9 +164,10 @@ class QuantSchedule:
     saturated: bool = False
 
     def __post_init__(self) -> None:
-        _checks.at_least("s0", self.s0, 1)
-        _checks.at_least("s_max", self.s_max, self.s0)
-        _checks.at_least("interval_bits", self.interval_bits, 1)
+        _checks.integer("s0", self.s0, 1)
+        _checks.integer("s_max", self.s_max, self.s0)
+        _checks.integer("interval_bits", self.interval_bits, 1)
+        _checks.integer("interval_index", self.interval_index, 0)
         _checks.finite("eta0", self.eta0, "positive")
         _checks.finite("f_star", self.f_star)
         if self.f_w0 is not None:
@@ -175,6 +176,7 @@ class QuantSchedule:
                 raise ValueError(f"initial loss {self.f_w0} is at or below f_star {self.f_star}")
         if self.current_s is None:
             object.__setattr__(self, "current_s", self.s0)
+        _checks.integer("current_s", self.current_s, 1)
 
 
 def adaquant_level(f_wk: float, eta_k: float, schedule: QuantSchedule) -> int:
@@ -298,7 +300,7 @@ class LrSchedule:
         _checks.in_range("decay_factor", self.decay_factor, 0, 1)
         _checks.positive("decay_factor", self.decay_factor)
         if self.decay_every is not None:
-            _checks.at_least("decay_every", self.decay_every, 1)
+            _checks.integer("decay_every", self.decay_every, 1)
 
     @classmethod
     def constant(cls, eta0: float) -> "LrSchedule":

@@ -244,11 +244,8 @@ class GlobalState:
         if w.ndim != 1 or w.size < 1:
             raise ValueError("w must be a non-empty 1-D vector")
         _checks.finite("w", w)
-        for name in ("round_index", "cumulative_bits"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        _checks.non_negative("round_index and cumulative_bits", np.array([self.round_index, self.cumulative_bits]))
+        _checks.integer("round_index", self.round_index, 0)
+        _checks.integer("cumulative_bits", self.cumulative_bits, 0)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 

@@ -14,21 +14,13 @@ import configparser
 import csv
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from . import _checks, fedsim
-from .config import (
-    _LOSS_ESTIMATES,
-    DEFAULT_S_MAX,
-    AdaquantMode,
-    FileData,
-    FixedMode,
-    SyntheticData,
-    TrainingConfig,
-)
+from .config import AdaquantMode, FileData, FixedMode, SyntheticData, TrainingConfig
 from .controller import LrSchedule
 from .fedsim import RoundRecord, TrainingRun
-from .objectives import _DATA_KINDS, _MODEL_KINDS, _PARTITION_MODES, ModelSpec
+from .objectives import ModelSpec
 
 __all__ = [
     "ConfigError",
@@ -92,173 +84,139 @@ class ExperimentSummary:
 # config parsing
 
 
-_SCHEMA = {
-    "model": ("kind", "features", "hidden", "classes"),
-    "data": ("source", "kind", "samples", "noise", "eval_samples", "path"),
-    "federation": ("clients", "partition", "local_steps", "batch_size"),
-    "lr": ("eta0", "decay_factor", "decay_every"),
-    "quantization": ("mode", "bits", "s0", "interval_bits", "s_max", "f_star"),
-    "run": (
-        "rounds",
-        "bit_budget",
-        "loss_threshold",
-        "seed",
-        "eval_every",
-        "loss_estimate",
-        "smoothness",
-        "output",
-    ),
-}
-
-_MISSING = object()
+_SECTIONS = ("model", "data", "federation", "lr", "quantization", "run")
 
 
 class _Doc:
-    """Typed view over a parsed INI document."""
+    """Typed view over a parsed INI document that records each key it reads."""
 
     def __init__(self, parser: configparser.ConfigParser) -> None:
         self.sections = {name: dict(parser.items(name)) for name in parser.sections()}
+        self.read: set[tuple[str, str]] = set()
 
-    def raw(self, section: str, key: str, default=_MISSING):
-        values = self.sections.get(section, {})
-        if key in values:
-            return values[key].strip()
-        if default is _MISSING:
-            raise ConfigError(f"missing required key {section}.{key}")
-        return default
+    def get(self, section: str, key: str, convert=str, required: bool = False, default=None):
+        """The key's value through ``convert`` (``str``, ``str.lower``,
+        ``int`` or ``float``), or ``default`` when the document leaves it out."""
+        self.read.add((section, key))
+        value = self.sections[section].get(key)
+        if value is None:
+            if required:
+                raise ConfigError(f"missing required key {section}.{key}")
+            return default
+        try:
+            return convert(value.strip())
+        except ValueError:
+            expected = "an integer" if convert is int else "a number"
+            raise ConfigError(f"{section}.{key}: expected {expected}, got {value.strip()!r}") from None
 
-    def choice(self, section: str, key: str, choices: tuple[str, ...], default=_MISSING):
-        value = self.raw(section, key, default)
-        value = str(value).lower()
+    def choice(self, section: str, key: str, choices: tuple[str, ...], default: str | None = None):
+        """A lower-cased key that picks which record is built."""
+        value = self.get(section, key, str.lower, required=default is None, default=default)
         if value not in choices:
-            raise ConfigError(
-                f"{section}.{key}: expected one of {', '.join(choices)}, got {value!r}"
-            )
+            raise ConfigError(f"{section}.{key}: expected one of {', '.join(choices)}, got {value!r}")
         return value
-
-    def integer(self, section: str, key: str, default=_MISSING):
-        value = self.raw(section, key, default)
-        if not isinstance(value, str):
-            return value
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: expected an integer, got {value!r}") from None
-
-    def number(self, section: str, key: str, default=_MISSING):
-        value = self.raw(section, key, default)
-        if not isinstance(value, str):
-            return value
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: expected a number, got {value!r}") from None
-
-    def forbid(self, section: str, keys: Iterable[str], reason: str) -> None:
-        present = [k for k in keys if k in self.sections.get(section, {})]
-        if present:
-            raise ConfigError(f"{section}.{present[0]} is not allowed {reason}")
-
-    def check_exhausted(self) -> None:
-        for name, values in self.sections.items():
-            if name not in _SCHEMA:
-                raise ConfigError(f"unknown section [{name}]")
-            for key in values:
-                if key not in _SCHEMA[name]:
-                    raise ConfigError(f"unknown key {name}.{key}")
 
 
 def parse_config(text: str) -> TrainingConfig:
-    """Parse an INI config document into a validated TrainingConfig."""
+    """Parse an INI config document into a validated TrainingConfig: only
+    the keys it gives are passed on, and the config records hold every
+    default and every range or choice rule."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
     doc = _Doc(parser)
-    doc.check_exhausted()
-    for required in ("model", "data", "federation", "lr", "quantization", "run"):
+    for required in _SECTIONS:
         if required not in doc.sections:
             raise ConfigError(f"missing required section [{required}]")
     try:
-        return _build(doc)
-    except ConfigError:
-        raise
+        config = _build(doc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # the keys the build read are the grammar: any other is unknown or
+    # does not apply to this config
+    for name, values in doc.sections.items():
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in values:
+            if (name, key) not in doc.read:
+                raise ConfigError(f"key {name}.{key} is unknown or does not apply to this config")
+    return config
+
+
+def _given(record, **fields):
+    """``record`` built from the ``fields`` that are not None: a key the
+    document leaves out takes the record's own default."""
+    return record(**{name: value for name, value in fields.items() if value is not None})
 
 
 def _build(doc: _Doc) -> TrainingConfig:
-    kind = doc.choice("model", "kind", _MODEL_KINDS)
-    features = doc.integer("model", "features")
-    if kind == "mlp":
-        model = ModelSpec.mlp(
-            features, doc.integer("model", "hidden"), doc.integer("model", "classes")
-        )
-    else:
-        doc.forbid("model", ("hidden", "classes"), f"for kind={kind}")
-        model = ModelSpec(kind=kind, n_features=features)
+    kind = doc.get("model", "kind", str.lower, required=True)
+    mlp = kind == "mlp"
+    model = _given(
+        ModelSpec,
+        kind=kind,
+        n_features=doc.get("model", "features", int, required=True),
+        hidden=doc.get("model", "hidden", int, required=True) if mlp else None,
+        n_classes=doc.get("model", "classes", int, required=True) if mlp else None,
+    )
 
     source = doc.choice("data", "source", ("synthetic", "file"), default="synthetic")
-    data_kind = doc.choice(
-        "data", "kind", _DATA_KINDS, default="regression" if kind == "quadratic" else "classification"
+    data_kind = doc.get(
+        "data", "kind", str.lower, default="regression" if kind == "quadratic" else "classification"
     )
+    eval_samples = doc.get("data", "eval_samples", int)
     if source == "synthetic":
-        doc.forbid("data", ("path",), "for synthetic data")
-        data = SyntheticData(
+        data = _given(
+            SyntheticData,
             kind=data_kind,
-            samples=doc.integer("data", "samples"),
-            n_features=features,
-            noise=doc.number("data", "noise", 0.0),
-            n_classes=model.n_classes if kind == "mlp" else 2,
-            eval_samples=doc.integer("data", "eval_samples", 0),
+            samples=doc.get("data", "samples", int, required=True),
+            n_features=model.n_features,
+            noise=doc.get("data", "noise", float),
+            n_classes=model.n_classes if mlp else None,
+            eval_samples=eval_samples,
         )
     else:
-        doc.forbid("data", ("samples", "noise"), "for file data")
-        data = FileData(
-            path=doc.raw("data", "path"),
-            kind=data_kind,
-            eval_samples=doc.integer("data", "eval_samples", 0),
-        )
+        path = doc.get("data", "path", required=True)
+        data = _given(FileData, path=path, kind=data_kind, eval_samples=eval_samples)
 
-    lr = LrSchedule(
-        eta0=doc.number("lr", "eta0"),
-        decay_factor=doc.number("lr", "decay_factor", 1.0),
-        decay_every=doc.integer("lr", "decay_every", None),
+    lr = _given(
+        LrSchedule,
+        eta0=doc.get("lr", "eta0", float, required=True),
+        decay_factor=doc.get("lr", "decay_factor", float),
+        decay_every=doc.get("lr", "decay_every", int),
     )
 
-    mode = doc.choice("quantization", "mode", ("fixed", "adaquant"))
-    if mode == "fixed":
-        doc.forbid(
-            "quantization", ("s0", "interval_bits", "s_max", "f_star"), "with mode=fixed"
-        )
-        quant: FixedMode | AdaquantMode = FixedMode(bits=doc.integer("quantization", "bits"))
+    if doc.choice("quantization", "mode", ("fixed", "adaquant")) == "fixed":
+        quant = FixedMode(bits=doc.get("quantization", "bits", int, required=True))
     else:
-        doc.forbid("quantization", ("bits",), "with mode=adaquant")
-        quant = AdaquantMode(
-            s0=doc.integer("quantization", "s0", 2),
-            interval_bits=doc.integer("quantization", "interval_bits", None),
-            s_max=doc.integer("quantization", "s_max", DEFAULT_S_MAX),
-            f_star=doc.number("quantization", "f_star", 0.0),
+        quant = _given(
+            AdaquantMode,
+            s0=doc.get("quantization", "s0", int),
+            interval_bits=doc.get("quantization", "interval_bits", int),
+            s_max=doc.get("quantization", "s_max", int),
+            f_star=doc.get("quantization", "f_star", float),
         )
 
-    return TrainingConfig(
+    return _given(
+        TrainingConfig,
         model=model,
         data=data,
-        n_clients=doc.integer("federation", "clients"),
-        partition_mode=doc.choice("federation", "partition", _PARTITION_MODES, default="iid"),
-        local_steps=doc.integer("federation", "local_steps"),
-        batch_size=doc.integer("federation", "batch_size"),
+        n_clients=doc.get("federation", "clients", int, required=True),
+        partition_mode=doc.get("federation", "partition", str.lower),
+        local_steps=doc.get("federation", "local_steps", int, required=True),
+        batch_size=doc.get("federation", "batch_size", int, required=True),
         lr=lr,
         quantization=quant,
-        rounds=doc.integer("run", "rounds"),
-        bit_budget=doc.integer("run", "bit_budget", None),
-        loss_threshold=doc.number("run", "loss_threshold", None),
-        master_seed=doc.integer("run", "seed", 0),
-        eval_every=doc.integer("run", "eval_every", 1),
-        loss_estimate=doc.choice("run", "loss_estimate", _LOSS_ESTIMATES, default="full"),
-        smoothness=doc.number("run", "smoothness", None),
-        output=doc.raw("run", "output", None),
+        rounds=doc.get("run", "rounds", int, required=True),
+        bit_budget=doc.get("run", "bit_budget", int),
+        loss_threshold=doc.get("run", "loss_threshold", float),
+        master_seed=doc.get("run", "seed", int),
+        eval_every=doc.get("run", "eval_every", int),
+        loss_estimate=doc.get("run", "loss_estimate", str.lower),
+        smoothness=doc.get("run", "smoothness", float),
+        output=doc.get("run", "output"),
     )
 
 
@@ -396,10 +354,11 @@ def grid_search_s0(
 ) -> tuple[int, dict[int, ExperimentSummary]]:
     """Try each starting level with shared seeds; rank by bits-to-threshold,
     then final loss, with smaller candidates winning ties."""
-    cands = sorted(set(int(c) for c in candidates))
-    if not cands:
+    if len(candidates) == 0:
         raise ValueError("candidates must be non-empty")
-    _checks.at_least("candidates", cands[0], 1)
+    for c in candidates:
+        _checks.integer("candidates", c, 1)
+    cands = sorted(set(map(int, candidates)))
     base = _adaptive(config)
     summaries = _run_legs(
         config, {s0: replace(base, s0=s0, s_max=max(base.s_max, s0)) for s0 in cands}

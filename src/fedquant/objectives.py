@@ -110,10 +110,10 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}, expected one of {_MODEL_KINDS}")
-        _checks.at_least("n_features", self.n_features, 1)
+        _checks.integer("n_features", self.n_features, 1)
         if self.kind == "mlp":
-            _checks.at_least("mlp hidden", self.hidden, 1)
-            _checks.at_least("mlp n_classes", self.n_classes, 2)
+            _checks.integer("mlp hidden", self.hidden, 1)
+            _checks.integer("mlp n_classes", self.n_classes, 2)
         elif self.hidden != 0:
             raise ValueError("hidden layers are only configurable for mlp models")
         elif self.n_classes not in (0, 2 if self.kind == "logistic" else 0):
@@ -562,9 +562,15 @@ def partition(
 def load_delimited(
     path: str, kind: str = "classification", delimiter: str | None = None
 ) -> Dataset:
-    """Read a numeric table; last column is the label, the rest features."""
+    """Read a numeric table; last column is the label, the rest features.
+    With no ``delimiter``, a comma in the first data line makes the table
+    comma-delimited, else whitespace-delimited."""
     if kind not in _DATA_KINDS:
         raise ValueError(f"unknown data kind {kind!r}")
+    if delimiter is None:
+        with open(path, encoding="utf-8") as fh:
+            first = next((line for line in fh if line.split("#", 1)[0].strip()), "")
+        delimiter = "," if "," in first.split("#", 1)[0] else None
     try:
         table = np.loadtxt(path, delimiter=delimiter, ndmin=2)
     except ValueError as exc:

@@ -221,3 +221,7 @@ class TestGridS0:
 
     def test_bad_candidates(self, config_path):
         assert main(["grid-s0", "-c", config_path, "--candidates", "one,two"]) == 1
+
+    def test_empty_candidates(self, config_path, capsys):
+        assert main(["grid-s0", "-c", config_path, "--candidates", ","]) == 1
+        assert capsys.readouterr().err == "error: candidates must be non-empty\n"

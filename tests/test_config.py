@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 
+import numpy as np
 import pytest
 
 from fedquant.config import (
@@ -14,8 +15,9 @@ from fedquant.config import (
     SyntheticData,
     TrainingConfig,
 )
-from fedquant.controller import LrSchedule, QuantSchedule
-from fedquant.harness import ConfigError, load_config
+from fedquant.controller import BoundConstants, LrSchedule, QuantSchedule
+from fedquant.fedsim import GlobalState
+from fedquant.harness import ConfigError, grid_search_s0, load_config
 from fedquant.objectives import ModelSpec
 
 
@@ -134,6 +136,58 @@ class TestNonFiniteFloats:
         path.write_text(text.replace("f_star = 0.40", "f_star = nan"))
         with pytest.raises(ConfigError, match="f_star must be finite, got nan"):
             load_config(str(path))
+
+
+INTEGER_FIELDS = {
+    "ModelSpec.n_features": ("n_features", 1, lambda v: ModelSpec.logistic(v)),
+    "ModelSpec.hidden": ("mlp hidden", 1, lambda v: ModelSpec.mlp(4, v, 3)),
+    "ModelSpec.n_classes": ("mlp n_classes", 2, lambda v: ModelSpec.mlp(4, 3, v)),
+    "SyntheticData.samples": (
+        "samples", 1, lambda v: SyntheticData(kind="classification", samples=v, n_features=4)
+    ),
+    "FileData.eval_samples": ("eval_samples", 0, lambda v: FileData(path="rows.csv", eval_samples=v)),
+    "FixedMode.bits": ("bits", 1, lambda v: FixedMode(bits=v)),
+    "AdaquantMode.s0": ("s0", 1, lambda v: AdaquantMode(s0=v)),
+    "AdaquantMode.interval_bits": ("interval_bits", 1, lambda v: AdaquantMode(interval_bits=v)),
+    "TrainingConfig.local_steps": ("local_steps", 1, lambda v: make_config(local_steps=v)),
+    "TrainingConfig.rounds": ("rounds", 0, lambda v: make_config(rounds=v)),
+    "TrainingConfig.master_seed": ("master_seed", 0, lambda v: make_config(master_seed=v)),
+    "LrSchedule.decay_every": (
+        "decay_every", 1, lambda v: LrSchedule(eta0=0.1, decay_factor=0.5, decay_every=v)
+    ),
+    "QuantSchedule.s0": (
+        "s0", 1, lambda v: QuantSchedule(s0=v, interval_bits=64, s_max=8, eta0=0.1)
+    ),
+    "BoundConstants.local_steps": (
+        "local_steps",
+        1,
+        lambda v: BoundConstants(
+            eta=0.1, smoothness=1.0, grad_variance=0.1, local_steps=v, n_clients=4, dim=10,
+            bit_budget=1e5, initial_loss=1.0,
+        ),
+    ),
+    "GlobalState.round_index": (
+        "round_index", 0, lambda v: GlobalState(w=np.zeros(2), round_index=v, cumulative_bits=0)
+    ),
+    "grid_search_s0.candidates": ("candidates", 1, lambda v: grid_search_s0(make_config(), [4, v])),
+}
+
+
+class TestIntegerFields:
+    """An integer field refuses a bool or a non-integer when it is built,
+    rather than failing mid-run or running on a truncated value."""
+
+    @pytest.mark.parametrize("value", [2.7, True, 2.0])
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_refuses_bools_and_non_integers(self, field, value):
+        name, lo, build = INTEGER_FIELDS[field]
+        message = f"^{name} must be an integer of at least {lo}, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            build(value)
+
+    def test_numpy_integers_pass(self):
+        assert AdaquantMode(s0=np.int64(3), s_max=np.uint16(9)).s0 == 3
+        assert FixedMode(bits=np.int32(4)).s == 15
 
 
 class TestTrainingConfig:

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fedquant.config import AdaquantMode, FixedMode, SyntheticData, TrainingConfig
 from fedquant.controller import LrSchedule
-from fedquant.fedsim import RoundRecord, TrainingDiverged
+from fedquant.fedsim import RoundRecord, TrainingDiverged, build_problem
 from fedquant.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -67,8 +69,12 @@ def small_quad(**kw) -> TrainingConfig:
     return TrainingConfig(**base)
 
 
+SECTIONS = ("model", "data", "federation", "lr", "quantization", "run")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def ini(**overrides) -> str:
-    """MINIMAL with whole [section] bodies replaced."""
+    """MINIMAL with whole [section] bodies replaced, or left out when None."""
     sections = {}
     current = None
     for line in MINIMAL.strip().splitlines():
@@ -78,7 +84,10 @@ def ini(**overrides) -> str:
         elif line.strip():
             sections[current].append(line)
     for name, body in overrides.items():
-        sections[name] = body.strip().splitlines()
+        if body is None:
+            del sections[name]
+        else:
+            sections[name] = body.strip().splitlines()
     return "\n".join(f"[{name}]\n" + "\n".join(body) for name, body in sections.items())
 
 
@@ -98,6 +107,42 @@ class TestParseConfig:
         assert config.bit_budget is None
         assert config.master_seed == 0
 
+    def test_minimal_takes_the_records_defaults(self):
+        # the parser passes only the keys a document gives, so every other
+        # field is the record's own default
+        assert parse_config(MINIMAL) == TrainingConfig(
+            model=ModelSpec(kind="quadratic", n_features=3),
+            data=SyntheticData(kind="regression", samples=48, n_features=3),
+            n_clients=3,
+            local_steps=2,
+            batch_size=8,
+            lr=LrSchedule(eta0=0.05),
+            quantization=AdaquantMode(),
+            rounds=12,
+        )
+
+    def test_wide_benchmark_config(self):
+        config = load_config(os.path.join(ROOT, "perfbench", "wide.ini"))
+        assert config == TrainingConfig(
+            model=ModelSpec.mlp(256, 384, 10),
+            data=SyntheticData(
+                kind="classification",
+                samples=4000,
+                n_features=256,
+                noise=0.1,
+                n_classes=10,
+                eval_samples=1000,
+            ),
+            n_clients=8,
+            local_steps=1,
+            batch_size=32,
+            lr=LrSchedule(eta0=0.1),
+            quantization=AdaquantMode(s0=64, s_max=65535, f_star=0.0),
+            rounds=60,
+            eval_every=20,
+            loss_estimate="minibatch",
+        )
+
     def test_config_file_without_s_max_gets_the_default(self, tmp_path):
         path = tmp_path / "adaquant.ini"
         path.write_text(ini(quantization="mode = adaquant\ns0 = 3"))
@@ -110,12 +155,14 @@ class TestParseConfig:
         assert config.quantization == FixedMode(bits=4)
         assert config.quantization.s == 15
 
-    def test_fixed_mode_rejects_adaptive_keys(self):
-        with pytest.raises(ConfigError, match="quantization.s0"):
-            parse_config(ini(quantization="mode = fixed\nbits = 4\ns0 = 2"))
+    @pytest.mark.parametrize("key", ["s0 = 2", "interval_bits = 64", "s_max = 8", "f_star = 0.1"])
+    def test_fixed_mode_rejects_adaptive_keys(self, key):
+        name = key.split(" = ")[0]
+        with pytest.raises(ConfigError, match=re.escape(f"quantization.{name}")):
+            parse_config(ini(quantization=f"mode = fixed\nbits = 4\n{key}"))
 
     def test_adaptive_mode_rejects_bits(self):
-        with pytest.raises(ConfigError, match="quantization.bits"):
+        with pytest.raises(ConfigError, match=re.escape("quantization.bits")):
             parse_config(ini(quantization="mode = adaquant\nbits = 4"))
 
     def test_unknown_key_named(self):
@@ -130,14 +177,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="lr.eta0"):
             parse_config(ini(lr="decay_factor = 0.9"))
 
-    def test_missing_section_named(self):
-        text = "\n".join(
-            line
-            for line in MINIMAL.splitlines()
-            if line.strip() not in ("[lr]", "eta0 = 0.05")
-        )
-        with pytest.raises(ConfigError, match=r"\[lr\]"):
-            parse_config(text)
+    @pytest.mark.parametrize("section", SECTIONS)
+    def test_missing_section_named(self, section):
+        with pytest.raises(ConfigError, match=re.escape(f"missing required section [{section}]")):
+            parse_config(ini(**{section: None}))
 
     def test_bad_integer(self):
         with pytest.raises(ConfigError, match="data.samples"):
@@ -166,21 +209,46 @@ class TestParseConfig:
         )
         assert config.model.dim == 4 * 5 + 5 + 5 * 3 + 3
 
-    def test_quadratic_rejects_architecture_keys(self):
-        with pytest.raises(ConfigError, match="model.hidden"):
-            parse_config(ini(model="kind = quadratic\nfeatures = 3\nhidden = 5"))
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("key", ["hidden = 5", "classes = 2"])
+    def test_non_mlp_rejects_architecture_keys(self, kind, key):
+        name = key.split(" = ")[0]
+        with pytest.raises(ConfigError, match=re.escape(f"model.{name}")):
+            parse_config(ini(model=f"kind = {kind}\nfeatures = 3\n{key}"))
 
     def test_file_source(self):
         config = parse_config(ini(data="source = file\npath = rows.csv"))
         assert config.data.path == "rows.csv"
 
-    def test_file_source_rejects_synthetic_keys(self):
-        with pytest.raises(ConfigError, match="data.samples"):
-            parse_config(ini(data="source = file\npath = rows.csv\nsamples = 10"))
+    @pytest.mark.parametrize("key", ["samples = 10", "noise = 0.1"])
+    def test_file_source_rejects_synthetic_keys(self, key):
+        name = key.split(" = ")[0]
+        with pytest.raises(ConfigError, match=re.escape(f"data.{name}")):
+            parse_config(ini(data=f"source = file\npath = rows.csv\n{key}"))
 
     def test_synthetic_rejects_path(self):
-        with pytest.raises(ConfigError, match="data.path"):
+        with pytest.raises(ConfigError, match=re.escape("data.path")):
             parse_config(ini(data="samples = 48\npath = rows.csv"))
+
+    def test_file_source_reads_comma_and_whitespace_alike(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = [[*map(repr, rng.normal(size=3).tolist()), str(int(rng.integers(2)))] for _ in range(12)]
+        problems = []
+        for name, sep in (("rows.csv", ","), ("rows.txt", " ")):
+            path = tmp_path / name
+            text = "# three features, then the label\n" + "".join(sep.join(r) + "\n" for r in rows)
+            path.write_text(text)
+            data = f"source = file\npath = {path}\neval_samples = 3"
+            problems.append(build_problem(parse_config(ini(model="kind = logistic\nfeatures = 3", data=data))))
+        comma, spaced = problems
+        assert len(comma.shards) == len(spaced.shards) == 3
+        for a, b in zip(
+            [comma.train_data, comma.eval_data, *(s.data for s in comma.shards)],
+            [spaced.train_data, spaced.eval_data, *(s.data for s in spaced.shards)],
+        ):
+            np.testing.assert_array_equal(a.features, b.features)
+            np.testing.assert_array_equal(a.labels, b.labels)
+        assert comma.eval_data.m == 3 and comma.train_data.m == 9
 
 
 class TestReferenceConfig:
