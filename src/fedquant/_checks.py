@@ -1,11 +1,12 @@
 """Range checks on input values: one checker per kind of value, each
-message written once.  A checker refuses a number, or an array with a
-refused entry (the first is shown), with ``ValueError("<name> must be
-<rule>, got <value>")``.  ``positive``, ``non_negative`` and ``at_least``
-refuse what does not compare above or at their bound, NaN too; ``integer``
-also refuses a bool or a non-integer, where NumPy integers pass.  The round
-path tests a rule inline and calls its checker only to raise: a passing
-value costs no call there."""
+message written once, and one way to build a record whose fields are
+already checked.  A checker refuses a number, or an array with a refused
+entry (the first is shown), with ``ValueError("<name> must be <rule>, got
+<value>")``.  ``positive`` and ``non_negative`` refuse what does not compare
+above or at zero, NaN too; ``integer`` refuses a bool, a non-integer or a
+value below its bound, where NumPy integers pass.  A passing Python scalar
+costs a comparison and a call, so the round path calls the checkers as
+every other caller does."""
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ def finite(name: str, value, sign: str = "") -> None:
         ok = (value > 0.0 if sign == "positive" else value >= 0.0) & (value < math.inf)
     else:
         ok = np.isfinite(value) if isinstance(value, np.ndarray) else math.isfinite(value)
-    if not np.all(ok):
+    if ok is not True and not np.all(ok):
         shown = _shown(value, np.logical_not(ok))
         raise ValueError(f"{name} must be finite{' and ' + sign if sign else ''}, got {shown}")
 
@@ -34,27 +35,22 @@ def finite(name: str, value, sign: str = "") -> None:
 def positive(name: str, value) -> None:
     """Refuse a ``value`` at or below zero, and NaN."""
     ok = value > 0.0
-    if not np.all(ok):
+    if ok is not True and not np.all(ok):
         raise ValueError(f"{name} must be positive, got {_shown(value, np.logical_not(ok))}")
 
 
 def non_negative(name: str, value) -> None:
     """Refuse a ``value`` below zero, and NaN."""
     ok = value >= 0
-    if not np.all(ok):
+    if ok is not True and not np.all(ok):
         raise ValueError(f"{name} must be non-negative, got {_shown(value, np.logical_not(ok))}")
-
-
-def at_least(name: str, value, lo) -> None:
-    """Refuse a ``value`` below ``lo``, and NaN."""
-    ok = value >= lo
-    if not np.all(ok):
-        raise ValueError(f"{name} must be at least {lo}, got {_shown(value, np.logical_not(ok))}")
 
 
 def integer(name: str, value, lo) -> None:
     """Refuse a ``value`` that is a bool, not an integer, or below ``lo``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+    if value.__class__ is not int and (  # a plain int skips the type tests
+        isinstance(value, bool) or not isinstance(value, (int, np.integer))
+    ) or value < lo:
         raise ValueError(f"{name} must be an integer of at least {lo}, got {value}")
 
 
@@ -62,3 +58,16 @@ def in_range(name: str, value, lo, hi) -> None:
     """Refuse a number outside ``[lo, hi]``, and NaN."""
     if not lo <= value <= hi:
         raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+
+
+def adopt(cls, fields: dict):
+    """A ``cls`` record holding ``fields``, built without running its
+    constructor, whose checks already hold for them: its arrays are fresh
+    or read-only, referenced nowhere else that writes them, so they are
+    frozen in place rather than copied and checked again."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record

@@ -217,20 +217,17 @@ def interval_tick(
     recomputing or not; the first tick captures ``f_wk`` as ``f_w0``, so a
     first loss at or below ``f_star`` is refused there.
     """
-    if cumulative_bits < 0:  # on the round path: each checker here only raises
-        _checks.non_negative("cumulative_bits", cumulative_bits)
-    if not math.isfinite(f_wk):
-        _checks.finite("f_wk", f_wk)
-    if not 0.0 < eta_k < math.inf:
-        _checks.finite("eta_k", eta_k, "positive")
+    _checks.integer("cumulative_bits", cumulative_bits, 0)
+    _checks.finite("f_wk", f_wk)
+    _checks.finite("eta_k", eta_k, "positive")
     if schedule.f_w0 is None:
         schedule = replace(schedule, f_w0=f_wk)
     index = cumulative_bits // schedule.interval_bits
     if index > schedule.interval_index:
         level, saturated = _level(f_wk, eta_k, schedule)
-        ticked = object.__new__(QuantSchedule)  # no checked field changes: not checked again
-        ticked.__dict__.update(schedule.__dict__, interval_index=index, current_s=level, saturated=saturated)
-        schedule = ticked
+        # no checked field changes: not checked again
+        ticked = dict(schedule.__dict__, interval_index=index, current_s=level, saturated=saturated)
+        schedule = _checks.adopt(QuantSchedule, ticked)
     return schedule.current_s, schedule
 
 
@@ -249,10 +246,12 @@ def lr_condition_fixed(
 
     ``run_training`` applies it each round to that round's ``eta_k`` and ``s_k``.
     """
-    if not (eta > 0.0 and smoothness > 0.0):  # on the round path: the checker only raises
-        _checks.positive("eta and smoothness", np.array([eta, smoothness]))
-    if min(dim, local_steps, s, n_clients) < 1:
-        _checks.at_least("dim, local_steps, s, n_clients", np.array([dim, local_steps, s, n_clients]), 1)
+    _checks.positive("eta", eta)
+    _checks.positive("smoothness", smoothness)
+    _checks.integer("dim", dim, 1)
+    _checks.integer("local_steps", local_steps, 1)
+    _checks.integer("s", s, 1)
+    _checks.integer("n_clients", n_clients, 1)
     return _lr_margin(eta, smoothness, dim, local_steps, s, n_clients) >= 0.0
 
 
@@ -266,13 +265,14 @@ def adaptive_bound_terms(
     by the per-round levels.
     """
     etas = np.asarray(etas, dtype=np.float64)
-    levels = np.asarray(levels, dtype=np.float64)
     if etas.ndim != 1 or etas.size < 1:
         raise ValueError("etas must be a non-empty 1-D sequence")
-    if levels.shape != etas.shape:
+    if np.shape(levels) != etas.shape:
         raise ValueError("levels must match etas in length")
     _checks.positive("step sizes", etas)
-    _checks.at_least("levels", levels, 1)
+    for s in levels:  # as given: a float cast would pass 2.0 and True
+        _checks.integer("levels", s, 1)
+    levels = np.asarray(levels, dtype=np.float64)
     c = constants
     s1 = float(etas.sum())
     s2 = float((etas**2).sum())
@@ -307,8 +307,7 @@ class LrSchedule:
         return cls(eta0=eta0)
 
     def eta_for_round(self, k: int) -> float:
-        if k < 0:  # on the round path: the checker only raises
-            _checks.non_negative("round index", k)
+        _checks.integer("k", k, 0)
         if self.decay_every is None or self.decay_factor == 1.0:
             return self.eta0
         return self.eta0 * self.decay_factor ** (k // self.decay_every)

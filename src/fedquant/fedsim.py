@@ -123,21 +123,21 @@ class _Rows:
         rounds: int = 1,
         block: Dataset | None = None,
     ) -> None:
-        _checks.at_least("local_steps", count, 1)
+        _checks.integer("local_steps", count, 1)
         if batch_size is not None:
-            _checks.at_least("batch_size", batch_size, 1)
+            _checks.integer("batch_size", batch_size, 1)
         if block is None:
-            block = shards[0].data if len(shards) == 1 else Dataset._adopt(
-                np.concatenate([shard.data.features for shard in shards]),
-                np.concatenate([shard.data.labels for shard in shards]),
-            )
+            block = shards[0].data if len(shards) == 1 else _checks.adopt(Dataset, {
+                "features": np.concatenate([shard.data.features for shard in shards]),
+                "labels": np.concatenate([shard.data.labels for shard in shards]),
+                "planted_params": None,
+            })
         sizes = [shard.data.m for shard in shards]
         first = np.cumsum([0] + sizes[:-1])  # each shard's first row in the block
         groups: dict[int, list[int]] = {}
         for p, m in enumerate(sizes):
             groups.setdefault(m if batch_size is None else min(batch_size, m), []).append(p)
-        self.model, self.shards, self.count = model, shards, count
-        self.batch_size, self.rounds = batch_size, rounds
+        self.model, self.shards, self.count, self.rounds = model, shards, count, rounds
         self.features, self.labels = block.features, objectives._labels(model, block.labels)
         self.positions, self.groups = list(groups.values()), []
         self.streams, self.span, self.sampler = [], 1, None
@@ -249,16 +249,6 @@ class GlobalState:
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
-    @classmethod
-    def _adopt(cls, w: np.ndarray, round_index: int, cumulative_bits: int) -> GlobalState:
-        """Wrap parameters the round loop just built: ``w`` is a fresh 1-D
-        float64 array referenced nowhere else, so it is frozen in place
-        rather than copied and checked again."""
-        w.setflags(write=False)
-        state = object.__new__(cls)
-        state.__dict__.update(w=w, round_index=round_index, cumulative_bits=cumulative_bits)
-        return state
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -348,8 +338,7 @@ def _sgd(rows: _Rows, w_start: np.ndarray, k: int, eta: float) -> np.ndarray:
     first flagged step: the client a client-by-client loop would have
     stopped at.
     """
-    if not eta > 0.0:  # on the round path: the checker only raises
-        _checks.positive("eta", eta)
+    _checks.positive("eta", eta)
     model = rows.model
     w_start = objectives._check_params(model, w_start)
     if rows.bound is None:  # the run's first round
@@ -551,7 +540,8 @@ def run_round(
         round_index=k, s=s, element_bits=cost.element_bits, eta=eta,
         bits_this_round=cost.total_bits, cumulative_bits=spent, train_loss=float(train_loss),
     )
-    return GlobalState._adopt(w_next, k + 1, spent), record
+    # w_next is the uplink's fresh 1-D float64 array: not copied and checked again
+    return _checks.adopt(GlobalState, {"w": w_next, "round_index": k + 1, "cumulative_bits": spent}), record
 
 
 def build_problem(config: TrainingConfig) -> Problem:
@@ -706,7 +696,7 @@ def _train(
         except TrainingDiverged as exc:
             exc.round_index, exc.records = k, tuple(records)
             raise
-        state = GlobalState._adopt(w_next, k + 1, spent)
+        state = _checks.adopt(GlobalState, {"w": w_next, "round_index": k + 1, "cumulative_bits": spent})
         record = RoundRecord(
             round_index=k, s=s_k, element_bits=cost.element_bits, eta=eta_k,
             bits_this_round=cost.total_bits, cumulative_bits=spent,

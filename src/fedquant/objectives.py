@@ -70,17 +70,6 @@ class Dataset:
             planted.setflags(write=False)
             object.__setattr__(self, "planted_params", planted)
 
-    @classmethod
-    def _adopt(cls, features: np.ndarray, labels: np.ndarray, planted_params=None) -> Dataset:
-        """Wrap valid rows just built, read-only or referenced nowhere else:
-        they are frozen in place rather than copied and checked again."""
-        for array in (features, labels, planted_params):
-            if array is not None:
-                array.setflags(write=False)
-        data = object.__new__(cls)
-        data.__dict__.update(features=features, labels=labels, planted_params=planted_params)
-        return data
-
     @property
     def m(self) -> int:
         return self.features.shape[0]
@@ -95,7 +84,8 @@ class Dataset:
         features = self.features[indices]
         if features.ndim != 2 or features.shape[0] < 1:
             raise ValueError("features must be a non-empty 2-D array")
-        return Dataset._adopt(features, self.labels[indices], self.planted_params)
+        fields = {"features": features, "labels": self.labels[indices], "planted_params": self.planted_params}
+        return _checks.adopt(Dataset, fields)
 
 
 @dataclass(frozen=True)
@@ -151,7 +141,7 @@ class ClientShard:
     weight: float
 
     def __post_init__(self) -> None:
-        _checks.non_negative("client_id", self.client_id)
+        _checks.integer("client_id", self.client_id, 0)
         _checks.in_range("weight", self.weight, 0, 1)
         _checks.positive("weight", self.weight)
 
@@ -442,7 +432,7 @@ def sample_batch(
     When ``batch_size`` covers the whole dataset the data is returned as-is
     and the generator is left untouched.
     """
-    _checks.at_least("batch_size", batch_size, 1)
+    _checks.integer("batch_size", batch_size, 1)
     if batch_size >= data.m:
         return data
     return data.subset(_draw_batches(_BatchWorkspace([data.m], batch_size, 1), [rng], 1)[0, 0])
@@ -491,7 +481,8 @@ def generate_synthetic(
     """
     if kind not in _DATA_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}")
-    _checks.at_least("m and n_features", np.array([m, n_features]), 1)
+    _checks.integer("m", m, 1)
+    _checks.integer("n_features", n_features, 1)
     _checks.non_negative("noise", noise)
     if kind == "classification":
         _checks.in_range("label-flip noise", noise, 0, 1)
@@ -503,22 +494,22 @@ def generate_synthetic(
         if noise > 0.0:
             y = y + noise * rng.standard_normal(m)
         _checks.finite("labels", y)  # a huge noise overflows
-        return Dataset._adopt(x, y, planted)
-    _checks.at_least("n_classes", n_classes, 2)
+        return _checks.adopt(Dataset, {"features": x, "labels": y, "planted_params": planted})
+    _checks.integer("n_classes", n_classes, 2)
     if n_classes == 2:
         planted = rng.standard_normal(n_features)
         y = (x @ planted > 0.0).astype(np.int64)
         if noise > 0.0:
             flip = rng.random(m) < noise
             y = np.where(flip, 1 - y, y)
-        return Dataset._adopt(x, y, planted)
+        return _checks.adopt(Dataset, {"features": x, "labels": y, "planted_params": planted})
     planted = rng.standard_normal((n_features, n_classes))
     y = (x @ planted).argmax(axis=1).astype(np.int64)
     if noise > 0.0:
         flip = rng.random(m) < noise
         shift = rng.integers(1, n_classes, size=m)
         y = np.where(flip, (y + shift) % n_classes, y)
-    return Dataset._adopt(x, y, planted.ravel())
+    return _checks.adopt(Dataset, {"features": x, "labels": y, "planted_params": planted.ravel()})
 
 
 def _partition_order(labels: np.ndarray, mode: str, seed) -> np.ndarray:

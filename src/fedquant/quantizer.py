@@ -57,8 +57,8 @@ class QuantizedUpdate:
     d: int
 
     def __post_init__(self) -> None:
-        _checks.at_least("d", self.d, 1)
-        _check_level(self.s)
+        _checks.integer("d", self.d, 1)
+        _checks.integer("s", self.s, 1)
         _checks.finite("norm", self.norm, "non-negative")
         signs, levels = np.asarray(self.signs), np.asarray(self.levels)
         if signs.shape != (self.d,) or levels.shape != (self.d,):
@@ -85,22 +85,6 @@ class QuantizedUpdate:
         object.__setattr__(self, "s", int(self.s))
         object.__setattr__(self, "d", int(self.d))
 
-    @classmethod
-    def _adopt(
-        cls, norm: float, signs: np.ndarray, levels: np.ndarray, s: int, d: int
-    ) -> QuantizedUpdate:
-        """Wrap arrays that ``quantize`` or ``wire.decode`` just built and checked.
-
-        ``signs`` (int8, +1/-1) and ``levels`` (``_level_dtype(s)``, in
-        ``[0, s]``, all zero when ``norm`` is) are fresh and referenced nowhere
-        else, so they are frozen in place rather than copied and checked again.
-        """
-        signs.setflags(write=False)
-        levels.setflags(write=False)
-        q = object.__new__(cls)
-        q.__dict__.update(norm=float(norm), signs=signs, levels=levels, s=int(s), d=int(d))
-        return q
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantizedUpdate):
             return NotImplemented
@@ -121,14 +105,6 @@ class BitCost:
     element_bits: int
     sign_bits: int
     norm_bits: int
-
-
-def _check_level(s: int) -> None:
-    """The level ``s`` must be an integer (not a bool) of at least 1."""
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-        raise ValueError(f"s must be an integer, got {s!r}")
-    if s < 1:  # on the round path: the checker only raises
-        _checks.at_least("quantization level s", s, 1)
 
 
 def _level_dtype(s: int) -> np.dtype:
@@ -155,9 +131,8 @@ def _check_input(plane: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.
     in_range = all(map(math.isfinite, norms32.tolist()))
     if not in_range and not np.isfinite(plane).all():
         raise ValueError("w must contain only finite values")
-    _check_level(s)
-    if s > _MAX_EXACT_LEVEL:  # on the round path: the checker only raises
-        _checks.in_range("quantization level s", s, 1, _MAX_EXACT_LEVEL)
+    _checks.integer("s", s, 1)
+    _checks.in_range("s", s, 1, _MAX_EXACT_LEVEL)
     if not in_range:
         raise ValueError(
             "the norm of w exceeds the wire's float32 range "
@@ -232,7 +207,9 @@ def quantize(w: np.ndarray, s: int, rng: np.random.Generator) -> QuantizedUpdate
         lower, frac = _lattice(w, s, norm)
         levels = lower.astype(_level_dtype(s))
         _carry(levels, frac, rng.random(out=lower))  # the draws reuse lower's buffer
-    return QuantizedUpdate._adopt(norm32, signs, levels, s, w.size)
+    # the fresh arrays hold what the constructor checks: not checked again
+    fields = {"norm": norm32, "signs": signs, "levels": levels, "s": int(s), "d": w.size}
+    return _checks.adopt(QuantizedUpdate, fields)
 
 
 def dequantize(q: QuantizedUpdate) -> np.ndarray:
@@ -248,7 +225,7 @@ def sample_dequantized(
     Row ``i`` equals ``dequantize(quantize(w, s, rng))`` on the i-th use of
     the same generator, just computed in one shot.
     """
-    _checks.at_least("n_draws", n_draws, 1)
+    _checks.integer("n_draws", n_draws, 1)
     w, norm, norm32 = _check_vector(w, s)
     levels = np.zeros((n_draws, w.size))
     if norm32 != 0.0:
@@ -260,9 +237,8 @@ def sample_dequantized(
 
 def bits_per_update(d: int, s: int) -> BitCost:
     """Wire size of an update: levels, then signs, then the float32 norm."""
-    if d < 1:  # on the round path: the checker only raises
-        _checks.at_least("d", d, 1)
-    _check_level(s)
+    _checks.integer("d", d, 1)
+    _checks.integer("s", s, 1)
     # ceil(log2(s + 1)) bits index the s + 1 levels; for integers that is
     # exactly the bit length of s.
     per_element = int(s).bit_length()
@@ -276,8 +252,8 @@ def bits_per_update(d: int, s: int) -> BitCost:
 
 def variance_upper_bound(d: int, s: int, norm_sq: float) -> float:
     """Worst-case quantization variance: ``d / s**2`` times the squared norm."""
-    _checks.at_least("d", d, 1)
-    _check_level(s)
+    _checks.integer("d", d, 1)
+    _checks.integer("s", s, 1)
     _checks.non_negative("norm_sq", norm_sq)
     return (d / (s * s)) * norm_sq
 

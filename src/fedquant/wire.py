@@ -42,7 +42,6 @@ class DecodeError(ValueError):
 
 def encoded_size_bytes(d: int, s: int) -> int:
     """Exact size in bytes of an encoded update with these dimensions."""
-    _checks.at_least("d and s", np.array([d, s]), 1)
     payload_bits = bits_per_update(d, s).total_bits - NORM_BITS
     return _HEADER.size + _NORM.size + (payload_bits + 7) // 8
 
@@ -96,8 +95,7 @@ def encode(q: QuantizedUpdate) -> bytes:
 
 def decode(blob: bytes, d: int) -> QuantizedUpdate:
     """Parse ``blob`` into a :class:`QuantizedUpdate` of dimension ``d``."""
-    if d < 1:  # on the round path: the checker only raises
-        _checks.at_least("d", d, 1)
+    _checks.integer("d", d, 1)
     prefix = _HEADER.size + _NORM.size
     if len(blob) < prefix:
         raise DecodeError(f"truncated input: {len(blob)} bytes, need at least {prefix}")
@@ -110,6 +108,7 @@ def decode(blob: bytes, d: int) -> QuantizedUpdate:
         raise DecodeError(f"invalid quantization level s={s}")
     if d_wire != d:
         raise DecodeError(f"dimension mismatch: header says {d_wire}, expected {d}")
+    d = d_wire  # a Python int: a NumPy integer d would not shift the uint8 plane below
     cost = bits_per_update(d, s)
     used = cost.total_bits - NORM_BITS
     expected = prefix + (used + 7) // 8
@@ -153,4 +152,5 @@ def decode(blob: bytes, d: int) -> QuantizedUpdate:
     if norm == 0.0 and np.any(levels != 0):
         raise DecodeError("zero norm with nonzero levels")
     # Every field is checked above; the fresh arrays are handed over as is.
-    return QuantizedUpdate._adopt(norm, signs, levels, s, d)
+    fields = {"norm": norm, "signs": signs, "levels": levels, "s": s, "d": d}
+    return _checks.adopt(QuantizedUpdate, fields)

@@ -282,7 +282,8 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("eta, smoothness", [(math.nan, 1.0), (0.1, math.nan)])
     def test_lr_condition_refuses_nan(self, eta, smoothness):
         # it returned False: its inline test compared at or below zero
-        with pytest.raises(ValueError, match="eta and smoothness must be positive, got nan"):
+        name = "eta" if math.isnan(eta) else "smoothness"
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got nan$"):
             lr_condition_fixed(eta, smoothness, 10, 1, 2, 4)
 
 

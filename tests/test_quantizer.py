@@ -218,15 +218,15 @@ class TestLevelCheck:
     """Every entry that takes a level rejects a non-integer one as quantize does."""
 
     def test_non_integer_levels_rejected_everywhere(self):
-        with pytest.raises(ValueError, match="s must be an integer, got 2.5"):
+        with pytest.raises(ValueError, match="s must be an integer of at least 1, got 2.5"):
             bits_per_update(10, 2.5)
-        with pytest.raises(ValueError, match="s must be an integer, got True"):
+        with pytest.raises(ValueError, match="s must be an integer of at least 1, got True"):
             bits_per_update(10, True)
-        with pytest.raises(ValueError, match="s must be an integer, got 2.5"):
+        with pytest.raises(ValueError, match="s must be an integer of at least 1, got 2.5"):
             variance_upper_bound(10, 2.5, 1.0)
-        with pytest.raises(ValueError, match="s must be an integer, got 2.5"):
+        with pytest.raises(ValueError, match="s must be an integer of at least 1, got 2.5"):
             QuantizedUpdate(norm=1.0, signs=[1, 1], levels=[0, 0], s=2.5, d=2)
-        with pytest.raises(ValueError, match="s must be an integer, got 2.5"):
+        with pytest.raises(ValueError, match="s must be an integer of at least 1, got 2.5"):
             quantize(np.ones(2), 2.5, np.random.default_rng(0))
 
     def test_numpy_integer_levels_accepted(self):

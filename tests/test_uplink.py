@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedquant import fedsim
+from fedquant import _checks, fedsim
 from fedquant.fedsim import _uplink, _UplinkWorkspace, aggregate
 from fedquant.quantizer import QuantizedUpdate, _check_input, dequantize, exact_variance, quantize
 from fedquant.wire import decode, encode
@@ -176,7 +176,8 @@ WIDTH_EDGES = [
 
 def as_int64(q: QuantizedUpdate) -> QuantizedUpdate:
     """``q`` with its levels held as int64, as every update once held them."""
-    return QuantizedUpdate._adopt(q.norm, q.signs.copy(), q.levels.astype(np.int64), q.s, q.d)
+    fields = {"norm": q.norm, "signs": q.signs.copy(), "levels": q.levels.astype(np.int64), "s": q.s, "d": q.d}
+    return _checks.adopt(QuantizedUpdate, fields)
 
 
 class TestLevelDtype:
