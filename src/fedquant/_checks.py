@@ -1,63 +1,69 @@
-"""Range checks on input values: one checker per kind of value, each
-message written once, and one way to build a record whose fields are
-already checked.  A checker refuses a number, or an array with a refused
-entry (the first is shown), with ``ValueError("<name> must be <rule>, got
-<value>")``.  ``positive`` and ``non_negative`` refuse what does not compare
-above or at zero, NaN too; ``integer`` refuses a bool, a non-integer or a
-value below its bound, where NumPy integers pass.  A passing Python scalar
-costs a comparison and a call, so the round path calls the checkers as
-every other caller does."""
+"""Range checks on input values, one checker per kind of number, and one
+way to build a record whose fields are already checked.  ``integer`` takes
+a Python or NumPy integer in ``[lo, hi]``, ``finite`` a real number in
+``[lo, hi]`` and ``positive`` one in ``(0, hi]``, a bound of None being
+none.  Each refuses a bool, and the float checkers refuse NaN, ±inf and an
+int that no float holds, or an array with such an entry (the first is
+shown), with ``ValueError("<name> must be <rule>, got <value>")``.  A
+plain ``int`` or ``float`` that passes skips the type tests."""
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-
-def _shown(value, bad):
-    """``value`` as its message shows it: an array's first ``bad`` entry."""
-    return np.asarray(value)[bad].flat[0] if np.ndim(bad) else value
+_INF = math.inf
+_MAX = np.float64(sys.float_info.max)  # a NumPy float, so float32 entries are compared as float64
 
 
-def finite(name: str, value, sign: str = "") -> None:
-    """Refuse a ``value`` that is not finite or, with ``sign`` "positive"
-    or "non-negative", not of that sign."""
-    if sign:
-        ok = (value > 0.0 if sign == "positive" else value >= 0.0) & (value < math.inf)
-    else:
-        ok = np.isfinite(value) if isinstance(value, np.ndarray) else math.isfinite(value)
-    if ok is not True and not np.all(ok):
-        shown = _shown(value, np.logical_not(ok))
-        raise ValueError(f"{name} must be finite{' and ' + sign if sign else ''}, got {shown}")
+def _refused(value, lo, hi, above: bool):
+    """None if ``value``, or each entry of it, is a real number and no bool,
+    finite as a float, at least ``lo`` (above it, with ``above``) and at
+    most ``hi``; else ``value``, or an array's first refused entry.  An int
+    beyond int64 is compared as a Python int."""
+    x = np.asarray(value)
+    ok = (x.dtype != bool) & (-_MAX <= x) & (x <= _MAX)
+    if lo is not None:
+        ok &= x > lo if above else x >= lo
+    if hi is not None:
+        ok &= x <= hi
+    if np.all(ok):
+        return None
+    return x[np.logical_not(ok)].flat[0] if x.ndim else value
 
 
-def positive(name: str, value) -> None:
-    """Refuse a ``value`` at or below zero, and NaN."""
-    ok = value > 0.0
-    if ok is not True and not np.all(ok):
-        raise ValueError(f"{name} must be positive, got {_shown(value, np.logical_not(ok))}")
-
-
-def non_negative(name: str, value) -> None:
-    """Refuse a ``value`` below zero, and NaN."""
-    ok = value >= 0
-    if ok is not True and not np.all(ok):
-        raise ValueError(f"{name} must be non-negative, got {_shown(value, np.logical_not(ok))}")
-
-
-def integer(name: str, value, lo) -> None:
-    """Refuse a ``value`` that is a bool, not an integer, or below ``lo``."""
+def integer(name: str, value, lo, hi=None) -> None:
+    """Refuse a ``value`` that is a bool, not an integer, or outside ``[lo, hi]``."""
     if value.__class__ is not int and (  # a plain int skips the type tests
         isinstance(value, bool) or not isinstance(value, (int, np.integer))
-    ) or value < lo:
-        raise ValueError(f"{name} must be an integer of at least {lo}, got {value}")
+    ) or value < lo or hi is not None and value > hi:
+        span = f"of at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value}")
 
 
-def in_range(name: str, value, lo, hi) -> None:
-    """Refuse a number outside ``[lo, hi]``, and NaN."""
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+def finite(name: str, value, lo=None, hi=None) -> None:
+    """Refuse a ``value`` that is not a finite real number in ``[lo, hi]``."""
+    if value.__class__ is float and -_INF < value < _INF and (lo is None or lo <= value) and (
+        hi is None or value <= hi
+    ):
+        return  # a plain float skips the type tests
+    shown = _refused(value, lo, hi, above=False)
+    if shown is not None:
+        at_least = "" if lo is None else f" and at least {lo}"
+        at_most = "" if hi is None else f" and at most {hi}"
+        raise ValueError(f"{name} must be finite{at_least}{at_most}, got {shown}")
+
+
+def positive(name: str, value, hi=None) -> None:
+    """Refuse a ``value`` that is not a finite real number in ``(0, hi]``."""
+    if value.__class__ is float and 0.0 < value < _INF and (hi is None or value <= hi):
+        return  # a plain float skips the type tests
+    shown = _refused(value, 0, hi, above=True)
+    if shown is not None:
+        rule = "finite and positive" if hi is None else f"positive and at most {hi}"
+        raise ValueError(f"{name} must be {rule}, got {shown}")
 
 
 def adopt(cls, fields: dict):

@@ -43,7 +43,7 @@ class SyntheticData:
         _checks.integer("samples", self.samples, 1)
         _checks.integer("n_features", self.n_features, 1)
         _checks.integer("eval_samples", self.eval_samples, 0)
-        _checks.finite("noise", self.noise, "non-negative")
+        _checks.finite("noise", self.noise, 0)
         _checks.integer("n_classes", self.n_classes, 2)
 
 
@@ -68,8 +68,7 @@ class FixedMode:
     bits: int
 
     def __post_init__(self) -> None:
-        _checks.integer("bits", self.bits, 1)
-        _checks.in_range("bits", self.bits, 1, 31)
+        _checks.integer("bits", self.bits, 1, 31)
 
     @property
     def s(self) -> int:
@@ -91,8 +90,7 @@ class AdaquantMode:
 
     def __post_init__(self) -> None:
         _checks.integer("s0", self.s0, 1)
-        _checks.integer("s_max", self.s_max, self.s0)
-        _checks.in_range("s_max", self.s_max, 1, _MAX_EXACT_LEVEL)
+        _checks.integer("s_max", self.s_max, self.s0, _MAX_EXACT_LEVEL)
         if self.interval_bits is not None:
             _checks.integer("interval_bits", self.interval_bits, 1)
         _checks.finite("f_star", self.f_star)
@@ -130,7 +128,7 @@ class TrainingConfig:
         if self.loss_threshold is not None:
             _checks.finite("loss_threshold", self.loss_threshold)
         if self.smoothness is not None:
-            _checks.finite("smoothness", self.smoothness, "positive")
+            _checks.positive("smoothness", self.smoothness)
         _checks.integer("master_seed", self.master_seed, 0)
         self._check_model_data()
 

@@ -58,7 +58,9 @@ class BoundConstants:
             _checks.positive(name, getattr(self, name))
         for name in ("local_steps", "n_clients", "dim"):
             _checks.integer(name, getattr(self, name), 1)
-        _checks.non_negative("grad_variance", self.grad_variance)
+        _checks.finite("grad_variance", self.grad_variance, 0)
+        for name in ("initial_loss", "optimal_loss"):
+            _checks.finite(name, getattr(self, name))
         if not self.initial_loss > self.optimal_loss:
             raise ValueError("initial_loss must exceed optimal_loss")
 
@@ -108,8 +110,8 @@ def bound_value(s, constants: BoundConstants):
     Accepts scalar or array ``s`` (real-valued, so the curve can be plotted
     or searched on a continuous grid).
     """
+    _checks.positive("s", s)
     s_arr = np.asarray(s, dtype=np.float64)
-    _checks.positive("s", s_arr)
     value = (
         constants.log2_coefficient * np.log2(4.0 * s_arr)
         + constants.inv_square_coefficient / (s_arr * s_arr)
@@ -168,7 +170,7 @@ class QuantSchedule:
         _checks.integer("s_max", self.s_max, self.s0)
         _checks.integer("interval_bits", self.interval_bits, 1)
         _checks.integer("interval_index", self.interval_index, 0)
-        _checks.finite("eta0", self.eta0, "positive")
+        _checks.positive("eta0", self.eta0)
         _checks.finite("f_star", self.f_star)
         if self.f_w0 is not None:
             _checks.finite("f_w0", self.f_w0)
@@ -188,7 +190,7 @@ def adaquant_level(f_wk: float, eta_k: float, schedule: QuantSchedule) -> int:
     ``s_max``.
     """
     _checks.finite("f_wk", f_wk)
-    _checks.finite("eta_k", eta_k, "positive")
+    _checks.positive("eta_k", eta_k)
     return _level(f_wk, eta_k, schedule)[0]
 
 
@@ -219,7 +221,7 @@ def interval_tick(
     """
     _checks.integer("cumulative_bits", cumulative_bits, 0)
     _checks.finite("f_wk", f_wk)
-    _checks.finite("eta_k", eta_k, "positive")
+    _checks.positive("eta_k", eta_k)
     if schedule.f_w0 is None:
         schedule = replace(schedule, f_w0=f_wk)
     index = cumulative_bits // schedule.interval_bits
@@ -264,12 +266,12 @@ def adaptive_bound_terms(
     variance term, the local-drift term, and the quantization term driven
     by the per-round levels.
     """
+    _checks.positive("etas", etas)  # as given, as the levels: a float cast would pass True
     etas = np.asarray(etas, dtype=np.float64)
     if etas.ndim != 1 or etas.size < 1:
         raise ValueError("etas must be a non-empty 1-D sequence")
     if np.shape(levels) != etas.shape:
         raise ValueError("levels must match etas in length")
-    _checks.positive("step sizes", etas)
     for s in levels:  # as given: a float cast would pass 2.0 and True
         _checks.integer("levels", s, 1)
     levels = np.asarray(levels, dtype=np.float64)
@@ -296,9 +298,8 @@ class LrSchedule:
     decay_every: int | None = None
 
     def __post_init__(self) -> None:
-        _checks.finite("eta0", self.eta0, "positive")
-        _checks.in_range("decay_factor", self.decay_factor, 0, 1)
-        _checks.positive("decay_factor", self.decay_factor)
+        _checks.positive("eta0", self.eta0)
+        _checks.positive("decay_factor", self.decay_factor, 1)
         if self.decay_every is not None:
             _checks.integer("decay_every", self.decay_every, 1)
 

@@ -395,12 +395,10 @@ def local_round(
 
 
 def _check_weights(weights: Sequence[float]) -> None:
-    for p in weights:
-        _checks.finite("weights", p)
+    _checks.positive("weights", weights)
     total = float(sum(weights))
     if abs(total - 1.0) > _WEIGHT_TOL:
         raise ValueError(f"weights must sum to 1 (got {total!r})")
-    _checks.positive("weights", min(weights))
 
 
 def aggregate(
@@ -493,6 +491,7 @@ def _check_shards(model: ModelSpec, shards: Sequence[ClientShard]) -> None:
     _check_weights([shard.weight for shard in shards])
 
 
+@np.errstate(all="ignore")  # an overflow gives a non-finite loss, which _train refuses
 def _loss_estimate(rows: _Rows, w: np.ndarray, k: int) -> float:
     """Round ``k``'s training-loss estimate at ``w``, on a :class:`_Rows` of
     one row set a round: the full loss with whole shards, else each
@@ -577,6 +576,7 @@ def build_problem(config: TrainingConfig) -> Problem:
     )
 
 
+@np.errstate(all="ignore")  # an overflowing score still counts as a prediction
 def _eval_metric(problem: Problem, w: np.ndarray) -> float | None:
     if problem.eval_data is None or problem.model.kind == "quadratic":
         return None

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -76,6 +77,24 @@ class TestRun:
         path = tmp_path / "diverge.ini"
         path.write_text(SMALL.replace("eta0 = 0.05", "eta0 = 1e9"))
         assert main(["run", "-c", str(path)]) == 2
+
+    def test_overflowing_loss_is_a_divergence(self, tmp_path, capsys):
+        # labels near 1e200 overflow the first loss estimate: one stderr line
+        # and exit 2, where NumPy's overflow warning used to come first, or,
+        # with warnings as errors, a traceback
+        rows = tmp_path / "huge.csv"
+        rows.write_text("".join(f"{i % 3 + 1}.0,{i % 5 + 1}.0e200\n" for i in range(8)))
+        path = tmp_path / "overflow.ini"
+        path.write_text(
+            "[model]\nkind = quadratic\nfeatures = 1\n"
+            f"[data]\nsource = file\npath = {rows}\nkind = regression\n"
+            "[federation]\nclients = 2\nlocal_steps = 1\nbatch_size = 4\n"
+            "[lr]\neta0 = 1e-300\n[quantization]\nmode = fixed\nbits = 2\n[run]\nrounds = 3\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "-c", str(path)]) == 2
+        assert capsys.readouterr().err == "training diverged: non-finite training loss at round 0\n"
 
     @pytest.mark.parametrize("eta0", ["nan", "inf"])
     def test_non_finite_step_size_is_a_config_error(self, tmp_path, eta0):

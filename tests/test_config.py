@@ -60,7 +60,7 @@ class TestModes:
             AdaquantMode(s0=0)
         with pytest.raises(ValueError):
             AdaquantMode(s0=10, s_max=5)
-        with pytest.raises(ValueError, match=f"s_max must lie in \\[1, {2**53}\\], got {2**53 + 1}"):
+        with pytest.raises(ValueError, match=f"s_max must be an integer in \\[2, {2**53}\\], got {2**53 + 1}"):
             AdaquantMode(s_max=2**53 + 1)
         assert AdaquantMode(s_max=2**53).s_max == 2**53
         with pytest.raises(ValueError):
@@ -102,7 +102,7 @@ class TestNonFiniteFloats:
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, -0.5])
     def test_synthetic_noise(self, noise):
         # nan used to be refused only when the data were generated
-        with pytest.raises(ValueError, match="noise must be finite and non-negative"):
+        with pytest.raises(ValueError, match="noise must be finite and at least 0"):
             SyntheticData(kind="regression", samples=10, n_features=2, noise=noise)
         assert SyntheticData(kind="regression", samples=10, n_features=2, noise=0.0).noise == 0.0
 
@@ -146,7 +146,7 @@ INTEGER_FIELDS = {
         "samples", 1, lambda v: SyntheticData(kind="classification", samples=v, n_features=4)
     ),
     "FileData.eval_samples": ("eval_samples", 0, lambda v: FileData(path="rows.csv", eval_samples=v)),
-    "FixedMode.bits": ("bits", 1, lambda v: FixedMode(bits=v)),
+    "FixedMode.bits": ("bits", (1, 31), lambda v: FixedMode(bits=v)),
     "AdaquantMode.s0": ("s0", 1, lambda v: AdaquantMode(s0=v)),
     "AdaquantMode.interval_bits": ("interval_bits", 1, lambda v: AdaquantMode(interval_bits=v)),
     "TrainingConfig.local_steps": ("local_steps", 1, lambda v: make_config(local_steps=v)),
@@ -181,7 +181,8 @@ class TestIntegerFields:
     @pytest.mark.parametrize("field", INTEGER_FIELDS)
     def test_refuses_bools_and_non_integers(self, field, value):
         name, lo, build = INTEGER_FIELDS[field]
-        message = f"^{name} must be an integer of at least {lo}, got {value}$"
+        span = f"in \\[{lo[0]}, {lo[1]}\\]" if isinstance(lo, tuple) else f"of at least {lo}"
+        message = f"^{name} must be an integer {span}, got {value}$"
         with pytest.raises(ValueError, match=message):
             build(value)
 

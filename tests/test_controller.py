@@ -264,26 +264,26 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("name", ["eta", "smoothness", "bit_budget"])
     def test_bound_constants_refuse_nan(self, name):
         # positive refused only what compared at or below zero, so nan passed
-        with pytest.raises(ValueError, match=f"{name} must be positive, got nan"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got nan"):
             constants(**{name: math.nan})
 
     def test_bound_value_refuses_a_nan_level(self):
         # it returned nan
-        with pytest.raises(ValueError, match="s must be positive, got nan"):
+        with pytest.raises(ValueError, match="s must be finite and positive, got nan"):
             bound_value(math.nan, constants())
-        with pytest.raises(ValueError, match="s must be positive, got nan"):
+        with pytest.raises(ValueError, match="s must be finite and positive, got nan"):
             bound_value(np.array([2.0, math.nan]), constants())
 
     def test_adaptive_bound_terms_refuse_a_nan_step_size(self):
         # it returned four nan terms
-        with pytest.raises(ValueError, match="step sizes must be positive, got nan"):
+        with pytest.raises(ValueError, match="etas must be finite and positive, got nan"):
             adaptive_bound_terms([0.1, math.nan], [2, 4], constants())
 
     @pytest.mark.parametrize("eta, smoothness", [(math.nan, 1.0), (0.1, math.nan)])
     def test_lr_condition_refuses_nan(self, eta, smoothness):
         # it returned False: its inline test compared at or below zero
         name = "eta" if math.isnan(eta) else "smoothness"
-        with pytest.raises(ValueError, match=f"^{name} must be positive, got nan$"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got nan$"):
             lr_condition_fixed(eta, smoothness, 10, 1, 2, 4)
 
 

@@ -30,6 +30,7 @@ from fedquant.fedsim import (
     run_training,
     run_unquantized,
 )
+from fedquant.harness import parse_config
 from fedquant.objectives import ClientShard, Dataset, ModelSpec, generate_synthetic, gradient, partition
 from fedquant.quantizer import bits_per_update, quantize
 from fedquant.wire import decode, encode
@@ -512,7 +513,7 @@ class TestRunTraining:
         assert lr.eta_for_round(1) > 0.0 == lr.eta_for_round(2)
         with pytest.raises(ValueError, match="eta_k must be finite and positive, got 0.0"):
             run_training(quad_config(lr=lr, quantization=AdaquantMode()))
-        with pytest.raises(ValueError, match="eta must be positive"):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
             run_training(quad_config(lr=lr))
 
     def test_feasibility_reported_when_smoothness_given(self):
@@ -623,6 +624,20 @@ class TestShardChecks:
             n_clients=2,
         )
         with pytest.raises(ValueError, match="logistic labels must be 0 or 1"):
+            run_training(config)
+
+    def test_run_training_rejects_fractional_mlp_labels(self, tmp_path):
+        # regression labels 0.5/1.5/2.5 used to train as class ids 0/1/2
+        path = tmp_path / "rows.csv"
+        x = np.random.default_rng(0).standard_normal((12, 3))
+        np.savetxt(path, np.column_stack([x, np.arange(12) % 3 + 0.5]), delimiter=",")
+        config = parse_config(
+            "[model]\nkind = mlp\nfeatures = 3\nhidden = 4\nclasses = 3\n"
+            f"[data]\nsource = file\npath = {path}\nkind = regression\n"
+            "[federation]\nclients = 2\nlocal_steps = 1\nbatch_size = 4\n"
+            "[lr]\neta0 = 0.1\n[quantization]\nmode = fixed\nbits = 2\n[run]\nrounds = 2\n"
+        )
+        with pytest.raises(ValueError, match=r"^mlp labels must be integers in \[0, 3\)$"):
             run_training(config)
 
     def test_public_round_rejects_weights_that_do_not_sum_to_one(self):

@@ -377,7 +377,7 @@ def test_step_size_is_checked_before_stepping(eta):
     # diverged at its first step
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
-    with pytest.raises(ValueError, match=f"eta must be positive, got {eta}"):
+    with pytest.raises(ValueError, match=f"eta must be finite and positive, got {eta}"):
         local_round(QUAD2, scaled_shard(0, 1.0), np.ones(2), 2, eta, 2, rng)
     assert rng.bit_generator.state == before
 

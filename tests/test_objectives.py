@@ -163,6 +163,16 @@ class TestLoss:
             loss(MLP, init_params(MLP, np.random.default_rng(0)),
                  Dataset(features=x, labels=np.array([0, 3])))
 
+    def test_fractional_mlp_labels_refused(self):
+        # they were cast to class ids: 0.5 and 1.5 trained as 0 and 1
+        x, w = np.ones((3, 4)), init_params(MLP, np.random.default_rng(0))
+        for call in (loss, gradient, accuracy):
+            with pytest.raises(ValueError, match=r"^mlp labels must be integers in \[0, 3\)$"):
+                call(MLP, w, Dataset(features=x, labels=np.array([0.5, 1.5, 2.0])))
+        assert loss(MLP, w, Dataset(features=x, labels=np.array([0.0, 1.0, 2.0]))) == loss(
+            MLP, w, Dataset(features=x, labels=np.array([0, 1, 2]))
+        )
+
 
 class TestGradient:
     @pytest.mark.parametrize(

@@ -119,7 +119,7 @@ class TestQuantizeBasics:
                 lambda: sample_dequantized(w, s, rng, 3),
                 lambda: exact_variance(w, s),
             ):
-                with pytest.raises(ValueError, match=f"s must lie in \\[1, {2**53}\\], got {s}"):
+                with pytest.raises(ValueError, match=f"s must be an integer in \\[1, {2**53}\\], got {s}"):
                     call()
         assert rng.bit_generator.state == before
         # the update record itself takes any integer level; the wire refuses it
@@ -138,13 +138,14 @@ class TestQuantizeBasics:
         # the entries are scanned only when the norm is not finite; the
         # error names them whatever the norm is, and NumPy stays silent
         w = np.array(bad_w)
+        message = f"^w must be finite, got {w[~np.isfinite(w)][0]}$"  # the first refused entry
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="only finite values"):
+            with pytest.raises(ValueError, match=message):
                 quantize(w, 2, np.random.default_rng(0))
-            with pytest.raises(ValueError, match="only finite values"):
+            with pytest.raises(ValueError, match=message):
                 sample_dequantized(w, 2, np.random.default_rng(0), 3)
-            with pytest.raises(ValueError, match="only finite values"):
+            with pytest.raises(ValueError, match=message):
                 exact_variance(w, 2)
 
 
@@ -226,7 +227,7 @@ class TestLevelCheck:
             variance_upper_bound(10, 2.5, 1.0)
         with pytest.raises(ValueError, match="s must be an integer of at least 1, got 2.5"):
             QuantizedUpdate(norm=1.0, signs=[1, 1], levels=[0, 0], s=2.5, d=2)
-        with pytest.raises(ValueError, match="s must be an integer of at least 1, got 2.5"):
+        with pytest.raises(ValueError, match=f"s must be an integer in \\[1, {2**53}\\], got 2.5"):
             quantize(np.ones(2), 2.5, np.random.default_rng(0))
 
     def test_numpy_integer_levels_accepted(self):
