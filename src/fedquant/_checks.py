@@ -2,10 +2,11 @@
 way to build a record whose fields are already checked.  ``integer`` takes
 a Python or NumPy integer in ``[lo, hi]``, ``finite`` a real number in
 ``[lo, hi]`` and ``positive`` one in ``(0, hi]``, a bound of None being
-none.  Each refuses a bool, and the float checkers refuse NaN, ±inf and an
-int that no float holds, or an array with such an entry (the first is
-shown), with ``ValueError("<name> must be <rule>, got <value>")``.  A
-plain ``int`` or ``float`` that passes skips the type tests."""
+none.  Each refuses a bool, and the float checkers refuse NaN, ±inf and
+an int that no float holds, or an array with such an entry, or a list or
+tuple with one or with a bool (the first is shown), with
+``ValueError("<name> must be <rule>, got <value>")``.  A plain ``int``
+or ``float`` that passes skips the type tests."""
 
 from __future__ import annotations
 
@@ -22,13 +23,17 @@ def _refused(value, lo, hi, above: bool):
     """None if ``value``, or each entry of it, is a real number and no bool,
     finite as a float, at least ``lo`` (above it, with ``above``) and at
     most ``hi``; else ``value``, or an array's first refused entry.  An int
-    beyond int64 is compared as a Python int."""
+    beyond int64 is compared as a Python int, and a list or tuple entry by
+    entry as given, so that a bool in it is not read as 0 or 1."""
     x = np.asarray(value)
     ok = (x.dtype != bool) & (-_MAX <= x) & (x <= _MAX)
     if lo is not None:
         ok &= x > lo if above else x >= lo
     if hi is not None:
         ok &= x <= hi
+    if isinstance(value, (list, tuple)):
+        x = np.asarray(value, dtype=object)
+        ok &= np.array([not isinstance(v, (bool, np.bool_)) for v in x.flat], dtype=bool).reshape(x.shape)
     if np.all(ok):
         return None
     return x[np.logical_not(ok)].flat[0] if x.ndim else value

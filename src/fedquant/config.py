@@ -8,11 +8,11 @@ identical runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import _checks
 from .controller import LrSchedule
-from .objectives import _DATA_KINDS, _PARTITION_MODES, ModelSpec
+from .objectives import _DATA_KINDS, _MAX_NOISE, _PARTITION_MODES, ModelSpec
 from .quantizer import _MAX_EXACT_LEVEL
 
 __all__ = [
@@ -28,35 +28,33 @@ _LOSS_ESTIMATES = ("full", "minibatch")
 
 @dataclass(frozen=True)
 class SyntheticData:
-    """Generate the task on the fly from the run's master seed."""
+    """Generate the task on the fly from the run's master seed, in the
+    shape of the run's model.  A ``kind`` of None is the model's kind."""
 
-    kind: str
     samples: int
-    n_features: int
     noise: float = 0.0
-    n_classes: int = 2
     eval_samples: int = 0
+    kind: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _DATA_KINDS:
+        if self.kind not in (None, *_DATA_KINDS):
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
         _checks.integer("samples", self.samples, 1)
-        _checks.integer("n_features", self.n_features, 1)
         _checks.integer("eval_samples", self.eval_samples, 0)
-        _checks.finite("noise", self.noise, 0)
-        _checks.integer("n_classes", self.n_classes, 2)
+        _checks.finite("noise", self.noise, 0, _MAX_NOISE.get(self.kind))
 
 
 @dataclass(frozen=True)
 class FileData:
-    """Load the task from a delimited numeric file (last column = label)."""
+    """Load the task from a delimited numeric file (last column = label).
+    A ``kind`` of None is the model's kind."""
 
     path: str
-    kind: str = "classification"
+    kind: str | None = None
     eval_samples: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _DATA_KINDS:
+        if self.kind not in (None, *_DATA_KINDS):
             raise ValueError(f"unknown data kind {self.kind!r}")
         _checks.integer("eval_samples", self.eval_samples, 0)
 
@@ -130,26 +128,15 @@ class TrainingConfig:
         if self.smoothness is not None:
             _checks.positive("smoothness", self.smoothness)
         _checks.integer("master_seed", self.master_seed, 0)
-        self._check_model_data()
-
-    def _check_model_data(self) -> None:
-        model, data = self.model, self.data
-        if isinstance(data, SyntheticData):
-            if data.n_features != model.n_features:
-                raise ValueError(
-                    f"data has {data.n_features} features but the model expects {model.n_features}"
-                )
-            if model.kind == "quadratic" and data.kind != "regression":
-                raise ValueError("quadratic models train on regression data")
-            if model.kind == "logistic":
-                if data.kind != "classification" or data.n_classes != 2:
-                    raise ValueError("logistic models train on binary classification data")
-            if model.kind == "mlp":
-                if data.kind != "classification" or data.n_classes != model.n_classes:
-                    raise ValueError(
-                        "mlp models train on classification data with matching n_classes"
-                    )
-            if self.n_clients > data.samples:
+        # the model fixes the data's kind: None takes it, and the record is
+        # built again so that its checks see it; synthetic data must match it
+        kind = "regression" if self.model.kind == "quadratic" else "classification"
+        if self.data.kind is None:
+            object.__setattr__(self, "data", replace(self.data, kind=kind))
+        if isinstance(self.data, SyntheticData):
+            if self.data.kind != kind:
+                raise ValueError(f"{self.model.kind} models train on {kind} data")
+            if self.n_clients > self.data.samples:
                 raise ValueError("more clients than training samples")
 
     @property

@@ -303,10 +303,6 @@ class LrSchedule:
         if self.decay_every is not None:
             _checks.integer("decay_every", self.decay_every, 1)
 
-    @classmethod
-    def constant(cls, eta0: float) -> "LrSchedule":
-        return cls(eta0=eta0)
-
     def eta_for_round(self, k: int) -> float:
         _checks.integer("k", k, 0)
         if self.decay_every is None or self.decay_factor == 1.0:

@@ -480,6 +480,7 @@ def _uplink(
     return out
 
 
+@np.errstate(all="ignore")  # an overflow gives a non-finite loss, which run_round refuses
 def global_loss(model: ModelSpec, shards: Sequence[ClientShard], w: np.ndarray) -> float:
     """Weight-averaged full loss across all shards."""
     return float(sum(sh.weight * objectives.loss(model, w, sh.data) for sh in shards))
@@ -520,11 +521,16 @@ def run_round(
     train_loss: float | None = None,
 ) -> tuple[GlobalState, RoundRecord]:
     """One synchronous round at level ``s``, on streams keyed by (role,
-    client, ``state.round_index``); returns new state and record."""
+    client, ``state.round_index``); returns new state and record.  With no
+    ``train_loss`` the record takes the full loss at ``state.w``, and a
+    non-finite one is :class:`TrainingDiverged`."""
     _check_shards(model, shards)
+    k = state.round_index
     if train_loss is None:
         train_loss = global_loss(model, shards, state.w)
-    k = state.round_index
+        if not math.isfinite(train_loss):
+            raise TrainingDiverged(f"non-finite training loss at round {k}", round_index=k)
+    _checks.finite("train_loss", train_loss)
     sgd = [derive_rng(master_seed, ROLE_SGD, sh.client_id, k) for sh in shards]
     quant = [derive_rng(master_seed, ROLE_QUANT, sh.client_id, k) for sh in shards]
     try:
@@ -549,13 +555,14 @@ def build_problem(config: TrainingConfig) -> Problem:
     view of its rows there; the eval rows, the source's tail, are copied."""
     data = config.data
     if isinstance(data, SyntheticData):
+        model = config.model
         full = objectives.generate_synthetic(
             kind=data.kind,
             m=data.samples + data.eval_samples,
-            n_features=data.n_features,
+            n_features=model.n_features,
             noise=data.noise,
             seed=derive_rng(config.master_seed, ROLE_DATA),
-            n_classes=data.n_classes,
+            n_classes=model.n_classes if model.kind == "mlp" else 2,
         )
         split = data.samples
     elif isinstance(data, FileData):

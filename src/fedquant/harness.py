@@ -163,18 +163,14 @@ def _build(doc: _Doc) -> TrainingConfig:
     )
 
     source = doc.choice("data", "source", ("synthetic", "file"), default="synthetic")
-    data_kind = doc.get(
-        "data", "kind", str.lower, default="regression" if kind == "quadratic" else "classification"
-    )
+    data_kind = doc.get("data", "kind", str.lower)
     eval_samples = doc.get("data", "eval_samples", int)
     if source == "synthetic":
         data = _given(
             SyntheticData,
             kind=data_kind,
             samples=doc.get("data", "samples", int, required=True),
-            n_features=model.n_features,
             noise=doc.get("data", "noise", float),
-            n_classes=model.n_classes if mlp else None,
             eval_samples=eval_samples,
         )
     else:
@@ -289,6 +285,7 @@ def bits_to_threshold(records: Sequence[RoundRecord], threshold: float) -> int |
 
     That round's own uplink is not counted, so a run that starts there costs 0.
     """
+    _checks.finite("threshold", threshold)
     for record in records:
         if record.train_loss <= threshold:
             return record.cumulative_bits - record.bits_this_round
@@ -401,19 +398,12 @@ def reference_config(**overrides) -> TrainingConfig:
     comparisons measure variance floors rather than descent speed.
     """
     config = TrainingConfig(
-        model=ModelSpec.logistic(19),
-        data=SyntheticData(
-            kind="classification",
-            samples=2000,
-            n_features=19,
-            noise=0.1,
-            n_classes=2,
-            eval_samples=400,
-        ),
+        model=ModelSpec("logistic", 19),
+        data=SyntheticData(samples=2000, noise=0.1, eval_samples=400),
         n_clients=8,
         local_steps=10,
         batch_size=32,
-        lr=LrSchedule.constant(0.05),
+        lr=LrSchedule(0.05),
         quantization=AdaquantMode(s0=2, s_max=64, f_star=0.40),
         rounds=1600,
         partition_mode="iid",

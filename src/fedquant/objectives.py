@@ -38,6 +38,7 @@ __all__ = [
 _MODEL_KINDS = ("quadratic", "logistic", "mlp")
 _DATA_KINDS = ("regression", "classification")
 _PARTITION_MODES = ("iid", "sorted_label")
+_MAX_NOISE = {"classification": 1}  # a label-flip probability; output noise has no bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,20 +107,8 @@ class ModelSpec:
             _checks.integer("mlp n_classes", self.n_classes, 2)
         elif self.hidden != 0:
             raise ValueError("hidden layers are only configurable for mlp models")
-        elif self.n_classes not in (0, 2 if self.kind == "logistic" else 0):
+        elif self.n_classes != 0:
             raise ValueError("n_classes is only configurable for mlp models")
-
-    @classmethod
-    def quadratic(cls, n_features: int) -> "ModelSpec":
-        return cls(kind="quadratic", n_features=n_features)
-
-    @classmethod
-    def logistic(cls, n_features: int) -> "ModelSpec":
-        return cls(kind="logistic", n_features=n_features)
-
-    @classmethod
-    def mlp(cls, n_features: int, hidden: int, n_classes: int) -> "ModelSpec":
-        return cls(kind="mlp", n_features=n_features, hidden=hidden, n_classes=n_classes)
 
     @property
     def dim(self) -> int:
@@ -480,7 +469,7 @@ def generate_synthetic(
         raise ValueError(f"unknown synthetic kind {kind!r}")
     _checks.integer("m", m, 1)
     _checks.integer("n_features", n_features, 1)
-    _checks.finite("noise", noise, 0, 1 if kind == "classification" else None)
+    _checks.finite("noise", noise, 0, _MAX_NOISE.get(kind))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((m, n_features))
     if kind == "regression":

@@ -27,7 +27,7 @@ from fedquant.controller import (
     lr_condition_fixed,
 )
 from fedquant.fedsim import GlobalState, aggregate, local_round, run_round
-from fedquant.harness import reference_config
+from fedquant.harness import bits_to_threshold, reference_config
 from fedquant.objectives import ClientShard, Dataset, ModelSpec, generate_synthetic, partition, sample_batch
 from fedquant.quantizer import (
     QuantizedUpdate,
@@ -39,7 +39,7 @@ from fedquant.quantizer import (
 from fedquant.wire import decode, encode, encoded_size_bytes
 
 DATA = Dataset(features=np.arange(8.0).reshape(4, 2), labels=np.arange(4.0))
-QUAD = ModelSpec.quadratic(2)
+QUAD = ModelSpec("quadratic", 2)
 SHARD = ClientShard(client_id=0, data=DATA, weight=1.0)
 SCHEDULE = QuantSchedule(s0=2, interval_bits=10, s_max=8, eta0=0.1)
 STARTED = QuantSchedule(s0=2, interval_bits=10, s_max=8, eta0=0.1, f_w0=2.0)
@@ -130,7 +130,7 @@ def state():
 
 # entry -> (argument, call with the argument set to v)
 REALS = {
-    "SyntheticData.noise": ("noise", lambda v: SyntheticData(kind="regression", samples=4, n_features=2, noise=v)),
+    "SyntheticData.noise": ("noise", lambda v: SyntheticData(kind="regression", samples=4, noise=v)),
     "AdaquantMode.f_star": ("f_star", lambda v: AdaquantMode(f_star=v)),
     "TrainingConfig.loss_threshold": ("loss_threshold", lambda v: reference_config(loss_threshold=v)),
     "TrainingConfig.smoothness": ("smoothness", lambda v: reference_config(smoothness=v)),
@@ -160,6 +160,11 @@ REALS = {
         "eta", lambda v: run_round(QUAD, [SHARD], state(), 2, v, local_steps=2, batch_size=2, master_seed=0)
     ),
     "aggregate.weights": ("weights", lambda v: aggregate(np.zeros(3), [UPDATE], [v])),
+    "run_round.train_loss": (
+        "train_loss",
+        lambda v: run_round(QUAD, [SHARD], state(), 2, 0.1, local_steps=2, batch_size=2, master_seed=0, train_loss=v),
+    ),
+    "bits_to_threshold.threshold": ("threshold", lambda v: bits_to_threshold([], v)),
 }
 
 
@@ -184,6 +189,21 @@ class TestReals:
     def test_numpy_floats_pass(self, entry):
         _, call = REALS[entry]
         call(np.float64(1.0))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: aggregate(np.zeros(3), [UPDATE, UPDATE], [True, 1e-16]),
+            lambda: bound_value([True, 2.0], CONSTANTS),
+            lambda: bound_value((2.0, np.True_), CONSTANTS),
+            lambda: _checks.finite("x", [[0.5], [True]]),
+        ],
+        ids=["aggregate.weights", "bound_value.s", "bound_value.s (tuple)", "finite (nested)"],
+    )
+    def test_a_bool_in_a_list_is_refused(self, call):
+        # NumPy reads a list of floats with a bool in it as floats, 1.0 for True
+        with pytest.raises(ValueError, match="must be [^,]+, got True$"):
+            call()
 
     def test_only_the_three_checkers_and_adopt(self):
         public = {

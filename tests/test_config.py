@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,12 +24,12 @@ from fedquant.objectives import ModelSpec
 
 def make_config(**kw) -> TrainingConfig:
     base = dict(
-        model=ModelSpec.logistic(4),
-        data=SyntheticData(kind="classification", samples=100, n_features=4),
+        model=ModelSpec("logistic", 4),
+        data=SyntheticData(kind="classification", samples=100),
         n_clients=4,
         local_steps=5,
         batch_size=8,
-        lr=LrSchedule.constant(0.1),
+        lr=LrSchedule(0.1),
         quantization=FixedMode(bits=4),
         rounds=3,
     )
@@ -103,18 +104,18 @@ class TestNonFiniteFloats:
     def test_synthetic_noise(self, noise):
         # nan used to be refused only when the data were generated
         with pytest.raises(ValueError, match="noise must be finite and at least 0"):
-            SyntheticData(kind="regression", samples=10, n_features=2, noise=noise)
-        assert SyntheticData(kind="regression", samples=10, n_features=2, noise=0.0).noise == 0.0
+            SyntheticData(kind="regression", samples=10, noise=noise)
+        assert SyntheticData(kind="regression", samples=10, noise=0.0).noise == 0.0
 
     @pytest.mark.parametrize(
         "field, build",
         [
             ("s0", lambda: QuantSchedule(s0=math.nan, interval_bits=64, s_max=8, eta0=0.1)),
             ("s_max", lambda: QuantSchedule(s0=2, interval_bits=64, s_max=math.nan, eta0=0.1)),
-            ("samples", lambda: SyntheticData(kind="classification", samples=math.nan, n_features=4)),
+            ("samples", lambda: SyntheticData(kind="classification", samples=math.nan)),
             ("s0", lambda: AdaquantMode(s0=math.nan)),
             ("rounds", lambda: make_config(rounds=math.nan)),
-            ("n_features", lambda: ModelSpec.logistic(math.nan)),
+            ("n_features", lambda: ModelSpec("logistic", math.nan)),
             ("decay_every", lambda: LrSchedule(eta0=0.1, decay_factor=0.5, decay_every=math.nan)),
         ],
         ids=[
@@ -139,11 +140,11 @@ class TestNonFiniteFloats:
 
 
 INTEGER_FIELDS = {
-    "ModelSpec.n_features": ("n_features", 1, lambda v: ModelSpec.logistic(v)),
-    "ModelSpec.hidden": ("mlp hidden", 1, lambda v: ModelSpec.mlp(4, v, 3)),
-    "ModelSpec.n_classes": ("mlp n_classes", 2, lambda v: ModelSpec.mlp(4, 3, v)),
+    "ModelSpec.n_features": ("n_features", 1, lambda v: ModelSpec("logistic", v)),
+    "ModelSpec.hidden": ("mlp hidden", 1, lambda v: ModelSpec("mlp", 4, v, 3)),
+    "ModelSpec.n_classes": ("mlp n_classes", 2, lambda v: ModelSpec("mlp", 4, 3, v)),
     "SyntheticData.samples": (
-        "samples", 1, lambda v: SyntheticData(kind="classification", samples=v, n_features=4)
+        "samples", 1, lambda v: SyntheticData(kind="classification", samples=v)
     ),
     "FileData.eval_samples": ("eval_samples", 0, lambda v: FileData(path="rows.csv", eval_samples=v)),
     "FixedMode.bits": ("bits", (1, 31), lambda v: FixedMode(bits=v)),
@@ -207,28 +208,39 @@ class TestTrainingConfig:
         assert make_config(rounds=0).rounds == 0
 
     def test_model_data_consistency(self):
-        with pytest.raises(ValueError):
-            make_config(model=ModelSpec.quadratic(4))
-        with pytest.raises(ValueError):
-            make_config(
-                data=SyntheticData(kind="regression", samples=100, n_features=4)
-            )
-        with pytest.raises(ValueError):
-            make_config(
-                data=SyntheticData(kind="classification", samples=100, n_features=9)
-            )
-        with pytest.raises(ValueError):
-            make_config(
-                model=ModelSpec.mlp(4, 3, 5),
-                data=SyntheticData(
-                    kind="classification", samples=100, n_features=4, n_classes=3
-                ),
-            )
+        # the model fixes the data's shape, and its kind when the data leave
+        # it out; synthetic data of the other kind is refused
+        with pytest.raises(ValueError, match="^quadratic models train on regression data$"):
+            make_config(model=ModelSpec("quadratic", 4))
+        with pytest.raises(ValueError, match="^logistic models train on classification data$"):
+            make_config(data=SyntheticData(kind="regression", samples=100))
+        with pytest.raises(ValueError, match="^mlp models train on classification data$"):
+            make_config(model=ModelSpec("mlp", 4, 3, 5), data=SyntheticData(kind="regression", samples=100))
+        for model, kind in [
+            (ModelSpec("quadratic", 4), "regression"),
+            (ModelSpec("logistic", 4), "classification"),
+            (ModelSpec("mlp", 4, 3, 5), "classification"),
+        ]:
+            for data in (SyntheticData(samples=100, noise=0.5), FileData(path="rows.csv")):
+                config = make_config(model=model, data=data)
+                assert config.data == replace(data, kind=kind)
+                assert config == make_config(model=model, data=replace(data, kind=kind))
+
+    def test_classification_noise_is_a_probability(self):
+        # a label-flip probability above 1 used to build a config whose
+        # run then failed in build_problem
+        message = "^noise must be finite and at least 0 and at most 1, got 1.5$"
+        with pytest.raises(ValueError, match=message):
+            make_config(data=SyntheticData(samples=100, noise=1.5))
+        with pytest.raises(ValueError, match=message):
+            SyntheticData(kind="classification", samples=100, noise=1.5)
+        quadratic = make_config(model=ModelSpec("quadratic", 4), data=SyntheticData(samples=100, noise=1.5))
+        assert quadratic.data.noise == 1.5
 
     def test_more_clients_than_samples(self):
         with pytest.raises(ValueError):
             make_config(
-                data=SyntheticData(kind="classification", samples=3, n_features=4)
+                data=SyntheticData(kind="classification", samples=3)
             )
 
     def test_scalar_validation(self):

@@ -440,7 +440,7 @@ class TestAdaptiveBoundTerms:
 
 class TestLrSchedule:
     def test_constant(self):
-        lr = LrSchedule.constant(0.05)
+        lr = LrSchedule(0.05)
         assert lr.eta_for_round(0) == lr.eta_for_round(10**6) == 0.05
 
     def test_step_decay(self):
@@ -458,4 +458,4 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             LrSchedule(eta0=0.1, decay_factor=0.9, decay_every=0)
         with pytest.raises(ValueError):
-            LrSchedule.constant(0.1).eta_for_round(-1)
+            LrSchedule(0.1).eta_for_round(-1)

@@ -35,7 +35,7 @@ from fedquant.objectives import ClientShard, Dataset, ModelSpec, generate_synthe
 from fedquant.quantizer import bits_per_update, quantize
 from fedquant.wire import decode, encode
 
-QUAD = ModelSpec.quadratic(3)
+QUAD = ModelSpec("quadratic", 3)
 
 
 def quad_shard(seed=0, m=12, client_id=0, weight=1.0) -> ClientShard:
@@ -50,11 +50,11 @@ def quad_shard(seed=0, m=12, client_id=0, weight=1.0) -> ClientShard:
 def quad_config(**kw) -> TrainingConfig:
     base = dict(
         model=QUAD,
-        data=SyntheticData(kind="regression", samples=64, n_features=3, noise=0.1),
+        data=SyntheticData(kind="regression", samples=64, noise=0.1),
         n_clients=4,
         local_steps=3,
         batch_size=8,
-        lr=LrSchedule.constant(0.05),
+        lr=LrSchedule(0.05),
         quantization=FixedMode(bits=4),
         rounds=6,
         master_seed=11,
@@ -248,7 +248,7 @@ class TestDivergenceCertificate:
 
     def test_huge_step_size_diverges_at_step_zero_without_warnings(self):
         # the first step's parameters are near 1e200, whose squares overflow
-        config = quad_config(lr=LrSchedule.constant(1e200))
+        config = quad_config(lr=LrSchedule(1e200))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged) as info:
@@ -352,7 +352,7 @@ class TestRunRound:
         x = rng.standard_normal((30, 10))
         data = Dataset(features=x, labels=x @ rng.standard_normal(10))
         shards = partition(data, 3, mode="iid", seed=0)
-        model = ModelSpec.quadratic(10)
+        model = ModelSpec("quadratic", 10)
         state = GlobalState(w=np.zeros(10), round_index=0, cumulative_bits=0)
         new_state, record = run_round(
             model, shards, state, 3, 0.05, local_steps=2, batch_size=5, master_seed=0
@@ -403,6 +403,19 @@ class TestRunRound:
             transported.append(decode(blob, 3))
         w_next = aggregate(w0, transported, [s.weight for s in shards])
         np.testing.assert_array_equal(w_next, new_state.w)
+
+    def test_overflowing_loss_is_a_divergence_without_a_warning(self):
+        # labels near 1e200 square past the float range: the full loss is inf,
+        # with no NumPy warning, and a round that computes it diverges
+        data = Dataset(features=np.ones((4, 3)), labels=np.full(4, 1e200))
+        shards = [ClientShard(client_id=0, data=data, weight=1.0)]
+        state = GlobalState(w=np.zeros(3), round_index=5, cumulative_bits=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert global_loss(QUAD, shards, state.w) == math.inf
+            with pytest.raises(TrainingDiverged, match="^non-finite training loss at round 5$") as info:
+                run_round(QUAD, shards, state, 3, 1e-300, local_steps=1, batch_size=2, master_seed=0)
+        assert info.value.round_index == 5
 
 
 class TestQuantizationTransparency:
@@ -473,9 +486,9 @@ class TestRunTraining:
 
     def test_eval_every_gates_metric(self):
         config = quad_config(
-            model=ModelSpec.logistic(3),
+            model=ModelSpec("logistic", 3),
             data=SyntheticData(
-                kind="classification", samples=60, n_features=3, eval_samples=20
+                kind="classification", samples=60, eval_samples=20
             ),
             rounds=5,
             eval_every=2,
@@ -488,7 +501,7 @@ class TestRunTraining:
         config = quad_config(
             rounds=2,
             data=SyntheticData(
-                kind="regression", samples=64, n_features=3, noise=0.1, eval_samples=16
+                kind="regression", samples=64, noise=0.1, eval_samples=16
             ),
         )
         run = run_training(config)
@@ -523,7 +536,7 @@ class TestRunTraining:
         assert all(r.feasible is None for r in none_run.records)
 
     def test_divergence_carries_partial_records(self):
-        config = quad_config(lr=LrSchedule.constant(1e9), rounds=50)
+        config = quad_config(lr=LrSchedule(1e9), rounds=50)
         with pytest.raises(TrainingDiverged) as info:
             run_training(config)
         assert info.value.round_index is not None
@@ -586,7 +599,7 @@ class TestRunUnquantized:
             np.testing.assert_array_equal(trail[-1], run_unquantized(quad_config(rounds=6))[-1])
 
     def test_divergence_carries_round_and_partial_records(self):
-        config = quad_config(lr=LrSchedule.constant(10.0), rounds=50)
+        config = quad_config(lr=LrSchedule(10.0), rounds=50)
         with pytest.raises(TrainingDiverged) as info:
             run_unquantized(config)
         k = info.value.round_index
@@ -619,7 +632,7 @@ class TestShardChecks:
         x = np.random.default_rng(0).standard_normal((20, 3))
         np.savetxt(path, np.column_stack([x, np.arange(20) % 3]))
         config = quad_config(
-            model=ModelSpec.logistic(3),
+            model=ModelSpec("logistic", 3),
             data=FileData(path=str(path), kind="classification"),
             n_clients=2,
         )
@@ -672,9 +685,7 @@ class TestShardChecks:
 class TestBuildProblem:
     def test_synthetic_split_sizes(self):
         config = quad_config(
-            data=SyntheticData(
-                kind="regression", samples=64, n_features=3, noise=0.1, eval_samples=16
-            )
+            data=SyntheticData(kind="regression", samples=64, noise=0.1, eval_samples=16)
         )
         problem = build_problem(config)
         assert problem.train_data.m == 64
@@ -695,6 +706,27 @@ class TestBuildProblem:
         assert problem.train_data.m == 16
         assert problem.eval_data.m == 4
 
+    @pytest.mark.parametrize(
+        "model, classes", [(ModelSpec("logistic", 5), 2), (ModelSpec("mlp", 5, 4, 7), 7)], ids=["logistic", "mlp"]
+    )
+    def test_synthetic_data_takes_the_model_shape(self, model, classes):
+        # the eval rows are the generated rows' tail, as generated
+        config = quad_config(model=model, data=SyntheticData(samples=40, noise=0.1, eval_samples=30))
+        full = generate_synthetic(
+            "classification", 70, 5, 0.1, derive_rng(config.master_seed, fedsim.ROLE_DATA), classes
+        )
+        eval_data = build_problem(config).eval_data
+        np.testing.assert_array_equal(eval_data.features, full.features[40:])
+        np.testing.assert_array_equal(eval_data.labels, full.labels[40:])
+
+    def test_file_data_kind_is_the_model_kind(self, tmp_path):
+        # a quadratic model loads regression data: fractional labels load
+        path = tmp_path / "rows.txt"
+        np.savetxt(path, [[1.0, 2.0, 3.0, 0.5], [0.0, 1.0, 0.0, 1.5]])
+        config = quad_config(data=FileData(path=str(path)), n_clients=1)
+        assert config.data == FileData(path=str(path), kind="regression")
+        assert sorted(build_problem(config).train_data.labels.tolist()) == [0.5, 1.5]
+
     def test_oversized_eval_split_rejected(self, tmp_path):
         path = tmp_path / "rows.txt"
         np.savetxt(path, np.ones((3, 4)))
@@ -709,8 +741,8 @@ class TestBuildProblem:
     def test_shards_are_views_of_the_train_rows(self, mode):
         # train_data holds the training rows in partition order, and each
         # shard is a view of its consecutive rows there
-        data = SyntheticData(kind="classification", samples=61, n_features=3, noise=0.1, eval_samples=9)
-        config = quad_config(model=ModelSpec.logistic(3), data=data, n_clients=5, partition_mode=mode)
+        data = SyntheticData(kind="classification", samples=61, noise=0.1, eval_samples=9)
+        config = quad_config(model=ModelSpec("logistic", 3), data=data, n_clients=5, partition_mode=mode)
         problem = build_problem(config)
         train = problem.train_data
         for name in ("features", "labels"):
@@ -737,8 +769,8 @@ class TestBuildProblem:
         # each row set was copied two or three times on the way: 1.8 times the
         # generated rows held here, and a peak of 2.9 times
         f = 64
-        data = SyntheticData(kind="regression", samples=2000, n_features=f, noise=0.1, eval_samples=500)
-        config = quad_config(model=ModelSpec.quadratic(f), data=data, n_clients=8)
+        data = SyntheticData(kind="regression", samples=2000, noise=0.1, eval_samples=500)
+        config = quad_config(model=ModelSpec("quadratic", f), data=data, n_clients=8)
         rows = 2500 * (f + 1) * 8  # the features and the float labels
         build_problem(config)  # one-time import caches are not the rows'
         tracemalloc.start()

@@ -32,15 +32,12 @@ def tiny_mlp_config() -> TrainingConfig:
     # 50 rows over 4 clients gives shards of 13, 13, 12 and 12 rows, so at
     # batch 13 the first two clients step full-batch and the others sample.
     return TrainingConfig(
-        model=ModelSpec.mlp(5, 8, 3),
-        data=SyntheticData(
-            kind="classification", samples=50, n_features=5, noise=0.1, n_classes=3,
-            eval_samples=20,
-        ),
+        model=ModelSpec("mlp", 5, 8, 3),
+        data=SyntheticData(kind="classification", samples=50, noise=0.1, eval_samples=20),
         n_clients=4,
         local_steps=3,
         batch_size=13,
-        lr=LrSchedule.constant(0.1),
+        lr=LrSchedule(0.1),
         quantization=AdaquantMode(s0=4, s_max=256, f_star=0.2),
         rounds=25,
         master_seed=0,

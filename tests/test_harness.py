@@ -55,12 +55,12 @@ rounds = 12
 
 def small_quad(**kw) -> TrainingConfig:
     base = dict(
-        model=ModelSpec.quadratic(3),
-        data=SyntheticData(kind="regression", samples=48, n_features=3, noise=0.05),
+        model=ModelSpec("quadratic", 3),
+        data=SyntheticData(kind="regression", samples=48, noise=0.05),
         n_clients=3,
         local_steps=2,
         batch_size=8,
-        lr=LrSchedule.constant(0.05),
+        lr=LrSchedule(0.05),
         quantization=FixedMode(bits=4),
         rounds=12,
         master_seed=7,
@@ -100,7 +100,7 @@ class TestParseConfig:
         assert config.quantization.s0 == 2
         assert config.quantization.s_max == 2**16 - 1
         assert config.interval_bits == 16 * 3
-        assert config.lr == LrSchedule.constant(0.05)
+        assert config.lr == LrSchedule(0.05)
         assert config.partition_mode == "iid"
         assert config.eval_every == 1
         assert config.loss_estimate == "full"
@@ -112,7 +112,7 @@ class TestParseConfig:
         # field is the record's own default
         assert parse_config(MINIMAL) == TrainingConfig(
             model=ModelSpec(kind="quadratic", n_features=3),
-            data=SyntheticData(kind="regression", samples=48, n_features=3),
+            data=SyntheticData(kind="regression", samples=48),
             n_clients=3,
             local_steps=2,
             batch_size=8,
@@ -124,15 +124,8 @@ class TestParseConfig:
     def test_wide_benchmark_config(self):
         config = load_config(os.path.join(ROOT, "perfbench", "wide.ini"))
         assert config == TrainingConfig(
-            model=ModelSpec.mlp(256, 384, 10),
-            data=SyntheticData(
-                kind="classification",
-                samples=4000,
-                n_features=256,
-                noise=0.1,
-                n_classes=10,
-                eval_samples=1000,
-            ),
+            model=ModelSpec("mlp", 256, 384, 10),
+            data=SyntheticData(kind="classification", samples=4000, noise=0.1, eval_samples=1000),
             n_clients=8,
             local_steps=1,
             batch_size=32,
@@ -287,7 +280,7 @@ class TestRunExperiment:
 
     def test_divergence_leaves_valid_csv_prefix(self, tmp_path):
         out = tmp_path / "partial.csv"
-        bad = small_quad(lr=LrSchedule.constant(1e9), rounds=50)
+        bad = small_quad(lr=LrSchedule(1e9), rounds=50)
         with pytest.raises(TrainingDiverged):
             run_experiment(replace(bad, output=str(out)))
         with open(out, newline="") as fh:
@@ -323,7 +316,7 @@ class TestRunExperiment:
     def test_adaptive_levels_nondecreasing_on_quadratic(self):
         config = small_quad(
             quantization=AdaquantMode(s0=2, s_max=512),
-            data=SyntheticData(kind="regression", samples=48, n_features=3, noise=0.0),
+            data=SyntheticData(kind="regression", samples=48, noise=0.0),
             rounds=30,
         )
         summary, _ = run_experiment(config)
@@ -463,9 +456,9 @@ class TestSweep:
 class TestSummaryEvalMetric:
     def test_classifier_reports_accuracy(self):
         config = small_quad(
-            model=ModelSpec.logistic(3),
+            model=ModelSpec("logistic", 3),
             data=SyntheticData(
-                kind="classification", samples=60, n_features=3, eval_samples=20
+                kind="classification", samples=60, eval_samples=20
             ),
             rounds=4,
         )

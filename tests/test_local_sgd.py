@@ -45,14 +45,14 @@ from fedquant.objectives import (
 )
 
 MODELS = {
-    "quadratic": ModelSpec.quadratic(3),
-    "logistic": ModelSpec.logistic(4),
+    "quadratic": ModelSpec("quadratic", 3),
+    "logistic": ModelSpec("logistic", 4),
     # one feature: products over a length-1 axis skip BLAS
-    "logistic_one_feature": ModelSpec.logistic(1),
-    "mlp": ModelSpec.mlp(4, 6, 3),
+    "logistic_one_feature": ModelSpec("logistic", 1),
+    "mlp": ModelSpec("mlp", 4, 6, 3),
     # ten classes: the output-layer sums run past the 8-way blocks of
     # NumPy's pairwise summation
-    "mlp10": ModelSpec.mlp(5, 7, 10),
+    "mlp10": ModelSpec("mlp", 5, 7, 10),
 }
 
 
@@ -221,7 +221,7 @@ def test_later_rounds_step_in_the_run_planes(layout):
     # round through a row source; a later round copies its start point in
     # and allocates no (clients, dim) plane; dim is past NumPy's 8192-element
     # ufunc buffer, which a broadcast in a smaller plane allocates
-    model = ModelSpec.quadratic(20_000)
+    model = ModelSpec("quadratic", 20_000)
     sizes, batch_size, steps = LAYOUTS[layout]
     shards = make_shards(model, sizes)
     rows = fedsim._Rows(model, shards, batch_size, steps, streams(len(sizes)).__getitem__, rounds=3)
@@ -282,7 +282,7 @@ def test_later_rounds_gather_without_allocating():
     # past the buffers NumPy's ufunc iterator takes for each broadcast or
     # strided operand in a block draw (8192 elements), which do not grow
     # with the rows
-    model = ModelSpec.logistic(2)
+    model = ModelSpec("logistic", 2)
     shards = make_shards(model, [300] * 16)
     rounds = 3 * fedsim._STREAM_ROUNDS
     rows = fedsim._Rows(model, shards, 64, 64, streams(16).__getitem__, rounds=rounds)
@@ -361,7 +361,7 @@ def test_non_finite_start_point_is_refused_before_stepping(value):
     assert rng.bit_generator.state == before
 
 
-QUAD2 = ModelSpec.quadratic(2)
+QUAD2 = ModelSpec("quadratic", 2)
 
 
 def scaled_shard(client_id: int, scale: float) -> ClientShard:
@@ -411,11 +411,11 @@ def test_divergence_in_a_later_round_keeps_its_context():
     # client-by-client loop)
     config = TrainingConfig(
         model=QUAD2,
-        data=SyntheticData(kind="regression", samples=64, n_features=2, noise=0.1),
+        data=SyntheticData(kind="regression", samples=64, noise=0.1),
         n_clients=4,
         local_steps=3,
         batch_size=8,
-        lr=LrSchedule.constant(2.5),
+        lr=LrSchedule(2.5),
         quantization=FixedMode(bits=4),
         rounds=200,
         master_seed=11,
@@ -537,11 +537,11 @@ def test_run_diverging_across_two_interleaved_batch_groups(monkeypatch):
     monkeypatch.setattr(fedsim, "build_problem", lambda config: problem)
     config = TrainingConfig(
         model=QUAD2,
-        data=SyntheticData(kind="regression", samples=20, n_features=2, noise=0.1),
+        data=SyntheticData(kind="regression", samples=20, noise=0.1),
         n_clients=6,
         local_steps=3,
         batch_size=3,
-        lr=LrSchedule.constant(0.05),
+        lr=LrSchedule(0.05),
         quantization=FixedMode(bits=4),
         rounds=60,
         master_seed=3,

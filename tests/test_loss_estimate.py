@@ -28,11 +28,11 @@ from fedquant.objectives import (
 )
 
 MODELS = {
-    "quadratic": ModelSpec.quadratic(3),
-    "logistic": ModelSpec.logistic(4),
-    "logistic_one_feature": ModelSpec.logistic(1),
-    "mlp": ModelSpec.mlp(4, 6, 3),
-    "mlp10": ModelSpec.mlp(5, 7, 10),
+    "quadratic": ModelSpec("quadratic", 3),
+    "logistic": ModelSpec("logistic", 4),
+    "logistic_one_feature": ModelSpec("logistic", 1),
+    "mlp": ModelSpec("mlp", 4, 6, 3),
+    "mlp10": ModelSpec("mlp", 5, 7, 10),
 }
 # shard sizes: equal, unequal, one shard, and groups that interleave
 LAYOUTS = [(6, 6, 6), (9, 4, 4, 9, 7), (13,), (3, 40, 3, 40, 200)]

@@ -25,9 +25,9 @@ from fedquant.objectives import (
     sample_batch,
 )
 
-QUAD = ModelSpec.quadratic(5)
-LOGI = ModelSpec.logistic(4)
-MLP = ModelSpec.mlp(4, 3, 3)
+QUAD = ModelSpec("quadratic", 5)
+LOGI = ModelSpec("logistic", 4)
+MLP = ModelSpec("mlp", 4, 3, 3)
 
 
 def quad_data(seed=0, m=40):
@@ -117,11 +117,13 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(kind="tree", n_features=3)
         with pytest.raises(ValueError):
-            ModelSpec.mlp(4, 0, 3)
+            ModelSpec("mlp", 4, 0, 3)
         with pytest.raises(ValueError):
-            ModelSpec.mlp(4, 3, 1)
+            ModelSpec("mlp", 4, 3, 1)
         with pytest.raises(ValueError):
             ModelSpec(kind="quadratic", n_features=3, hidden=2)
+        with pytest.raises(ValueError, match="^n_classes is only configurable for mlp models$"):
+            ModelSpec(kind="logistic", n_features=3, n_classes=2)  # a logistic model has one spelling
 
 
 class TestLoss:
@@ -276,7 +278,7 @@ class TestLogisticKernels:
         x = rng.standard_normal((n, b, f))
         y = (rng.random((n, b)) < 0.5).astype(np.float64)
         out = np.full((n, f + 1), np.nan)
-        got = objectives._gradient_kernel(ModelSpec.logistic(f), w, out)(x, y)
+        got = objectives._gradient_kernel(ModelSpec("logistic", f), w, out)(x, y)
         assert got is out
         assert same_bits(got, logistic_gradients_reference(w, x, y))
 
@@ -286,7 +288,7 @@ class TestGradientKernel:
     is stepped in place, as local SGD calls it."""
 
     @pytest.mark.parametrize(
-        "model", [ModelSpec.quadratic(5), ModelSpec.logistic(5), ModelSpec.mlp(5, 4, 3)], ids=lambda m: m.kind
+        "model", [ModelSpec("quadratic", 5), ModelSpec("logistic", 5), ModelSpec("mlp", 5, 4, 3)], ids=lambda m: m.kind
     )
     def test_bound_kernel_is_a_fresh_call_at_every_step(self, model):
         rng = np.random.default_rng(11)
@@ -331,7 +333,7 @@ class TestGradientKernel:
         x = rng.standard_normal((steps, n, b, f))
         y = (rng.random((steps, n, b)) < 0.5).astype(np.float64)
         w = rng.standard_normal((n, f + 1)) * 0.1
-        step = objectives._gradient_kernel(ModelSpec.logistic(f), w, np.empty_like(w))
+        step = objectives._gradient_kernel(ModelSpec("logistic", f), w, np.empty_like(w))
         step(x[0], y[0])
         tracemalloc.start()
         try:
@@ -368,7 +370,7 @@ class TestSynthetic:
 
     def test_noiseless_regression_planted_optimum(self):
         data = generate_synthetic("regression", 80, 5, noise=0.0, seed=1)
-        assert loss(ModelSpec.quadratic(5), data.planted_params, data) == 0.0
+        assert loss(ModelSpec("quadratic", 5), data.planted_params, data) == 0.0
 
     def test_binary_label_balance(self):
         data = generate_synthetic("classification", 100, 8, seed=4)

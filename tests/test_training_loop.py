@@ -110,24 +110,21 @@ def reference_training(config: TrainingConfig):
 
 
 MODELS = {
-    "quadratic": (ModelSpec.quadratic(3), "regression", 2),
-    "logistic": (ModelSpec.logistic(4), "classification", 2),
-    "mlp": (ModelSpec.mlp(4, 5, 3), "classification", 3),
+    "quadratic": (ModelSpec("quadratic", 3), "regression"),
+    "logistic": (ModelSpec("logistic", 4), "classification"),
+    "mlp": (ModelSpec("mlp", 4, 5, 3), "classification"),
 }
 
 
 def make_config(kind="logistic", **kw) -> TrainingConfig:
-    model, data_kind, classes = MODELS[kind]
+    model, data_kind = MODELS[kind]
     base = dict(
         model=model,
-        data=SyntheticData(
-            kind=data_kind, samples=90, n_features=model.n_features, noise=0.1,
-            eval_samples=20, n_classes=classes,
-        ),
+        data=SyntheticData(kind=data_kind, samples=90, noise=0.1, eval_samples=20),
         n_clients=4,
         local_steps=3,
         batch_size=8,
-        lr=LrSchedule.constant(0.1),
+        lr=LrSchedule(0.1),
         quantization=FixedMode(bits=3),
         rounds=40,
         master_seed=7,
@@ -210,9 +207,9 @@ def test_row_sources_read_the_training_block_in_place(monkeypatch, kind):
             made.append(self)
 
     monkeypatch.setattr(fedsim, "_Rows", Recording)
-    _, data_kind, classes = MODELS[kind]
-    model = ModelSpec.logistic(64) if kind == "logistic" else ModelSpec.mlp(64, 5, 3)
-    data = SyntheticData(kind=data_kind, samples=8000, n_features=64, eval_samples=20, n_classes=classes)
+    _, data_kind = MODELS[kind]
+    model = ModelSpec("logistic", 64) if kind == "logistic" else ModelSpec("mlp", 64, 5, 3)
+    data = SyntheticData(kind=data_kind, samples=8000, eval_samples=20)
     run = run_training(make_config(kind, model=model, data=data, rounds=3, loss_estimate="minibatch"))
     block = run.problem.train_data
     assert len(made) == 2
@@ -240,7 +237,7 @@ def test_bit_budget_stops_inside_a_block():
 def test_divergence_inside_a_block_keeps_its_context():
     # at eta = 2.5 this quadratic run diverges in round 22, in the second
     # block, at client 1's last local step
-    config = make_config("quadratic", lr=LrSchedule.constant(2.5), rounds=200, batch_size=8)
+    config = make_config("quadratic", lr=LrSchedule(2.5), rounds=200, batch_size=8)
     config = replace(config, data=replace(config.data, samples=64, eval_samples=0), master_seed=13,
                      quantization=FixedMode(bits=4))
     with warnings.catch_warnings():
